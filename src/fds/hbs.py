@@ -24,10 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .linalg import (
-    SingularMatrixError,
-    interpolative_decomposition,
-)
+from .linalg import SingularMatrixError, interpolative_decomposition, lu_factor_checked
 from .tree import ClusterTree, sibling_pairs
 
 logger = logging.getLogger(__name__)
@@ -63,12 +60,7 @@ def woodbury_variant(D, U, V, Atilde=None):
     V = np.asarray(V)
     n = D.shape[0]
     K = U.shape[1]
-    try:
-        lu = scipy.linalg.lu_factor(D)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrixError(f"D is singular: {exc}") from exc
-    if np.any(np.abs(np.diag(lu[0])) < 1e-300):
-        raise SingularMatrixError("D is singular")
+    lu = lu_factor_checked(D, "D")
     Dinv = scipy.linalg.lu_solve(lu, np.eye(n, dtype=D.dtype))
     if K == 0:
         empty = np.zeros((n, 0), dtype=D.dtype)
@@ -379,12 +371,7 @@ def hbs_invert(H: HbsMatrix) -> HbsInverse:
     if root.size == 0:
         G_root = root
     else:
-        try:
-            lu = scipy.linalg.lu_factor(root)
-        except np.linalg.LinAlgError as exc:
-            raise SingularMatrixError(f"singular root block (level 0): {exc}") from exc
-        if np.any(np.abs(np.diag(lu[0])) < 1e-300):
-            raise SingularMatrixError("singular root block (level 0)")
+        lu = lu_factor_checked(root, "root block (level 0)")
         G_root = scipy.linalg.lu_solve(lu, np.eye(root.shape[0], dtype=root.dtype))
     conds[1] = float(np.linalg.cond(root, 1)) if root.size else 1.0
     return HbsInverse(tree=t, E=E, F=F, G=G, G_root=G_root,

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .linalg import LowRankFactor, SingularMatrixError, low_rank_approx
+from .linalg import LowRankFactor, SingularMatrixError, low_rank_approx, lu_factor_checked
 from .tree import ClusterTree, sibling_pairs
 
 __all__ = [
@@ -153,13 +153,7 @@ def invert_woodbury(H: HodlrMatrix) -> HodlrInverseWoodbury:
     t = H.tree
     inv = HodlrInverseWoodbury(tree=t, leaf_lu={}, nodes={})
     for tau in t.leaves():
-        try:
-            lu, piv = scipy.linalg.lu_factor(H.leaf_diag[tau])
-        except np.linalg.LinAlgError as exc:
-            raise SingularMatrixError(f"leaf diagonal block {tau} is singular") from exc
-        if np.any(np.abs(np.diag(lu)) < 1e-300):
-            raise SingularMatrixError(f"leaf diagonal block {tau} is singular")
-        inv.leaf_lu[tau] = (lu, piv)
+        inv.leaf_lu[tau] = lu_factor_checked(H.leaf_diag[tau], f"leaf diagonal block {tau}")
     # bottom-up so child applies are available
     for ell in range(t.depth - 1, -1, -1):
         for tau in t.nodes_at_level(ell):
@@ -173,11 +167,9 @@ def invert_woodbury(H: HodlrMatrix) -> HodlrInverseWoodbury:
             S = S.astype(np.result_type(S.dtype, fab.V.dtype))
             S[:ka, ka:] = fba.V.conj().T @ Ya
             S[ka:, :ka] = fab.V.conj().T @ Yb
-            lu, piv = scipy.linalg.lu_factor(S)
-            if np.any(np.abs(np.diag(lu)) < 1e-300):
-                raise SingularMatrixError(f"Woodbury core S is singular at node {tau}")
             inv.nodes[tau] = _WoodburyNode(
-                Ya=Ya, Yb=Yb, Va=fba.V, Vb=fab.V, S_lu=(lu, piv)
+                Ya=Ya, Yb=Yb, Va=fba.V, Vb=fab.V,
+                S_lu=lu_factor_checked(S, f"Woodbury core S at node {tau}"),
             )
     return inv
 
@@ -191,16 +183,11 @@ def recompress_inverse(inv: HodlrInverseWoodbury, tol) -> HodlrMatrix:
     columns and the result compressed at ``tol``. Off by default
     everywhere else in the package; the apply-operator form stays exact.
     """
-    t = inv.tree
-    N = t.N
-    dense = np.empty((N, N))
-    block = np.zeros((N, 64))
-    for start in range(0, N, 64):
-        width = min(64, N - start)
-        block[:, :width] = 0.0
-        block[np.arange(start, start + width), np.arange(width)] = 1.0
-        dense[:, start:start + width] = inv.apply(block[:, :width])
-    return compress_to_hodlr(dense, t, tol)
+    N = inv.tree.N
+    # identity block columns; the result takes the inverse's dtype
+    dense = np.hstack([inv.apply(np.eye(N, min(64, N - start), -start))
+                       for start in range(0, N, 64)])
+    return compress_to_hodlr(dense, inv.tree, tol)
 
 
 # -- multiplicative (non-recursive) inverse -----------------------------------

@@ -19,6 +19,7 @@ __all__ = [
     "cpqr",
     "truncated_svd",
     "interpolative_decomposition",
+    "lu_factor_checked",
     "dense_lu_solve",
     "complex_singular_values",
     "eps_rank",
@@ -242,20 +243,22 @@ def row_interpolative_decomposition(A, tol) -> InterpolativeFactor:
     return interpolative_decomposition(np.asarray(A).conj().T, tol)
 
 
-def dense_lu_solve(A, B):
-    """Solve A X = B by partially pivoted LU.
+def lu_factor_checked(A, where):
+    """Partially pivoted LU of a square matrix as ``(lu, piv)`` for ``lu_solve``.
 
-    Raises SingularMatrixError when a pivot falls below 1e-300 in
-    magnitude.
+    Raises SingularMatrixError naming ``where`` (a node, level or box)
+    when a pivot underflows to zero.
     """
-    A = _check_input(A)
     lu, piv = scipy.linalg.lu_factor(A)
-    small = np.abs(np.diag(lu)) < 1e-300
-    if np.any(small):
-        raise SingularMatrixError(
-            f"singular pivot at position {int(np.nonzero(small)[0][0])}"
-        )
-    return scipy.linalg.lu_solve((lu, piv), B)
+    small = np.nonzero(np.abs(np.diag(lu)) < 1e-300)[0]
+    if small.size:
+        raise SingularMatrixError(f"{where} is singular (pivot {int(small[0])})")
+    return lu, piv
+
+
+def dense_lu_solve(A, B):
+    """Solve A X = B by partially pivoted LU; a zero pivot raises."""
+    return scipy.linalg.lu_solve(lu_factor_checked(_check_input(A), "matrix"), B)
 
 
 def complex_singular_values(A):

@@ -1,12 +1,14 @@
-"""Gauss-Legendre quadrature via Newton iteration on the Legendre recurrence."""
+"""Gauss-Legendre quadrature rules on an interval [a, b].
+
+Nodes and weights on [-1, 1] come from ``numpy.polynomial.legendre.leggauss``
+and are mapped affinely onto [a, b].
+"""
 
 from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = ["QuadratureRule", "gauss_legendre"]
-
-_MAX_NEWTON = 100
 
 
 @dataclass(frozen=True)
@@ -25,46 +27,12 @@ class QuadratureRule:
         return float(np.dot(self.weights, f(self.nodes)))
 
 
-def _legendre_and_derivative(n, x):
-    """P_n(x) and P_n'(x) from the three-term recurrence."""
-    p0 = np.ones_like(x)
-    p1 = x.copy()
-    for k in range(2, n + 1):
-        p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
-    dp = n * (x * p1 - p0) / (x * x - 1.0)
-    return p1, dp
-
-
 def gauss_legendre(n, a, b) -> QuadratureRule:
-    """n-point Gauss-Legendre rule on [a, b].
-
-    Roots of P_n are found by Newton iteration from the Chebyshev-like
-    initial guess cos(pi (4i-1)/(4n+2)); nodes and weights are then
-    mapped affinely onto [a, b]. Symmetric about the midpoint.
-    """
+    """n-point Gauss-Legendre rule on [a, b], nodes ascending."""
     if n < 1:
         raise ValueError(f"need n >= 1 nodes, got {n}")
     if not a < b:
         raise ValueError(f"empty interval [{a}, {b}]")
-    if n == 1:
-        return QuadratureRule(
-            nodes=np.array([0.5 * (a + b)]), weights=np.array([float(b - a)]),
-            a=float(a), b=float(b),
-        )
-    i = np.arange(1, n + 1)
-    x = np.cos(np.pi * (4 * i - 1) / (4 * n + 2))
-    for it in range(_MAX_NEWTON):
-        p, dp = _legendre_and_derivative(n, x)
-        dx = p / dp
-        x -= dx
-        if np.max(np.abs(dx)) < 1e-15:
-            break
-    else:
-        raise RuntimeError(f"Newton iteration did not converge in {_MAX_NEWTON} steps")
-    x.sort()
-    x = 0.5 * (x - x[::-1])  # enforce exact symmetry
-    _, dp = _legendre_and_derivative(n, x)
-    w = 2.0 / ((1.0 - x * x) * dp * dp)
-    w = 0.5 * (w + w[::-1])
+    x, w = np.polynomial.legendre.leggauss(n)
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
     return QuadratureRule(nodes=mid + half * x, weights=half * w, a=float(a), b=float(b))

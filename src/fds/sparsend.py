@@ -19,7 +19,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse
 
-from .linalg import SingularMatrixError
+from .linalg import lu_factor_checked
 from .results import SpectrumResult
 
 __all__ = [
@@ -246,12 +246,7 @@ def nd_factor(A, tree: NdTree) -> NdFactors:
             F[np.ix_(loc, loc)] += U
         b = len(B)
         FSS = F[:s, :s]
-        try:
-            lu = scipy.linalg.lu_factor(FSS)
-        except np.linalg.LinAlgError as exc:
-            raise SingularMatrixError(f"singular front at box {node.box}") from exc
-        if np.any(np.abs(np.diag(lu[0])) < 1e-300):
-            raise SingularMatrixError(f"singular front at box {node.box}")
+        lu = lu_factor_checked(FSS, f"front at box {node.box}")
         flops += (2.0 / 3.0) * s**3
         X = scipy.linalg.lu_solve(lu, F[:s, s:])
         flops += 2.0 * s * s * b
@@ -277,9 +272,9 @@ def nd_solve(factors: NdFactors, b):
 
     Accepts a single right-hand side or a matrix of them.
     """
-    b = np.asarray(b, dtype=float)
+    b = np.asarray(b)
     single = b.ndim == 1
-    y = b.reshape(factors.N, -1).copy()
+    y = b.reshape(factors.N, -1).astype(np.result_type(b, float))
     for fr in factors.fronts:
         z = scipy.linalg.lu_solve(fr.lu, y[fr.sep])
         if len(fr.bnd):

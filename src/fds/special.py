@@ -1,141 +1,33 @@
-"""Bessel functions J0, Y0, J1, Y1 and the zeroth Hankel function H0^(1).
+"""Bessel functions J0, Y0, J1, Y1 and the Hankel functions H0^(1), H1^(1).
 
-Two branches cover (0, 1.5e3] to about 1e-12 absolute accuracy:
-
-* ``x <= 12.6``: ascending power series, accumulated in extended
-  precision (longdouble) to suppress the cancellation that grows like
-  I_0(x) * eps near the crossover;
-* ``x > 12.6``: Hankel asymptotic expansion, P/Q sums truncated
-  adaptively at the smallest term (at least 8 and at most 30 terms).
-
-All functions are vectorized over numpy arrays.
+Thin wrappers over the Cephes routines ``scipy.special.j0/y0/j1/y1``,
+with H_n^(1) = J_n + i Y_n. The domain is x > 0 (Y_n has a singularity
+at 0); scalars map to Python floats and arrays elementwise.
 """
 
 import numpy as np
+import scipy.special
 
 __all__ = ["bessel_j0_y0", "bessel_j1_y1", "hankel0_first_kind", "hankel1_first_kind"]
 
-EULER_GAMMA = 0.5772156649015328606
-_CROSSOVER = 12.6
-_MIN_ASYM_TERMS = 8
-_MAX_ASYM_TERMS = 30
 
-
-def _series_j0_y0(x):
-    x = np.asarray(x, dtype=np.longdouble)
-    q = 0.25 * x * x
-    term = np.ones_like(x)
-    j0 = term.copy()
-    hsum = np.zeros_like(x)  # sum of (-1)^{k+1} H_k q^k / (k!)^2
-    hk = np.longdouble(0)
-    for k in range(1, 80):
-        term = term * (-q) / np.longdouble(k * k)
-        hk = hk + np.longdouble(1) / np.longdouble(k)
-        j0 += term
-        hsum -= term * hk
-        if np.all(np.abs(term) < 1e-22 * np.maximum(1.0, np.abs(j0))):
-            break
-    y0 = (2.0 / np.pi) * ((np.log(0.5 * x) + np.longdouble(EULER_GAMMA)) * j0 + hsum)
-    return j0.astype(float), y0.astype(float)
-
-
-def _series_j1_y1(x):
-    x = np.asarray(x, dtype=np.longdouble)
-    q = 0.25 * x * x
-    half = 0.5 * x
-    term = np.ones_like(x)  # q^k / (k! (k+1)!)
-    j1s = term.copy()
-    hk, hk1 = np.longdouble(0), np.longdouble(1)
-    hsum = term * (hk + hk1)
-    for k in range(1, 80):
-        term = term * (-q) / np.longdouble(k * (k + 1))
-        hk = hk + np.longdouble(1) / np.longdouble(k)
-        hk1 = hk1 + np.longdouble(1) / np.longdouble(k + 1)
-        j1s += term
-        hsum += term * (hk + hk1)
-        if np.all(np.abs(term) < 1e-22 * np.maximum(1.0, np.abs(j1s))):
-            break
-    j1 = half * j1s
-    y1 = (
-        (2.0 / np.pi) * (np.log(0.5 * x) + np.longdouble(EULER_GAMMA)) * j1
-        - 2.0 / (np.pi * x)
-        - (half / np.pi) * hsum
-    )
-    return j1.astype(float), y1.astype(float)
-
-
-def _asymptotic_j_y(x, n):
-    """J_n, Y_n for large x from the Hankel expansion.
-
-    H_n^(1)(x) ~ sqrt(2/(pi x)) e^{i chi} sum_k i^k a_k(n) / x^k with
-    chi = x - n pi/2 - pi/4 and a_k(n) = a_{k-1}(n) (4n^2-(2k-1)^2)/(8k).
-    P collects the real (even-k) part of the sum and Q the imaginary.
-    """
-    x = np.asarray(x, dtype=float)
-    mu = 4.0 * n * n
-    P = np.ones_like(x)
-    Q = np.zeros_like(x)
-    ak = 1.0
-    xinv = 1.0 / x
-    pw = np.ones_like(x)
-    prev = np.full_like(x, np.inf)
-    active = np.ones(x.shape, dtype=bool)
-    for k in range(1, _MAX_ASYM_TERMS + 1):
-        ak *= (mu - (2 * k - 1) ** 2) / (8.0 * k)
-        pw = pw * xinv
-        term = ak * pw
-        # the series is divergent: freeze each element at its smallest
-        # term (per element, so results are independent of batching)
-        if k > _MIN_ASYM_TERMS:
-            active &= np.abs(term) < prev
-        use = np.where(active, term, 0.0)
-        m = k % 4
-        if m == 1:
-            Q += use
-        elif m == 2:
-            P -= use
-        elif m == 3:
-            Q -= use
-        else:
-            P += use
-        if not active.any():
-            break
-        prev = np.abs(term)
-        # P, Q are O(1); terms this small cannot move them
-        if k >= _MIN_ASYM_TERMS and np.all(prev < 1e-17):
-            break
-    chi = x - (0.5 * n + 0.25) * np.pi
-    c = np.sqrt(2.0 / (np.pi * x))
-    return c * (P * np.cos(chi) - Q * np.sin(chi)), c * (P * np.sin(chi) + Q * np.cos(chi))
-
-
-def _dispatch(x, n):
+def _pair(x, jn, yn):
+    scalar = np.isscalar(x)
     x = np.asarray(x, dtype=float)
     if np.any(x <= 0.0) or not np.all(np.isfinite(x)):
         raise ValueError("argument must be positive and finite (log singularity at 0)")
-    j = np.empty_like(x)
-    y = np.empty_like(x)
-    lo = x <= _CROSSOVER
-    if np.any(lo):
-        j[lo], y[lo] = (_series_j0_y0 if n == 0 else _series_j1_y1)(x[lo])
-    hi = ~lo
-    if np.any(hi):
-        j[hi], y[hi] = _asymptotic_j_y(x[hi], n)
-    return j, y
+    j, y = jn(x), yn(x)
+    return (float(j), float(y)) if scalar else (j, y)
 
 
 def bessel_j0_y0(x):
     """J0(x) and Y0(x) for x > 0, elementwise."""
-    scalar = np.isscalar(x)
-    j, y = _dispatch(np.atleast_1d(x), 0)
-    return (float(j[0]), float(y[0])) if scalar else (j, y)
+    return _pair(x, scipy.special.j0, scipy.special.y0)
 
 
 def bessel_j1_y1(x):
     """J1(x) and Y1(x) for x > 0, elementwise."""
-    scalar = np.isscalar(x)
-    j, y = _dispatch(np.atleast_1d(x), 1)
-    return (float(j[0]), float(y[0])) if scalar else (j, y)
+    return _pair(x, scipy.special.j1, scipy.special.y1)
 
 
 def hankel0_first_kind(x):

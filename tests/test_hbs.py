@@ -245,6 +245,14 @@ class TestInvert:
         with pytest.raises(SingularMatrixError, match=f"node {leaf}"):
             hbs_invert(H)
 
+    @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
+    def test_singular_root_block_names_level(self):
+        # [[I, I], [I, I]] has regular leaves but a singular root block
+        I2 = np.eye(2)
+        H = compress_to_hbs(np.block([[I2, I2], [I2, I2]]), build_uniform_tree(4, 2), 1e-12)
+        with pytest.raises(SingularMatrixError, match="level 0"):
+            hbs_invert(H)
+
 
 class TestApplyInverse:
     def test_identity_inverse(self):

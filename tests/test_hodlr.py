@@ -120,6 +120,29 @@ class TestWoodburyInverse:
         # the recompressed inverse has modest but nonzero off-diagonal rank
         assert 1 <= Hinv.max_rank() <= 16
 
+    def test_recompressed_complex_inverse_keeps_imaginary_part(self):
+        from fds.hodlr import recompress_inverse
+
+        N = 256
+        i = np.arange(N)
+        A = kernel_matrix(N) * np.exp(0.3j * (i[:, None] - i[None, :])) + 10 * np.eye(N)
+        H = compress_to_hodlr(A, build_uniform_tree(N, 32), 1e-12)
+        Hinv = recompress_inverse(invert_woodbury(H), 1e-10)
+        rng = np.random.default_rng(RNG_SEED)
+        x = rng.standard_normal(N) + 1j * rng.standard_normal(N)
+        y = hodlr_matvec(Hinv, x)
+        y_ref = np.linalg.solve(A, x)
+        assert np.iscomplexobj(y)
+        assert np.linalg.norm(y - y_ref) <= 1e-8 * np.linalg.norm(y_ref)
+
+    @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
+    def test_singular_woodbury_core_names_node(self):
+        # [[I, I], [I, I]] has regular leaves but a singular core at the root
+        I2 = np.eye(2)
+        H = compress_to_hodlr(np.block([[I2, I2], [I2, I2]]), build_uniform_tree(4, 2), 1e-12)
+        with pytest.raises(SingularMatrixError, match="node 1"):
+            invert_woodbury(H)
+
     @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
 
     def test_singular_leaf_names_node(self):

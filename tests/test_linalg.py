@@ -167,10 +167,12 @@ class TestDenseLuSolve:
     @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
 
     def test_singular_raises(self):
+        # an exact zero pivot and a tiny nonzero one below the underflow cut
         A = np.zeros((3, 3))
         A[0, 0] = 1.0
-        with pytest.raises(SingularMatrixError):
-            dense_lu_solve(A, np.ones(3))
+        for M in (A, np.diag([1.0, 1e-305])):
+            with pytest.raises(SingularMatrixError, match="pivot 1"):
+                dense_lu_solve(M, np.ones(M.shape[0]))
 
 
 class TestComplexSingularValues:

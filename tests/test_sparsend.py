@@ -153,6 +153,15 @@ class TestFactorSolve:
         for e1, e2 in zip(errs, errs[1:]):
             assert 3.6 <= e1 / e2 <= 4.4
 
+    def test_complex_rhs(self):
+        st = assemble_stencil(2, 16)
+        fac = nd_factor(st, nd_partition(2, 16, leaf_cells=4))
+        rng = np.random.default_rng(RNG_SEED)
+        b = rng.standard_normal(st.N) + 1j * rng.standard_normal(st.N)
+        x = nd_solve(fac, b)
+        assert np.iscomplexobj(x)
+        assert np.linalg.norm(st.A @ x - b) <= 1e-10 * np.linalg.norm(b)
+
     def test_zero_rhs(self):
         st = assemble_stencil(2, 8)
         fac = nd_factor(st, nd_partition(2, 8, leaf_cells=3))
