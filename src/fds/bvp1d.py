@@ -110,49 +110,24 @@ def assemble_fd(p: Bvp1dProblem):
 
 
 def solve_tridiag(T: TridiagonalMatrix, rhs):
-    """Thomas elimination with a pivoted fallback.
+    """Banded partially pivoted LU solve (LAPACK gbsv).
 
-    Plain elimination is O(N) and safe for the diagonally dominant
-    m >= 0 stencil; if a pivot degenerates (oscillatory m makes the
-    matrix indefinite) the banded partially pivoted LAPACK solve takes
-    over.
+    Pivoting keeps the O(N) solve stable when an oscillatory m makes
+    the stencil indefinite. A singular matrix raises SingularMatrixError.
     """
     rhs = np.asarray(rhs, dtype=float)
     n = T.N
     if rhs.shape[0] != n:
         raise ValueError(f"rhs length {rhs.shape[0]} != {n}")
-    if n == 1:
-        if T.diag[0] == 0.0:
-            raise SingularMatrixError("zero pivot in 1x1 system")
-        return rhs / T.diag[0]
-    scale = np.max(np.abs(T.diag)) + np.max(np.abs(T.sub)) + np.max(np.abs(T.sup))
-    c = np.empty(n - 1)
-    d = np.empty(rhs.shape)
-    piv = T.diag[0]
-    if abs(piv) > 1e-12 * scale:
-        c[0] = T.sup[0] / piv
-        d[0] = rhs[0] / piv
-        ok = True
-        for i in range(1, n):
-            piv = T.diag[i] - T.sub[i - 1] * c[i - 1]
-            if abs(piv) <= 1e-12 * scale:
-                ok = False
-                break
-            if i < n - 1:
-                c[i] = T.sup[i] / piv
-            d[i] = (rhs[i] - T.sub[i - 1] * d[i - 1]) / piv
-        if ok:
-            for i in range(n - 2, -1, -1):
-                d[i] -= c[i] * d[i + 1]
-            return d
-    # pivoted fallback (LAPACK gtsv)
+    if n == 1 and T.diag[0] == 0.0:  # solve_banded divides 1x1 systems unchecked
+        raise SingularMatrixError("zero pivot in 1x1 system")
     ab = np.zeros((3, n))
     ab[0, 1:] = T.sup
     ab[1, :] = T.diag
     ab[2, :-1] = T.sub
     try:
         return scipy.linalg.solve_banded((1, 1), ab, rhs)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - defensive
+    except np.linalg.LinAlgError as exc:
         raise SingularMatrixError(str(exc)) from exc
 
 

@@ -4,7 +4,10 @@
 a charge density on a source box to the potential on well-separated
 target boxes: entries sqrt(w_i w'_j) phi(x_i - x'_j) on tensor-product
 Gauss-Legendre grids, so that the discrete l2 norms converge to the
-L2 norms of the continuum operator. ``weak_vs_strong_spectrum``
+L2 norms of the continuum operator. Its singular values come from
+LAPACK's dense SVD, except for Helmholtz boxes of more than 1024 nodes,
+where the seeded ``linalg.range_finder`` captures the spectrum down to
+1e-14 sigma_1. ``weak_vs_strong_spectrum``
 contrasts the block rows a single-level format must compress under weak
 (all other boxes) versus strong (non-touching boxes only)
 admissibility. ``scaling_bench`` times builds and applies and counts
@@ -17,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bie2d, bvp1d, hbs, hodlr, sparsend
-from .linalg import complex_singular_values
+from .linalg import complex_singular_values, range_finder
 from .quadrature import gauss_legendre
 from .results import SpectrumResult
 from .special import hankel0_first_kind
@@ -30,7 +33,7 @@ __all__ = [
     "BenchRow",
 ]
 
-_EXACT_SVD_LIMIT = 1024  # above this, the seeded randomized path takes over
+_EXACT_SVD_LIMIT = 1024  # Helmholtz boxes with more nodes take the range finder
 
 
 def _gl_box(k, center):
@@ -48,30 +51,6 @@ def _kernel_matrix(kernel, kappa, trg, wt, src, ws):
     return scale * 0.25j * hankel0_first_kind(kappa * d)
 
 
-def _randomized_singular_values(V, seed, block=256, n_power=2):
-    """Leading singular values of a numerically low-rank matrix.
-
-    Seeded Gaussian range finder with power iteration; valid only when
-    the spectrum is captured in full, which is certified by requiring
-    the smallest computed value to fall below 1e-14 * sigma_1 (the
-    block is doubled until it does, falling back to the dense path at
-    full width).
-    """
-    rng = np.random.default_rng(seed)
-    m, n = V.shape
-    while True:
-        k = min(block, min(m, n))
-        Om = rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
-        Q, _ = np.linalg.qr(V @ Om)
-        for _ in range(n_power):
-            Q, _ = np.linalg.qr(V.conj().T @ Q)
-            Q, _ = np.linalg.qr(V @ Q)
-        s = np.linalg.svd(Q.conj().T @ V, compute_uv=False)
-        if k == min(m, n) or s[-1] <= 1e-14 * s[0]:
-            return s
-        block *= 2
-
-
 def spectrum_potential(kernel, grid_k, geometry, kappa=None, seed=0) -> SpectrumResult:
     """Scaled spectrum of the box-to-box potential evaluation operator.
 
@@ -79,7 +58,8 @@ def spectrum_potential(kernel, grid_k, geometry, kappa=None, seed=0) -> Spectrum
     the unit box centered at (2, 0); ``global`` surrounds the source
     with the 16 well-separated boxes of the 5x5 unit tiling (one ring of
     touching boxes is excluded). Both boxes carry grid_k x grid_k
-    tensor-product Gauss-Legendre nodes.
+    tensor-product Gauss-Legendre nodes. ``seed`` feeds the range
+    finder, which only Helmholtz grids with grid_k > 32 use.
     """
     if not 4 <= grid_k <= 80:
         raise ValueError(f"grid_k must lie in [4, 80], got {grid_k}")
@@ -104,12 +84,10 @@ def spectrum_potential(kernel, grid_k, geometry, kappa=None, seed=0) -> Spectrum
         trg, wt = _gl_box(grid_k, c)
         blocks.append(_kernel_matrix(kernel, kappa, trg, wt, src, ws))
     V = np.vstack(blocks)
-    if kernel == "laplace":
-        sig = np.linalg.svd(V, compute_uv=False)
-    elif src.shape[0] <= _EXACT_SVD_LIMIT:
-        sig = complex_singular_values(V)
+    if kernel == "helmholtz" and src.shape[0] > _EXACT_SVD_LIMIT:
+        sig = range_finder(V, 1e-14, seed, block=256)[2]
     else:
-        sig = _randomized_singular_values(V, seed)
+        sig = complex_singular_values(V)
     return SpectrumResult(
         label=f"{kernel} {geometry} k={grid_k}"
         + (f" kappa={kappa:g}" if kernel == "helmholtz" else ""),

@@ -67,10 +67,7 @@ def woodbury_variant(D, U, V, Atilde=None):
         return np.zeros((0, 0), dtype=D.dtype), empty, empty, Dinv
     Z = scipy.linalg.lu_solve(lu, U)  # D^{-1} U
     M = V.conj().T @ Z  # V* D^{-1} U
-    try:
-        Dhat = np.linalg.inv(M)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrixError(f"V* D^-1 U is singular: {exc}") from exc
+    Dhat = scipy.linalg.lu_solve(lu_factor_checked(M, "V* D^-1 U"), np.eye(K))
     W = scipy.linalg.lu_solve(lu, V, trans=2)  # D^{-*} V, so W* = V* D^{-1}
     E = Z @ Dhat
     F = W @ Dhat.conj().T  # F* = Dhat V* D^{-1}

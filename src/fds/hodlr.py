@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .linalg import LowRankFactor, SingularMatrixError, low_rank_approx, lu_factor_checked
+from .linalg import LowRankFactor, low_rank_approx, lu_factor_checked
 from .tree import ClusterTree, sibling_pairs
 
 __all__ = [
@@ -257,10 +257,8 @@ def invert_multiplicative(H: HodlrMatrix) -> HodlrInverseMultiplicative:
 
     leaf_inverses = {}
     for tau in t.leaves():
-        try:
-            leaf_inverses[tau] = np.linalg.inv(H.leaf_diag[tau])
-        except np.linalg.LinAlgError as exc:
-            raise SingularMatrixError(f"leaf diagonal block {tau} is singular") from exc
+        lu, piv = lu_factor_checked(H.leaf_diag[tau], f"leaf diagonal block {tau}")
+        leaf_inverses[tau] = scipy.linalg.lu_solve((lu, piv), np.eye(len(piv)))
     update_left_factors(t.depth, lambda tau, M: leaf_inverses[tau] @ M)
 
     level_blocks = {}
@@ -282,12 +280,8 @@ def invert_multiplicative(H: HodlrMatrix) -> HodlrInverseMultiplicative:
             Vc[na:, :k1] = Vab
             Vc[:na, k1:] = Vba
             core = np.eye(k1 + k2, dtype=dtype) + Vc.conj().T @ Uc
-            try:
-                corr_U = -np.linalg.solve(core.T, Uc.T).T
-            except np.linalg.LinAlgError as exc:
-                raise SingularMatrixError(
-                    f"identity-plus-low-rank core is singular at node {tau}"
-                ) from exc
+            core_lu = lu_factor_checked(core, f"identity-plus-low-rank core at node {tau}")
+            corr_U = -scipy.linalg.lu_solve(core_lu, Uc.T, trans=1).T  # -Uc core^{-1}
             blocks[tau] = LowRankFactor(corr_U, Vc)
         level_blocks[ell] = blocks
 

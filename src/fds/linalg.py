@@ -4,7 +4,9 @@ All matrices are plain ``numpy.ndarray`` objects (real or complex,
 2-dimensional). Truncation is always block-relative: a factorization at
 tolerance ``tol`` keeps singular values (or pivots) above ``tol`` times
 the largest one of the block being compressed, which keeps compression
-scale-invariant.
+scale-invariant. ``range_finder`` is the one seeded randomized sampler:
+``low_rank_approx`` uses it for large HODLR blocks and
+``experiments.spectrum_potential`` for large Helmholtz spectra.
 """
 
 from dataclasses import dataclass
@@ -18,7 +20,11 @@ __all__ = [
     "SingularMatrixError",
     "cpqr",
     "truncated_svd",
+    "range_finder",
+    "low_rank_approx",
+    "recompress",
     "interpolative_decomposition",
+    "row_interpolative_decomposition",
     "lu_factor_checked",
     "dense_lu_solve",
     "complex_singular_values",
@@ -163,25 +169,22 @@ _DENSE_SVD_LIMIT = 512
 _RANGE_FINDER_SEED = 0x5EED
 
 
-def low_rank_approx(A, tol) -> LowRankFactor:
-    """Compress a dense block to a LowRankFactor at the truncated-SVD cut.
+def range_finder(A, tol, seed=_RANGE_FINDER_SEED, block=32):
+    """Seeded Gaussian range finder with two power steps.
 
-    Small blocks go through the full SVD. Large ones use a seeded
-    Gaussian range finder with power iteration, growing the sample block
-    until the captured spectrum provably reaches below the truncation
-    threshold; the projected SVD then reproduces the leading singular
-    triplets to machine accuracy, so the returned factors match the
-    dense path at the same tolerance.
+    Returns (Q, B, s): Q has orthonormal columns spanning the sampled
+    range of A, B = Q* A, and s holds the singular values of B. The
+    sample block (complex for complex A) starts at ``block`` columns and
+    is doubled with fresh draws from the same generator until the
+    captured spectrum provably reaches the cut, s[-1] <= tol * s[0], or
+    spans min(m, n) columns. Halko, Martinsson & Tropp, SIAM Rev. 53
+    (2011), Algorithm 4.4 (randomized subspace iteration).
     """
-    A = np.asarray(A)
+    A = _check_input(A, tol)
     m, n = A.shape
-    if min(m, n) <= _DENSE_SVD_LIMIT:
-        U, s, V = truncated_svd(A, tol)
-        return LowRankFactor(U * s, V)
-    rng = np.random.default_rng(_RANGE_FINDER_SEED)
-    k = 32
+    rng = np.random.default_rng(seed)
     while True:
-        k = min(k, min(m, n))
+        k = min(block, m, n)
         Om = rng.standard_normal((n, k))
         if np.iscomplexobj(A):
             Om = Om + 1j * rng.standard_normal((n, k))
@@ -190,11 +193,28 @@ def low_rank_approx(A, tol) -> LowRankFactor:
             Q, _ = np.linalg.qr(A.conj().T @ Q)
             Q, _ = np.linalg.qr(A @ Q)
         B = Q.conj().T @ A
-        Ub, s, Vh = np.linalg.svd(B, full_matrices=False)
-        if k == min(m, n) or s.size == 0 or s[0] == 0.0 or s[-1] <= tol * s[0]:
-            break
-        k *= 2  # spectrum not exhausted down to the cut yet
-    r = int(np.sum(s > tol * s[0])) if s.size and s[0] > 0 else 0
+        s = np.linalg.svd(B, compute_uv=False)
+        if k == min(m, n) or s[0] == 0.0 or s[-1] <= tol * s[0]:
+            return Q, B, s
+        block *= 2
+
+
+def low_rank_approx(A, tol) -> LowRankFactor:
+    """Compress a dense block to a LowRankFactor at the truncated-SVD cut.
+
+    Small blocks go through the full SVD. Large ones go through
+    ``range_finder``, whose certified basis makes the SVD of the
+    projected block reproduce the leading singular triplets to machine
+    accuracy, so the returned factors match the dense path at the same
+    tolerance.
+    """
+    A = np.asarray(A)
+    if min(A.shape) <= _DENSE_SVD_LIMIT:
+        U, s, V = truncated_svd(A, tol)
+        return LowRankFactor(U * s, V)
+    Q, B, _ = range_finder(A, tol)
+    Ub, s, Vh = np.linalg.svd(B, full_matrices=False)
+    r = eps_rank(s, tol)
     return LowRankFactor((Q @ Ub[:, :r]) * s[:r], Vh[:r].conj().T)
 
 
@@ -262,25 +282,8 @@ def dense_lu_solve(A, B):
 
 
 def complex_singular_values(A):
-    """Singular values of a complex matrix through its real embedding.
-
-    The 2m-by-2n real matrix [[Re A, -Im A], [Im A, Re A]] has the same
-    singular values as A, each with multiplicity doubled; every other
-    value of its spectrum is returned. A pairing mismatch beyond
-    1e-10 * sigma_1 signals an SVD failure and raises.
-    """
-    A = _check_input(A)
-    X, Y = A.real, A.imag
-    M = np.block([[X, -Y], [Y, X]])
-    s = np.linalg.svd(M, compute_uv=False)
-    if s.size and s[0] > 0:
-        spread = np.abs(s[0::2] - s[1::2])
-        if np.any(spread > 1e-10 * s[0]):
-            raise np.linalg.LinAlgError(
-                "real embedding produced unpaired singular values "
-                f"(max spread {spread.max():.3e})"
-            )
-    return s[0::2]
+    """Singular values of a real or complex matrix, non-increasing."""
+    return np.linalg.svd(_check_input(A), compute_uv=False)
 
 
 def eps_rank(sigmas, eps) -> int:

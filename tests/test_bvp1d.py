@@ -14,7 +14,7 @@ from fds.bvp1d import (
     solve_bvp_ie,
     solve_tridiag,
 )
-from fds.linalg import dense_lu_solve
+from fds.linalg import SingularMatrixError, dense_lu_solve
 
 RNG_SEED = 414243
 
@@ -92,6 +92,21 @@ class TestSolveTridiag:
         rhs = np.array([1.0, 2.0, 3.0])
         x = solve_tridiag(T, rhs)
         assert np.max(np.abs(T.todense() @ x - rhs)) < 1e-12
+
+    def test_zero_scalar_raises(self):
+        # scipy's banded solve would return [inf] for this 1x1 system
+        from fds.bvp1d import TridiagonalMatrix
+
+        T = TridiagonalMatrix(np.zeros(0), np.array([0.0]), np.zeros(0))
+        with pytest.raises(SingularMatrixError):
+            solve_tridiag(T, np.array([1.0]))
+
+    def test_singular_raises(self):
+        from fds.bvp1d import TridiagonalMatrix
+
+        T = TridiagonalMatrix(np.array([1.0]), np.array([1.0, 1.0]), np.array([1.0]))
+        with pytest.raises(SingularMatrixError):
+            solve_tridiag(T, np.array([1.0, 2.0]))
 
 
 class TestSemiseparable:

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from fds.experiments import (
-    _randomized_singular_values,
+    _gl_box,
+    _kernel_matrix,
     scaling_bench,
     spectrum_potential,
     weak_vs_strong_spectrum,
 )
-from fds.linalg import complex_singular_values
+from fds.linalg import complex_singular_values, range_finder
 
 
 class TestSpectrumPotential:
@@ -30,9 +31,22 @@ class TestSpectrumPotential:
         A = rng.standard_normal((300, 200)) @ np.diag(2.0 ** -np.arange(200.0))
         A = A.astype(complex) + 1j * 0.5 * A
         s_exact = complex_singular_values(A)
-        s_rand = _randomized_singular_values(A, seed=7, block=64)
+        s_rand = range_finder(A, 1e-14, seed=7, block=64)[2]
         m = min(len(s_rand), int(np.sum(s_exact / s_exact[0] > 1e-15)))
         assert np.max(np.abs(s_rand[:m] - s_exact[:m])) < 1e-13 * s_exact[0]
+
+    def test_range_finder_branch_matches_exact(self):
+        # grid_k 33 is the first size past the exact-SVD limit
+        res = spectrum_potential("helmholtz", 33, "directional", kappa=80.0, seed=5)
+        again = spectrum_potential("helmholtz", 33, "directional", kappa=80.0, seed=5)
+        assert np.array_equal(res.sigmas, again.sigmas)
+        src, ws = _gl_box(33, (0.0, 0.0))
+        trg, wt = _gl_box(33, (2.0, 0.0))
+        s = complex_singular_values(_kernel_matrix("helmholtz", 80.0, trg, wt, src, ws))
+        s = s / s[0]
+        m = int(np.sum(s > 1e-14))
+        assert len(res.sigmas) >= m
+        assert np.max(np.abs(res.sigmas[:m] - s[:m])) < 1e-13
 
     def test_normalization_and_monotonicity(self):
         res = spectrum_potential("laplace", 8, "directional")

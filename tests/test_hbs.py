@@ -72,6 +72,7 @@ class TestWoodburyVariant:
         with pytest.raises(SingularMatrixError, match="D is singular"):
             woodbury_variant(np.zeros((4, 4)), np.zeros((4, 1)), np.zeros((4, 1)))
 
+    @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
     def test_singular_core_identified(self):
         # V* D^-1 U = 0 when U, V have disjoint supports
         D = np.eye(4)
@@ -79,6 +80,13 @@ class TestWoodburyVariant:
         V = np.array([[0.0], [0.0], [0.0], [1.0]])
         with pytest.raises(SingularMatrixError, match="V"):
             woodbury_variant(D, U, V)
+
+    def test_subnormal_core_identified(self):
+        # LAPACK's inverse turns the 1e-310 core into Dhat = [[inf]]
+        U = np.array([[1.0], [0.0]])
+        V = np.array([[1e-310], [0.0]])
+        with pytest.raises(SingularMatrixError, match=r"V\* D\^-1 U is singular"):
+            woodbury_variant(np.eye(2), U, V)
 
     def test_micro_instances(self):
         # the Lemma identity holds across 200 random small instances

@@ -202,6 +202,23 @@ class TestMultiplicativeInverse:
             for f in blocks.values():
                 assert f.rank <= 2 * k_max
 
+    def test_subnormal_leaf_pivot_names_leaf(self):
+        # LAPACK's inverse accepts the 1e-310 pivot and the apply returns nan
+        A = np.eye(8)
+        A[1, 1] = 1e-310
+        H = compress_to_hodlr(A, build_uniform_tree(8, 2), 1e-12)
+        with pytest.raises(SingularMatrixError,
+                           match=r"leaf diagonal block 4 is singular \(pivot 1\)"):
+            invert_multiplicative(H)
+
+    @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
+    def test_singular_core_names_node(self):
+        # [[I, I], [I, I]] has regular leaves but a singular core at the root
+        I2 = np.eye(2)
+        H = compress_to_hodlr(np.block([[I2, I2], [I2, I2]]), build_uniform_tree(4, 2), 1e-12)
+        with pytest.raises(SingularMatrixError, match="core at node 1"):
+            invert_multiplicative(H)
+
 
 class TestInverseConsistency:
     @pytest.mark.parametrize("inverter", [invert_woodbury, invert_multiplicative])

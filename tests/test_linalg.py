@@ -11,6 +11,7 @@ from fds.linalg import (
     dense_lu_solve,
     eps_rank,
     interpolative_decomposition,
+    low_rank_approx,
     recompress,
     truncated_svd,
 )
@@ -116,6 +117,21 @@ class TestTruncatedSvd:
             resid = np.linalg.norm(A - (U * s) @ V.conj().T, 2)
             bound = (full[k] if k < len(full) else 0.0) + 50 * np.finfo(float).eps * full[0]
             assert resid <= bound
+
+
+class TestLowRankApprox:
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_range_finder_branch_vs_truncated_svd(self, kind):
+        # 600 x 560 is past the dense-SVD limit, so the range finder runs
+        x = np.linspace(0.0, 1.0, 600)
+        y = np.linspace(1.5, 2.5, 560)
+        d = np.abs(x[:, None] - y[None, :])
+        A = np.log(d) if kind == "real" else np.exp(10j * d) / d
+        tol = 1e-10
+        F = low_rank_approx(A, tol)
+        _, s, _ = truncated_svd(A, tol)
+        assert F.rank == len(s)
+        assert np.linalg.norm(A - F.todense(), 2) <= 10 * tol * np.linalg.norm(A, 2)
 
 
 class TestInterpolativeDecomposition:
