@@ -3,9 +3,10 @@
 The grid for -Delta u + m u = f on the unit box with Dirichlet exterior
 is recursively bisected by grid-line (2D) or grid-plane (3D) separators
 into disconnected subdomains. Factoring bottom-up, each node eliminates
-its separator through a dense frontal matrix: the sparse couplings plus
-the Schur-complement updates passed up from its children. Dense-kernel
-flops are counted; they dominate the O(N^{3/2}) (2D) / O(N^2) (3D) cost.
+its separator through a dense frontal matrix: its couplings in A (real or
+complex, symmetric or nonsymmetric pattern) plus the Schur-complement
+updates passed up from its children. Dense-kernel flops are counted; they
+dominate the O(N^{3/2}) (2D) / O(N^2) (3D) cost.
 
 ``schur_offdiag_spectrum`` reproduces the off-diagonal singular-value
 study of the top separator's Schur complement,
@@ -106,15 +107,11 @@ class NdTree:
     root: NdNode
 
     def postorder(self):
-        out = []
-
-        def visit(node):
-            for c in node.children:
-                visit(c)
-            out.append(node)
-
-        visit(self.root)
-        return out
+        out, todo = [], [self.root]
+        while todo:
+            out.append(todo.pop())
+            todo.extend(out[-1].children)
+        return out[::-1]  # reversed root-right-left preorder
 
 
 def _flat(shape, *coords):
@@ -195,96 +192,99 @@ class NdFactors:
     N: int
 
 
-def _subtree_indices(node):
-    idx = [node.separator]
-    for c in node.children:
-        idx.append(_subtree_indices(c))
-    return np.concatenate(idx)
+def _csr_rows(indptr, rows):
+    """Positions of the stored entries of ``rows`` in a CSR ``indices``/
+    ``data`` pair, and for each position its index into ``rows``."""
+    start, count = indptr[rows], indptr[rows + 1] - indptr[rows]
+    offset = np.repeat(start - np.cumsum(count) + count, count)
+    return np.arange(offset.size) + offset, np.repeat(np.arange(len(rows)), count)
+
+
+def _lu_solve(getrs, lu, b):
+    """``scipy.linalg.lu_solve`` through a prefetched LAPACK ``getrs``."""
+    x, info = getrs(lu[0], lu[1], b)
+    if info:
+        raise ValueError(f"illegal value in argument {-info} of getrs")
+    return x
 
 
 def nd_factor(A, tree: NdTree) -> NdFactors:
     """Multifrontal LU along the separator tree of ``A``.
 
-    A may be a StencilMatrix or any scipy sparse matrix compatible with
-    the tree's grid. Each front is LU-factored with partial pivoting;
-    a singular front raises naming the node's box.
+    A may be a StencilMatrix or any real or complex scipy sparse matrix
+    whose couplings the tree's separators cut. A front's boundary comes
+    from the pattern of A + A^T, so a nonsymmetric pattern loses neither
+    A[S, j] nor A[j, S]; fronts take A's dtype, at least float64. Each
+    front is LU-factored with partial pivoting; a singular one raises
+    naming the node's box.
     """
     if isinstance(A, StencilMatrix):
         A = A.A
-    A = A.tocsr()
+    A = scipy.sparse.csr_array(A)
     N = A.shape[0]
-    graph = A.tocsc()
+    dtype = np.result_type(A.dtype, float)
+    getrs, = scipy.linalg.get_lapack_funcs(("getrs",), dtype=dtype)
+    pattern = scipy.sparse.csr_array((np.ones(A.nnz), A.indices, A.indptr), A.shape)
+    pattern = (pattern + pattern.T).tocsr()
+    eliminated = np.zeros(N, dtype=bool)
+    where = np.full(N, -1)  # global index -> row of the current front
     flops = 0.0
     fronts = []
-    order = []
-
-    def boundary_of(subtree_idx):
-        mask = np.zeros(N, dtype=bool)
-        mask[subtree_idx] = True
-        nbr = np.unique(graph[:, subtree_idx].tocoo().row)
-        return nbr[~mask[nbr]]
-
-    def visit(node):
-        nonlocal flops
-        child_updates = []
-        for c in node.children:
-            child_updates.append(visit(c))
+    stack = []  # (boundary, Schur update) of children awaiting their parent
+    for node in tree.postorder():
+        updates = [stack.pop() for _ in node.children][::-1]  # (left, right)
         S = node.separator
-        sub = _subtree_indices(node)
-        B = boundary_of(sub)
+        eliminated[S] = True
+        nbr = pattern.indices[_csr_rows(pattern.indptr, S)[0]]
+        cand = np.concatenate([nbr] + [cB for cB, _ in updates])
+        B = np.unique(cand[~eliminated[cand]])
         idx = np.concatenate([S, B])
-        pos = {g: i for i, g in enumerate(idx)}
-        s = len(S)
+        s, b = len(S), len(B)
+        where[idx] = np.arange(len(idx))
         # the front owns only the A entries touching its separator; the
         # boundary-boundary entries belong to the ancestor that
         # eliminates the earlier index (else they would be added twice)
-        F = np.zeros((len(idx), len(idx)))
-        F[:s, :] = np.asarray(A[np.ix_(S, idx)].todense())
-        F[s:, :s] = np.asarray(A[np.ix_(B, S)].todense())
-        for (cB, U) in child_updates:
-            loc = np.fromiter((pos[g] for g in cB), dtype=int, count=len(cB))
+        pos, row = _csr_rows(A.indptr, idx)
+        col = where[A.indices[pos]]
+        keep = (col >= 0) & ((row < s) | (col < s))
+        F = np.zeros((len(idx), len(idx)), dtype)
+        np.add.at(F, (row[keep], col[keep]), A.data[pos[keep]])
+        for cB, U in updates:
+            loc = where[cB]
             F[np.ix_(loc, loc)] += U
-        b = len(B)
-        FSS = F[:s, :s]
-        lu = lu_factor_checked(FSS, f"front at box {node.box}")
-        flops += (2.0 / 3.0) * s**3
-        X = scipy.linalg.lu_solve(lu, F[:s, s:])
-        flops += 2.0 * s * s * b
+        where[idx] = -1
+        lu = lu_factor_checked(F[:s, :s], f"front at box {node.box}")
+        X = _lu_solve(getrs, lu, F[:s, s:])
         F_BS = F[s:, :s].copy()
-        update = F[s:, s:] - F_BS @ X
-        flops += 2.0 * b * s * b
+        stack.append((B, F[s:, s:] - F_BS @ X))
+        flops = flops + (2.0 / 3.0) * s**3 + 2.0 * s * s * b + 2.0 * b * s * b
         fronts.append(_Front(sep=S, bnd=B, lu=lu, X=X, F_BS=F_BS))
-        order.append(S)
-        return (B, update)
-
-    visit(tree.root)
-    return NdFactors(
-        tree=tree,
-        fronts=fronts,
-        ordering=np.concatenate(order),
-        flops=flops,
-        N=N,
-    )
+    ordering = np.concatenate([fr.sep for fr in fronts])
+    return NdFactors(tree=tree, fronts=fronts, ordering=ordering, flops=flops, N=N)
 
 
 def nd_solve(factors: NdFactors, b):
     """Two-sweep substitution through the elimination tree.
 
-    Accepts a single right-hand side or a matrix of them.
+    Accepts a single right-hand side or a matrix of them; a NaN or inf
+    raises ValueError. The backward sweep reuses the forward sweep's
+    z_S = F_SS^{-1} y_S: x_S = z_S - X x_B.
     """
     b = np.asarray(b)
+    if not np.isfinite(b).all():
+        raise ValueError("array must not contain infs or NaNs")
     single = b.ndim == 1
-    y = b.reshape(factors.N, -1).astype(np.result_type(b, float))
+    lu = factors.fronts[0].lu[0]
+    y = b.reshape(factors.N, -1).astype(np.result_type(b, float, lu.dtype))
+    getrs, = scipy.linalg.get_lapack_funcs(("getrs",), (lu, y))
     for fr in factors.fronts:
-        z = scipy.linalg.lu_solve(fr.lu, y[fr.sep])
+        y[fr.sep] = z = _lu_solve(getrs, fr.lu, y[fr.sep])
         if len(fr.bnd):
             y[fr.bnd] -= fr.F_BS @ z
-    x = np.zeros_like(y)
     for fr in reversed(factors.fronts):
-        x[fr.sep] = scipy.linalg.lu_solve(fr.lu, y[fr.sep])
         if len(fr.bnd):
-            x[fr.sep] -= fr.X @ x[fr.bnd]
-    return x[:, 0] if single else x
+            y[fr.sep] -= fr.X @ y[fr.bnd]
+    return y[:, 0] if single else y
 
 
 # -- Schur-complement spectrum study ---------------------------------------------

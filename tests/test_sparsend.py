@@ -1,12 +1,15 @@
 """Nested dissection: stencil assembly, partition, multifrontal LU, and
 the Schur-complement spectrum study."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
+import scipy.sparse
 
 from fds.linalg import SingularMatrixError
 from fds.sparsend import (
-    _subtree_indices,
     assemble_stencil,
     nd_factor,
     nd_partition,
@@ -15,6 +18,11 @@ from fds.sparsend import (
 )
 
 RNG_SEED = 31415
+
+
+def _subtree_indices(node):
+    """Every grid index eliminated in the subtree rooted at ``node``."""
+    return np.concatenate([node.separator] + [_subtree_indices(c) for c in node.children])
 
 
 class TestAssemble:
@@ -167,8 +175,64 @@ class TestFactorSolve:
         fac = nd_factor(st, nd_partition(2, 8, leaf_cells=3))
         assert np.allclose(nd_solve(fac, np.zeros(64)), 0.0)
 
-    @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
+    def test_complex_matrix_vs_dense_oracle(self):
+        # a complex shift keeps its imaginary part in every front
+        st = assemble_stencil(2, 8)
+        A = (st.A + 1j * st.A.diagonal().max() * scipy.sparse.identity(st.N)).tocsr()
+        rng = np.random.default_rng(RNG_SEED)
+        b = rng.standard_normal(st.N) + 1j * rng.standard_normal(st.N)
+        x = nd_solve(nd_factor(A, nd_partition(2, 8, leaf_cells=3)), b)
+        x_ref = np.linalg.solve(A.toarray(), b)
+        assert np.max(np.abs(x - x_ref)) <= 1e-12 * np.max(np.abs(x_ref))
 
+    def test_nonsymmetric_pattern(self):
+        # drop the A[i+1, i] couplings: A[S, j] survives where A[j, S] = 0
+        st = assemble_stencil(2, 8)
+        A = (st.A - scipy.sparse.diags_array(st.A.diagonal(-1), offsets=-1)).tocsr()
+        assert (A != A.T).nnz > 0
+        rng = np.random.default_rng(RNG_SEED)
+        b = rng.standard_normal(st.N)
+        x = nd_solve(nd_factor(A, nd_partition(2, 8, leaf_cells=3)), b)
+        assert np.linalg.norm(A @ x - b) <= 1e-12 * np.linalg.norm(b)
+
+    def test_factors_freed_without_gc(self):
+        # no reference cycle keeps a dropped factorization alive
+        st = assemble_stencil(2, 8)
+        gc.disable()
+        try:
+            fac = nd_factor(st, nd_partition(2, 8, leaf_cells=3))
+            ref = weakref.ref(fac.fronts[0].X)
+            del fac
+            assert ref() is None
+        finally:
+            gc.enable()
+
+    def test_nonfinite_rhs_raises(self):
+        st = assemble_stencil(2, 8)
+        fac = nd_factor(st, nd_partition(2, 8, leaf_cells=3))
+        for bad in (np.nan, np.inf):
+            b = np.ones(st.N)
+            b[5] = bad
+            with pytest.raises(ValueError, match="infs or NaNs"):
+                nd_solve(fac, b)
+
+    def test_front_structure_pinned(self):
+        # exact flop counts and (separator, boundary) sizes of every front
+        cases = {
+            (2, 16, 4): (132246.6666666667, [
+                (3, 10), (3, 11), (3, 17), (3, 17), (3, 19), (3, 19), (4, 11), (4, 12),
+                (7, 14), (7, 15), (7, 16), (8, 15), (8, 16), (8, 16), (9, 6), (9, 9),
+                (9, 9), (9, 9), (9, 9), (9, 12), (9, 12), (9, 12), (9, 12), (12, 7),
+                (12, 7), (12, 11), (12, 11), (12, 11), (12, 11), (16, 0), (16, 8)]),
+            (3, 5, 3): (95731.33333333334, [(4, 20)] * 4 + [(8, 12)] * 8
+                        + [(10, 25)] * 2 + [(25, 0)]),
+        }
+        for (dim, n, leaf), (flops, sizes) in cases.items():
+            fac = nd_factor(assemble_stencil(dim, n), nd_partition(dim, n, leaf))
+            assert fac.flops == flops
+            assert sorted((len(f.sep), len(f.bnd)) for f in fac.fronts) == sizes
+
+    @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
     def test_singular_front_raises(self):
         st = assemble_stencil(2, 8)
         A = st.A.tolil()
