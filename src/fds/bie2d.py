@@ -25,6 +25,7 @@ import numpy as np
 
 from .linalg import (
     LowRankFactor,
+    SeparationError,
     dense_lu_solve,
     interpolative_decomposition,
     recompress,
@@ -45,10 +46,6 @@ __all__ = [
 ]
 
 GAUSS_INTERIOR_CONSTANT = -1.0  # value of D[1] inside Gamma under our conventions
-
-
-class SeparationError(ValueError):
-    """A geometric separation precondition was violated."""
 
 
 def laplace_fundamental(r):

@@ -18,6 +18,7 @@ __all__ = [
     "LowRankFactor",
     "InterpolativeFactor",
     "SingularMatrixError",
+    "SeparationError",
     "cpqr",
     "truncated_svd",
     "range_finder",
@@ -34,6 +35,10 @@ __all__ = [
 
 class SingularMatrixError(np.linalg.LinAlgError):
     """Raised when a pivot or intermediate inverse is numerically singular."""
+
+
+class SeparationError(ValueError):
+    """A geometric separation precondition was violated."""
 
 
 @dataclass(frozen=True)

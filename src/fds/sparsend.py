@@ -8,6 +8,14 @@ complex, symmetric or nonsymmetric pattern) plus the Schur-complement
 updates passed up from its children. Dense-kernel flops are counted; they
 dominate the O(N^{3/2}) (2D) / O(N^2) (3D) cost.
 
+``nd_factor`` works in two phases. The symbolic phase fixes every
+front's separator and boundary, where A's entries and the children's
+updates land in it, and groups the fronts by (tree level, separator
+size, boundary size); it raises SeparationError when the tree does not
+separate A. The numeric phase factors one level at a time, deepest
+first, each group as one stack of dense fronts, so the Python work per
+front is one LAPACK call. ``nd_solve`` sweeps the same groups.
+
 ``schur_offdiag_spectrum`` reproduces the off-diagonal singular-value
 study of the top separator's Schur complement,
 S_ab = A(I_a, I_2) A_22^{-1} A(I_2, I_b), where I_a and I_b are the two
@@ -15,12 +23,13 @@ halves of the separator and I_2 one of the subdomains it cuts off.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse
 
-from .linalg import lu_factor_checked
+from .linalg import SeparationError, SingularMatrixError
 from .results import SpectrumResult
 
 __all__ = [
@@ -184,28 +193,174 @@ class _Front:
 
 
 @dataclass
+class _Group:
+    """The fronts of one tree level that share one (len(sep), len(bnd))
+    shape, stacked along the first axis; each ``_Front`` views one slice."""
+
+    ids: np.ndarray  # postorder front numbers
+    sep: np.ndarray  # (g, s)
+    bnd: np.ndarray  # (g, b)
+    # set by the numeric phase
+    lu: np.ndarray = None  # (g, s, s) LAPACK LU of F_SS, each Fortran-ordered
+    piv: np.ndarray = None  # (g, s)
+    X: np.ndarray = None  # (g, s, b), each Fortran-ordered
+    F_BS: np.ndarray = None  # (g, b, s)
+
+
+@dataclass
 class NdFactors:
     tree: NdTree
-    fronts: list  # _Front per postorder node
+    groups: list  # _Group stacks, deepest tree level first
     ordering: np.ndarray  # elimination order (concatenated separators)
     flops: float
     N: int
 
+    @cached_property
+    def fronts(self):
+        """_Front per postorder node, each a view into its group's stacks."""
+        fronts = [None] * sum(len(grp.ids) for grp in self.groups)
+        for grp in self.groups:
+            for i, f in enumerate(grp.ids):
+                fronts[f] = _Front(sep=grp.sep[i], bnd=grp.bnd[i],
+                                   lu=(grp.lu[i], grp.piv[i]), X=grp.X[i], F_BS=grp.F_BS[i])
+        return fronts
 
-def _csr_rows(indptr, rows):
-    """Positions of the stored entries of ``rows`` in a CSR ``indices``/
-    ``data`` pair, and for each position its index into ``rows``."""
-    start, count = indptr[rows], indptr[rows + 1] - indptr[rows]
-    offset = np.repeat(start - np.cumsum(count) + count, count)
-    return np.arange(offset.size) + offset, np.repeat(np.arange(len(rows)), count)
 
+def _symbolic(A, tree):
+    """Symbolic phase of ``nd_factor``: fronts, their level/shape groups,
+    and the maps that gather A and the children's updates into them.
 
-def _lu_solve(getrs, lu, b):
-    """``scipy.linalg.lu_solve`` through a prefetched LAPACK ``getrs``."""
-    x, info = getrs(lu[0], lu[1], b)
-    if info:
-        raise ValueError(f"illegal value in argument {-info} of getrs")
-    return x
+    Returns ``(nodes, ordering, s, b, width, levels)``: the postorder
+    nodes, the concatenated separators, the separator and boundary sizes
+    per front, the number of child slots, and per tree level
+    (deepest first) a tuple ``(size, pos, ent, members)``. The level's
+    fronts are packed into one flat buffer of ``size`` scalars, and
+    ``A.data[ent]`` goes to positions ``pos`` in it. Each member is
+    ``(group, offset, up)``: the group's (g, m, m) front stack starts at
+    ``offset``, and ``up = (cut, base, m_parent, loc)`` adds the Schur
+    updates of its fronts ``cut[k]:cut[k + 1]``, the k-th children of
+    their parents, into rows and columns ``loc`` of the m_parent x
+    m_parent parent fronts at ``base`` in the buffer of the level above.
+    Raises SeparationError when the separators do not tile range(N) or a
+    front's boundary leaves its parent's front.
+    """
+    N = A.shape[0]
+    nodes = tree.postorder()
+    parent, slot, depth = [0] * len(nodes), [0] * len(nodes), [0] * len(nodes)
+    waiting = []  # fronts whose parent comes later
+    for i, nd in enumerate(nodes):
+        if nd.children:  # the last len(children) waiting fronts, in order
+            for k, child in enumerate(waiting[-len(nd.children):]):
+                parent[child], slot[child] = i, k
+            del waiting[-len(nd.children):]
+        waiting.append(i)
+    for i in range(len(nodes) - 2, -1, -1):  # parents follow their children
+        depth[i] = depth[parent[i]] + 1
+    parent, slot, depth = np.array(parent), np.array(slot), np.array(depth)
+    width = slot.max() + 1
+
+    seps = [nd.separator for nd in nodes]
+    s = np.array([len(sep) for sep in seps])
+    ordering = np.concatenate(seps)
+    front = np.repeat(np.arange(len(nodes)), s)
+    bad = (ordering < 0) | (ordering >= N)
+    if bad.any():
+        i = bad.argmax()
+        raise SeparationError(f"separator at box {nodes[front[i]].box} holds index "
+                              f"{ordering[i]}, outside range({N})")
+    count = np.bincount(ordering, minlength=N)
+    if (count != 1).any():
+        j = int(np.argmax(count != 1))
+        raise SeparationError(f"index {j} lies in {count[j]} of the separators under box "
+                              f"{tree.root.box}, not in exactly one")
+    owner = np.empty(N, int)
+    owner[ordering] = front
+    local = np.empty(N, int)  # row of an index in the front that eliminates it
+    local[ordering] = np.arange(N) - np.repeat(np.cumsum(s) - s, s)
+
+    # A[r, c] belongs to the earlier of the fronts eliminating r and c; the
+    # other index is on that front's boundary (pattern of A + A^T). A
+    # boundary is its separator's such neighbours plus its children's
+    # boundaries, less the separator. Boundaries are built level by level,
+    # deepest first, as sorted distinct keys front * N + index and stored
+    # one level after another; where each key lands gives the front rows
+    # of A's entries and of the children's boundaries.
+    r, c = np.repeat(np.arange(N), np.diff(A.indptr)), A.indices
+    fr, fc = owner[r], owner[c]
+    own = np.minimum(fr, fc)
+    cross = np.flatnonzero(fr != fc)
+    key = own[cross] * N + np.where(fr < fc, c, r)[cross]
+    key_depth = depth[own[cross]]
+    key_at = np.empty(len(cross), int)  # position of each key in the boundary store
+    bkeys, lift_at = [], []
+    below, done = np.empty(0, int), 0
+    for d in range(depth.max(), -1, -1):
+        f, j = np.divmod(below, N)
+        p = parent[f]
+        leak = owner[j] < p  # eliminated in a subtree beside f
+        if leak.any():
+            i = leak.argmax()
+            raise SeparationError(f"front at box {nodes[f[i]].box} couples to index "
+                                  f"{j[i]}, outside its parent's front at box "
+                                  f"{nodes[p[i]].box}")
+        up = np.flatnonzero(owner[j] > p)
+        mine = key_depth == d
+        cand = np.concatenate([key[mine], p[up] * N + j[up]])
+        order = np.argsort(cand)
+        new = np.ones(len(cand), bool)
+        new[1:] = cand[order[1:]] != cand[order[:-1]]
+        at = np.empty(len(cand), int)
+        at[order] = done + np.cumsum(new) - 1
+        key_at[mine] = at[:mine.sum()]
+        lift_at.append((done - len(below) + up, at[mine.sum():]))
+        below = cand[order[new]]
+        bkeys.append(below)
+        done += len(below)
+    bf, bj = np.divmod(np.concatenate(bkeys), N)
+    b = np.bincount(bf, minlength=len(nodes))
+    boff = np.zeros(len(nodes), int)
+    first = np.flatnonzero(np.diff(bf, prepend=-1))
+    boff[bf[first]] = first
+    # row of each boundary index in the parent front: its separator or boundary
+    loc = local[bj]
+    for at_child, at_parent in lift_at:
+        p = parent[bf[at_child]]
+        loc[at_child] = s[p] + at_parent - boff[p]
+    # rows of A's entries in the fronts that own them
+    lr, lc = local[r], local[c]
+    far_row = s[own[cross]] + key_at - boff[own[cross]]
+    far_is_r = fr[cross] > fc[cross]
+    lr[cross[far_is_r]] = far_row[far_is_r]
+    lc[cross[~far_is_r]] = far_row[~far_is_r]
+
+    # groups of one level and shape, their fronts ordered by child slot;
+    # each level's fronts packed group after group into one buffer
+    m = s + b
+    shape = ((depth.max() - depth) * (s.max() + 1) + s) * (b.max() + 1) + b
+    order = np.argsort((shape * width + slot) * len(nodes) + np.arange(len(nodes)))
+    cut = np.flatnonzero(np.diff(shape[order], prepend=-1, append=-1))
+    size = (m * m)[order]
+    start = np.cumsum(size) - size
+    offset = np.empty(len(nodes), int)  # from the start of the level's buffer
+    offset[order] = start - start[np.searchsorted(-depth[order], -depth[order])]
+    pos = offset[own] + lr * m[own] + lc
+    sep_off = np.cumsum(s) - s
+    levels = []
+    for d in range(depth.max(), -1, -1):
+        members = []
+        for lo, hi in zip(cut[:-1], cut[1:]):
+            ids = order[lo:hi]
+            if depth[ids[0]] != d:
+                continue
+            brow = boff[ids, None] + np.arange(b[ids[0]])
+            grp = _Group(ids=ids, bnd=bj[brow],
+                         sep=ordering[sep_off[ids, None] + np.arange(s[ids[0]])])
+            pa = parent[ids]
+            kcut = np.searchsorted(slot[ids], np.arange(width + 1))
+            members.append((grp, offset[ids[0]], (kcut, offset[pa], m[pa], loc[brow])))
+        at = np.flatnonzero(depth[own] == d)
+        levels.append((int(size[depth[order] == d].sum()), pos[at], at, members))
+    return nodes, ordering, s, b, width, levels
 
 
 def nd_factor(A, tree: NdTree) -> NdFactors:
@@ -214,76 +369,100 @@ def nd_factor(A, tree: NdTree) -> NdFactors:
     A may be a StencilMatrix or any real or complex scipy sparse matrix
     whose couplings the tree's separators cut. A front's boundary comes
     from the pattern of A + A^T, so a nonsymmetric pattern loses neither
-    A[S, j] nor A[j, S]; fronts take A's dtype, at least float64. Each
-    front is LU-factored with partial pivoting; a singular one raises
-    naming the node's box.
+    A[S, j] nor A[j, S]; fronts take A's dtype, at least float64.
+
+    The symbolic phase fixes every front and its maps and groups the
+    fronts by (tree level, len(sep), len(bnd)). The numeric phase goes
+    one level at a time, deepest first. Per group it gathers A's entries
+    and the children's Schur updates into one stack of dense fronts,
+    calls LAPACK gesv once per front for the partially pivoted LU of
+    F_SS and X = F_SS^{-1} F_SB, and forms every update F_BB - F_BS X in
+    one batched product.
+
+    Raises ValueError for a NaN or inf in A, SeparationError naming a
+    box when the separators do not tile range(N) or a child's boundary
+    leaves its parent's front, and SingularMatrixError naming the box
+    of a front with a pivot below 1e-300.
     """
     if isinstance(A, StencilMatrix):
         A = A.A
-    A = scipy.sparse.csr_array(A)
-    N = A.shape[0]
+    A = scipy.sparse.csr_array(A, copy=True)
+    A.sum_duplicates()  # one stored entry per position, so the gather can assign
+    if A.shape[0] != A.shape[1]:
+        raise ValueError(f"A must be square, got shape {A.shape}")
+    if not np.isfinite(A.data).all():
+        raise ValueError("array must not contain infs or NaNs")
     dtype = np.result_type(A.dtype, float)
-    getrs, = scipy.linalg.get_lapack_funcs(("getrs",), dtype=dtype)
-    pattern = scipy.sparse.csr_array((np.ones(A.nnz), A.indices, A.indptr), A.shape)
-    pattern = (pattern + pattern.T).tocsr()
-    eliminated = np.zeros(N, dtype=bool)
-    where = np.full(N, -1)  # global index -> row of the current front
-    flops = 0.0
-    fronts = []
-    stack = []  # (boundary, Schur update) of children awaiting their parent
-    for node in tree.postorder():
-        updates = [stack.pop() for _ in node.children][::-1]  # (left, right)
-        S = node.separator
-        eliminated[S] = True
-        nbr = pattern.indices[_csr_rows(pattern.indptr, S)[0]]
-        cand = np.concatenate([nbr] + [cB for cB, _ in updates])
-        B = np.unique(cand[~eliminated[cand]])
-        idx = np.concatenate([S, B])
-        s, b = len(S), len(B)
-        where[idx] = np.arange(len(idx))
-        # the front owns only the A entries touching its separator; the
-        # boundary-boundary entries belong to the ancestor that
-        # eliminates the earlier index (else they would be added twice)
-        pos, row = _csr_rows(A.indptr, idx)
-        col = where[A.indices[pos]]
-        keep = (col >= 0) & ((row < s) | (col < s))
-        F = np.zeros((len(idx), len(idx)), dtype)
-        np.add.at(F, (row[keep], col[keep]), A.data[pos[keep]])
-        for cB, U in updates:
-            loc = where[cB]
-            F[np.ix_(loc, loc)] += U
-        where[idx] = -1
-        lu = lu_factor_checked(F[:s, :s], f"front at box {node.box}")
-        X = _lu_solve(getrs, lu, F[:s, s:])
-        F_BS = F[s:, :s].copy()
-        stack.append((B, F[s:, s:] - F_BS @ X))
-        flops = flops + (2.0 / 3.0) * s**3 + 2.0 * s * s * b + 2.0 * b * s * b
-        fronts.append(_Front(sep=S, bnd=B, lu=lu, X=X, F_BS=F_BS))
-    ordering = np.concatenate([fr.sep for fr in fronts])
-    return NdFactors(tree=tree, fronts=fronts, ordering=ordering, flops=flops, N=N)
+    getrf, gesv = scipy.linalg.get_lapack_funcs(("getrf", "gesv"), dtype=dtype)
+    nodes, ordering, s, b, width, levels = _symbolic(A, tree)
+    groups = []
+    below = []  # (front stack, separator size, up map) of the level below
+    for size, pos, ent, members in levels:
+        buf = np.zeros(size, dtype)
+        buf[pos] = A.data[ent]
+        # siblings overlap in their parent, so add the k-th children together
+        for k in range(width):
+            for F, sk, (cut, base, mp, loc) in below:
+                i = slice(cut[k], cut[k + 1])
+                dst = base[i, None, None] + loc[i, :, None] * mp[i, None, None] + loc[i, None, :]
+                np.add.at(buf, dst.ravel(), F[i, sk:, sk:].reshape(-1))
+        below = []
+        for grp, off, up in members:
+            (g, sk), bk = grp.sep.shape, grp.bnd.shape[1]
+            F = buf[off:off + g * (sk + bk) ** 2].reshape(g, sk + bk, sk + bk)
+            lu = np.empty((g, sk, sk), dtype).transpose(0, 2, 1)
+            lu[...] = F[:, :sk, :sk]
+            X = np.empty((g, bk, sk), dtype).transpose(0, 2, 1)
+            X[...] = F[:, :sk, sk:]
+            piv = np.empty((g, sk), np.int32)
+            # Fortran-ordered, so LAPACK works in place; gesv leaves F_SS
+            # unfactored when X is empty, hence getrf for boundaryless fronts
+            for i in range(g):
+                piv[i] = (gesv(lu[i], X[i], 1, 1) if bk else getrf(lu[i], 1))[1]
+            tiny = ~(np.abs(np.diagonal(lu, axis1=1, axis2=2)) >= 1e-300)
+            if tiny.any():
+                i, k = np.argwhere(tiny)[0]
+                raise SingularMatrixError(
+                    f"front at box {nodes[grp.ids[i]].box} is singular (pivot {k})")
+            F_BS = F[:, sk:, :sk].copy()
+            F[:, sk:, sk:] -= F_BS @ X
+            grp.lu, grp.piv, grp.X, grp.F_BS = lu, piv, X, F_BS
+            groups.append(grp)
+            below.append((F, sk, up))
+    # a running total over fronts in postorder, term by term
+    terms = np.stack([(2.0 / 3.0) * s**3, 2.0 * s * s * b, 2.0 * b * s * b], axis=1)
+    flops = np.cumsum(terms)[-1]
+    return NdFactors(tree=tree, groups=groups, ordering=ordering, flops=float(flops),
+                     N=A.shape[0])
 
 
 def nd_solve(factors: NdFactors, b):
-    """Two-sweep substitution through the elimination tree.
+    """Two-sweep substitution through the elimination tree, one group of
+    same-shaped fronts at a time.
 
     Accepts a single right-hand side or a matrix of them; a NaN or inf
-    raises ValueError. The backward sweep reuses the forward sweep's
-    z_S = F_SS^{-1} y_S: x_S = z_S - X x_B.
+    raises ValueError. The forward sweep goes deepest level first: per
+    group one gather of y_S, one getrs per front for z_S = F_SS^{-1} y_S,
+    and one accumulating scatter of F_BS z_S into the boundaries, which
+    siblings share. The backward sweep reuses z_S: x_S = z_S - X x_B.
     """
     b = np.asarray(b)
     if not np.isfinite(b).all():
         raise ValueError("array must not contain infs or NaNs")
     single = b.ndim == 1
-    lu = factors.fronts[0].lu[0]
-    y = b.reshape(factors.N, -1).astype(np.result_type(b, float, lu.dtype))
-    getrs, = scipy.linalg.get_lapack_funcs(("getrs",), (lu, y))
-    for fr in factors.fronts:
-        y[fr.sep] = z = _lu_solve(getrs, fr.lu, y[fr.sep])
-        if len(fr.bnd):
-            y[fr.bnd] -= fr.F_BS @ z
-    for fr in reversed(factors.fronts):
-        if len(fr.bnd):
-            y[fr.sep] -= fr.X @ y[fr.bnd]
+    y = b.reshape(factors.N, -1).astype(np.result_type(b, float, factors.groups[0].lu))
+    getrs, = scipy.linalg.get_lapack_funcs(("getrs",), dtype=y.dtype)
+    for grp in factors.groups:
+        z = np.swapaxes(y[grp.sep], 1, 2).copy()  # each z[i].T Fortran-ordered
+        for lu, piv, zi in zip(grp.lu, grp.piv, z):
+            info = getrs(lu, piv, zi.T, 0, 1)[1]  # in place
+            if info:
+                raise ValueError(f"illegal value in argument {-info} of getrs")
+        z = np.swapaxes(z, 1, 2)
+        y[grp.sep] = z
+        np.subtract.at(y, grp.bnd, grp.F_BS @ z)
+    for grp in reversed(factors.groups):
+        y[grp.sep] -= grp.X @ y[grp.bnd]
     return y[:, 0] if single else y
 
 

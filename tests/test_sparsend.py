@@ -7,8 +7,10 @@ import weakref
 import numpy as np
 import pytest
 import scipy.sparse
+from hypothesis import given, settings, strategies
 
-from fds.linalg import SingularMatrixError
+from fds import bie2d
+from fds.linalg import SeparationError, SingularMatrixError
 from fds.sparsend import (
     assemble_stencil,
     nd_factor,
@@ -232,6 +234,17 @@ class TestFactorSolve:
             assert fac.flops == flops
             assert sorted((len(f.sep), len(f.bnd)) for f in fac.fronts) == sizes
 
+    def test_nonfinite_matrix_raises(self):
+        # checked once on entry, in a leaf's entry and in the top separator's
+        st = assemble_stencil(2, 8)
+        tree = nd_partition(2, 8, leaf_cells=3)
+        for i in (tree.postorder()[0].separator[0], tree.root.separator[0]):
+            for bad in (np.nan, np.inf):
+                A = st.A.copy()
+                A[i, i] = bad
+                with pytest.raises(ValueError, match="infs or NaNs"):
+                    nd_factor(A, tree)
+
     @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
     def test_singular_front_raises(self):
         st = assemble_stencil(2, 8)
@@ -241,6 +254,51 @@ class TestFactorSolve:
         A[:, 0] = 0.0
         with pytest.raises(SingularMatrixError, match="box"):
             nd_factor(A.tocsr(), nd_partition(2, 8, leaf_cells=3))
+
+
+class TestSeparation:
+    def test_coupling_no_separator_cuts(self):
+        st = assemble_stencil(2, 8)
+        A = st.A.tolil()
+        A[0, 63] = A[63, 0] = -1.0
+        # the first front to see the coupling is the root's left child
+        msg = r"box \(\(0, 3\), \(0, 8\)\) couples to index 63"
+        with pytest.raises(SeparationError, match=msg):
+            nd_factor(A.tocsr(), nd_partition(2, 8, leaf_cells=3))
+        assert bie2d.SeparationError is SeparationError
+
+    def test_tree_smaller_than_matrix(self):
+        with pytest.raises(SeparationError, match="index 64 lies in 0 of the separators"):
+            nd_factor(assemble_stencil(2, 81), nd_partition(2, 8, leaf_cells=3))
+
+    def test_tree_larger_than_matrix(self):
+        with pytest.raises(SeparationError, match=r"outside range\(64\)"):
+            nd_factor(assemble_stencil(2, 8), nd_partition(2, 9, leaf_cells=3))
+
+
+@settings(max_examples=25, derandomize=True, deadline=None, database=None)
+@given(dim=strategies.sampled_from([2, 3]), data=strategies.data())
+def test_nd_solve_matches_dense_solve(dim, data):
+    # n not a power of two, nonsymmetric values on the stencil pattern, a
+    # real or complex shift that keeps A diagonally dominant
+    n = data.draw(strategies.integers(5, 23 if dim == 2 else 11), label="n")
+    if n & (n - 1) == 0:
+        n += 1
+    leaf_cells = data.draw(strategies.integers(3, min(6, n)), label="leaf_cells")
+    shift = data.draw(strategies.sampled_from([1.0, 1j]), label="shift")
+    nrhs = data.draw(strategies.sampled_from([1, 3]), label="nrhs")
+    rng = np.random.default_rng(data.draw(strategies.integers(0, 2**32 - 1), label="seed"))
+    stencil = assemble_stencil(dim, n)
+    A = stencil.A.tocoo(copy=True)
+    off = A.row != A.col
+    A.data[off] *= 1.0 + 0.2 * rng.uniform(-1.0, 1.0, off.sum())
+    eye = scipy.sparse.identity(A.shape[0])
+    A = (A + shift * rng.uniform(5.0, 8.0) * (n + 1) ** 2 * eye).tocsr()
+    b = rng.standard_normal((A.shape[0], nrhs))[:, 0 if nrhs == 1 else slice(None)]
+    x = nd_solve(nd_factor(A, nd_partition(dim, n, leaf_cells)), b)
+    x_ref = np.linalg.solve(A.toarray(), b)
+    assert x.shape == x_ref.shape
+    assert np.max(np.abs(x - x_ref)) <= 1e-11 * np.max(np.abs(x_ref))
 
 
 class TestSchurSpectrum:
