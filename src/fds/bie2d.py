@@ -181,6 +181,32 @@ def make_curve(kind, N, *params) -> Curve:
     )
 
 
+def _offsets(x, y):
+    """Components dx, dy of x - y and r2 = dx*dx + dy*dy, for (..., 2) arrays."""
+    dx = x[..., 0] - y[..., 0]
+    dy = x[..., 1] - y[..., 1]
+    return dx, dy, dx * dx + dy * dy
+
+
+def _dlp(x, y, n_y):
+    """Double layer kernel entries and r2 = |x - y|^2, unchecked.
+
+    Inputs are (..., 2) arrays that broadcast against each other. Working
+    one coordinate at a time (dx, dy, r2 = dx*dx + dy*dy, dx*nx + dy*ny)
+    avoids (..., 2) temporaries and length-2 reductions, which dominated
+    the cost of assembly and evaluation. Coincident points give r2 = 0
+    and a non-finite entry; callers either reject them or overwrite them.
+    """
+    dx, dy, r2 = _offsets(x, y)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return (dx * n_y[..., 0] + dy * n_y[..., 1]) / (2.0 * np.pi * r2), r2
+
+
+def _reject_coincident(r2):
+    if np.any(r2 == 0.0):
+        raise ValueError("kernel evaluated at coincident points; use the curvature limit")
+
+
 def dlp_kernel(x, y, n_y):
     """Double layer kernel d(x, y) = n(y) . grad_y phi(x - y).
 
@@ -188,13 +214,9 @@ def dlp_kernel(x, y, n_y):
     Broadcasts over leading dimensions; x == y raises (callers must use
     the curvature limit).
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    r = x - y
-    r2 = np.sum(r * r, axis=-1)
-    if np.any(r2 == 0.0):
-        raise ValueError("kernel evaluated at coincident points; use the curvature limit")
-    return np.sum(r * np.asarray(n_y), axis=-1) / (2.0 * np.pi * r2)
+    K, r2 = _dlp(np.asarray(x, dtype=float), np.asarray(y, dtype=float), np.asarray(n_y))
+    _reject_coincident(r2)
+    return K
 
 
 @dataclass
@@ -209,11 +231,7 @@ def assemble_bie(curve: Curve, f) -> BieSystem:
     f = np.asarray(f, dtype=float)
     if f.shape[0] != curve.N:
         raise ValueError("boundary data must be sampled at the curve nodes")
-    x = curve.x
-    r = x[:, None, :] - x[None, :, :]
-    r2 = np.sum(r * r, axis=-1)
-    np.fill_diagonal(r2, 1.0)  # placeholder, overwritten below
-    K = np.sum(r * curve.normal[None, :, :], axis=-1) / (2.0 * np.pi * r2)
+    K, _ = _dlp(curve.x[:, None, :], curve.x[None, :, :], curve.normal[None, :, :])
     np.fill_diagonal(K, -curve.curvature / (4.0 * np.pi))
     A = K * curve.weights[None, :]
     A[np.diag_indices_from(A)] -= 0.5
@@ -253,12 +271,10 @@ def eval_double_layer(curve: Curve, sigma, targets):
     """
     sigma = np.asarray(sigma, dtype=float)
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
-    K = dlp_kernel(targets[:, None, :], curve.x[None, :, :], curve.normal[None, :, :])
+    K, r2 = _dlp(targets[:, None, :], curve.x[None, :, :], curve.normal[None, :, :])
+    _reject_coincident(r2)
     u = K @ (curve.weights * sigma)
-    dists = np.min(
-        np.linalg.norm(targets[:, None, :] - curve.x[None, :, :], axis=-1), axis=1
-    )
-    near = dists < 5.0 * curve.max_spacing()
+    near = np.sqrt(np.min(r2, axis=1)) < 5.0 * curve.max_spacing()
     if np.any(near):
         warnings.warn(
             f"{int(near.sum())} target(s) within 5 node spacings of the curve; "

@@ -44,7 +44,7 @@ def _gl_box(k, center):
 
 
 def _kernel_matrix(kernel, kappa, trg, wt, src, ws):
-    d = np.linalg.norm(trg[:, None, :] - src[None, :, :], axis=-1)
+    d = np.sqrt(bie2d._offsets(trg[:, None, :], src[None, :, :])[2])
     scale = np.sqrt(wt)[:, None] * np.sqrt(ws)[None, :]
     if kernel == "laplace":
         return scale * bie2d.laplace_fundamental(d)
@@ -127,7 +127,7 @@ def weak_vs_strong_spectrum(pts_per_box, boxes_per_side=6, seed=0):
     far = cheb >= 2
 
     def block_sigmas(cols):
-        d = np.linalg.norm(pts[own][:, None, :] - pts[cols][None, :, :], axis=-1)
+        d = np.sqrt(bie2d._offsets(pts[own][:, None, :], pts[cols][None, :, :])[2])
         return np.linalg.svd(bie2d.laplace_fundamental(d), compute_uv=False)
 
     weak = block_sigmas(~own)

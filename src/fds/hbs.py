@@ -81,32 +81,43 @@ def woodbury_variant(D, U, V, Atilde=None):
 def _union_skeleton(Brow, Bcol, tol):
     """Shared row/column skeleton with interpolation bases.
 
-    Row-ID of ``Brow`` (the block rows against the far field) and
-    column-ID of ``Bcol`` are unioned; both bases are then re-solved
-    against the union so each contains an identity on the skeleton.
-    Returns (positions J, U, V) with Brow ~= U @ Brow[J] and
-    Bcol ~= Bcol[:, J] @ V.conj().T.
+    ``Brow`` holds the block's rows against the far field (n x M) and
+    ``Bcol`` its columns (M x n). A column ID depends only on the
+    geometry of the columns, which the triangular factor of an
+    unpivoted QR keeps, so each tall block is first reduced by one
+    BLAS-3 QR, Brow* = Q R_r and Bcol = Q' R_c, and the rest runs on the
+    factors of at most n x n (Cheng, Gimbutas, Martinsson & Rokhlin,
+    SISC 26 (2005)). The row-ID of Brow (the column ID of R_r) and the
+    column ID of Bcol (of R_c) are unioned; both bases are then
+    re-solved against the union by least squares on R_r and R_c, with
+    the cutoff eps * max(M, k) of the tall problem, so each contains an
+    identity on the skeleton. Returns (positions J, U, V) with
+    Brow ~= U @ Brow[J] and Bcol ~= Bcol[:, J] @ V.conj().T.
     """
     n = Brow.shape[0]
+    dtype = np.result_type(Brow.dtype, Bcol.dtype)
     if Brow.size == 0 or Bcol.size == 0:
-        dtype = np.result_type(Brow.dtype, Bcol.dtype)
         empty = np.zeros((n, 0), dtype=dtype)
         return np.empty(0, dtype=int), empty, empty.copy()
-    row_id = interpolative_decomposition(Brow.conj().T, tol)
-    col_id = interpolative_decomposition(Bcol, tol)
+    Rrow = np.linalg.qr(Brow.conj().T, mode="r")
+    Rcol = np.linalg.qr(Bcol, mode="r")
+    row_id = interpolative_decomposition(Rrow, tol)
+    col_id = interpolative_decomposition(Rcol, tol)
     J = np.union1d(row_id.skeleton, col_id.skeleton).astype(int)
     k = len(J)
     rest = np.setdiff1d(np.arange(n), J)
-    dtype = np.result_type(Brow.dtype, Bcol.dtype)
     U = np.zeros((n, k), dtype=dtype)
     V = np.zeros((n, k), dtype=dtype)
     U[J] = np.eye(k)
     V[J] = np.eye(k)
     if k and len(rest):
         # rows: Brow[rest] ~= X @ Brow[J]; columns analogously
-        X, *_ = np.linalg.lstsq(Brow[J].conj().T, Brow[rest].conj().T, rcond=None)
+        eps = np.finfo(dtype).eps
+        X, *_ = np.linalg.lstsq(Rrow[:, J], Rrow[:, rest],
+                                rcond=eps * max(Brow.shape[1], k))
         U[rest] = X.conj().T
-        Y, *_ = np.linalg.lstsq(Bcol[:, J], Bcol[:, rest], rcond=None)
+        Y, *_ = np.linalg.lstsq(Rcol[:, J], Rcol[:, rest],
+                                rcond=eps * max(Bcol.shape[0], k))
         V[rest] = Y.conj().T
     return J, U, V
 
@@ -255,13 +266,20 @@ def compress_to_hbs(A, tree: ClusterTree, tol) -> HbsMatrix:
     rest of the index set onto a shared skeleton; parents repeat the
     process on the stacked child skeletons, producing small transfer
     matrices. Sibling interactions are read off the source matrix.
+
+    Cost: each node reads its whole far field once, through one
+    unpivoted QR of its n x (N - |tau|) block row and one of its block
+    column; the IDs and least-squares fits then run on n x n triangles.
+    That is O(N^2 k) over the tree, so the method stays O(N^2); an O(N)
+    build needs proxy surfaces in place of the full far field.
+
+    A tree of depth 0 (N below twice the leaf size) stores A as its one
+    leaf block, and the inverse is a checked dense LU of it.
     """
     A = np.asarray(A)
     t = tree
     if A.shape != (t.N, t.N):
         raise ValueError(f"matrix shape {A.shape} does not match tree over {t.N}")
-    if t.depth < 1:
-        raise ValueError("HBS needs a tree of depth >= 1")
     allidx = np.arange(t.N)
     U, V, skel = {}, {}, {}
     for ell in range(t.depth, 0, -1):
@@ -289,6 +307,8 @@ def hbs_matvec(H: HbsMatrix, x):
     t = H.tree
     if x.shape[0] != H.N:
         raise ValueError(f"vector length {x.shape[0]} != {H.N}")
+    if t.depth == 0:
+        return H.D[1] @ x
     uhat = {}
     for ell in range(t.depth, 0, -1):
         for tau in t.nodes_at_level(ell):
@@ -319,7 +339,7 @@ class HbsInverse:
     F: dict
     G: dict
     G_root: np.ndarray
-    k2: int  # skeleton size of node 2, to split the root solve
+    k2: int  # skeleton size of node 2, to split the root solve (0 at depth 0)
     # 1-norm condition estimates of every Dtilde block (the stability
     # bookkeeping used instead of a ULV-style factorization)
     cond_estimates: dict = field(default_factory=dict)
@@ -335,11 +355,10 @@ def hbs_invert(H: HbsMatrix) -> HbsInverse:
     Dhat blocks through their sibling interaction. Every intermediate
     inverse is a dense partially pivoted LU; a singular one raises with
     the node id and level, and a 1-norm condition estimate of every
-    block is recorded (ill conditioning is logged, not repaired).
+    block is recorded (ill conditioning is logged, not repaired). On a
+    tree of depth 0 the root block is the one leaf block D itself.
     """
     t = H.tree
-    if t.depth < 1:
-        raise ValueError("HBS needs a tree of depth >= 1")
     E, F, G, Dhat, conds = {}, {}, {}, {}, {}
     for ell in range(t.depth, 0, -1):
         for tau in t.nodes_at_level(ell):
@@ -363,8 +382,11 @@ def hbs_invert(H: HbsMatrix) -> HbsInverse:
                 raise SingularMatrixError(
                     f"singular intermediate at node {tau} (level {ell}): {exc}"
                 ) from exc
-    root = np.block([[Dhat[2], H.Atilde[(2, 3)]],
-                     [H.Atilde[(3, 2)], Dhat[3]]])
+    if t.depth == 0:
+        root = H.D[1]
+    else:
+        root = np.block([[Dhat[2], H.Atilde[(2, 3)]],
+                         [H.Atilde[(3, 2)], Dhat[3]]])
     if root.size == 0:
         G_root = root
     else:
@@ -372,7 +394,7 @@ def hbs_invert(H: HbsMatrix) -> HbsInverse:
         G_root = scipy.linalg.lu_solve(lu, np.eye(root.shape[0], dtype=root.dtype))
     conds[1] = float(np.linalg.cond(root, 1)) if root.size else 1.0
     return HbsInverse(tree=t, E=E, F=F, G=G, G_root=G_root,
-                      k2=len(H.skeleton[2]), cond_estimates=conds)
+                      k2=len(H.skeleton.get(2, ())), cond_estimates=conds)
 
 
 def hbs_apply_inverse(inv: HbsInverse, u):
@@ -381,6 +403,8 @@ def hbs_apply_inverse(inv: HbsInverse, u):
     u = np.asarray(u)
     if u.shape[0] != t.N:
         raise ValueError(f"vector length {u.shape[0]} != {t.N}")
+    if t.depth == 0:
+        return inv.G_root @ u
     uhat = {}
     for ell in range(t.depth, 0, -1):
         for tau in t.nodes_at_level(ell):

@@ -105,6 +105,17 @@ class TestDlpKernel:
         with pytest.raises(ValueError):
             dlp_kernel(np.zeros(2), np.zeros(2), np.array([1.0, 0.0]))
 
+    def test_broadcasts_to_pair_matrix(self):
+        c = make_curve("starfish", 64, 0.3, 5)
+        K = dlp_kernel(c.x[:8, None, :], c.x[None, 8:, :], c.normal[None, 8:, :])
+        assert K.shape == (8, 56)
+        for i in range(8):
+            for j in range(56):
+                assert K[i, j] == dlp_kernel(c.x[i], c.x[8 + j], c.normal[8 + j])
+        # the full square includes the coincident pairs i == j
+        with pytest.raises(ValueError, match="coincident"):
+            dlp_kernel(c.x[:8, None, :], c.x[None, :, :], c.normal[None, :, :])
+
 
 class TestAssemble:
     def test_gauss_identity_constant(self):
@@ -133,6 +144,19 @@ class TestAssemble:
         off = A[0, 1:]
         assert np.allclose(off, -w / (4.0 * np.pi), atol=1e-15)
         assert A[0, 0] == pytest.approx(-0.5 - w / (4.0 * np.pi), rel=1e-13)
+
+    def test_entrywise_oracle_starfish(self):
+        # w_j d(x_i, x_j) off the diagonal, w_i times the curvature limit
+        # on it, minus 1/2
+        c = make_curve("starfish", 64, 0.3, 5)
+        A = assemble_bie(c, np.zeros(64)).matrix
+        for i in range(64):
+            for j in range(64):
+                if i == j:
+                    want = -c.curvature[i] / (4.0 * np.pi) * c.weights[i] - 0.5
+                else:
+                    want = dlp_kernel(c.x[i], c.x[j], c.normal[j]) * c.weights[j]
+                assert A[i, j] == want, (i, j)
 
     def test_entries_stable_under_refinement(self):
         # kernel values at shared nodes agree as N doubles
@@ -204,6 +228,32 @@ class TestSolveAndEval:
             (2.0 * np.pi / M) * dlp_kernel(np.zeros(2), y, y) * np.cos(t)
         )
         assert abs(u[0] - oracle) < 1e-12
+
+    def test_depth_zero_hbs_matches_dense(self):
+        # 40 nodes with leaf size 32: the HBS tree is the root alone
+        curve = make_curve("ellipse", 40, 2.0, 1.0)
+        f = point_charge_data(curve)
+        ref = solve_interior_dirichlet(curve, f, backend="dense")
+        sigma = solve_interior_dirichlet(curve, f, backend="hbs")
+        assert np.linalg.norm(sigma - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    def test_two_spacings_inside_flagged(self):
+        curve = make_curve("starfish", 256, 0.3, 5)
+        h = curve.max_spacing()
+        targets = np.array([curve.x[10] - 2.0 * h * curve.normal[10],
+                            curve.x[100] - 10.0 * h * curve.normal[100]])
+        sigma = np.cos(curve.t)
+        with pytest.warns(UserWarning, match="1 target"):
+            u, near = eval_double_layer(curve, sigma, targets)
+        assert near.tolist() == [True, False]
+        for t, ut in zip(targets, u):
+            plain = np.sum(dlp_kernel(t, curve.x, curve.normal) * curve.weights * sigma)
+            assert abs(ut - plain) <= 1e-14 * np.sum(np.abs(curve.weights * sigma))
+
+    def test_target_on_node_rejected(self):
+        curve = make_curve("circle", 64, 1.0)
+        with pytest.raises(ValueError, match="coincident"):
+            eval_double_layer(curve, np.ones(64), curve.x[3:4])
 
     def test_near_boundary_flagged(self):
         curve = make_curve("circle", 64, 1.0)

@@ -84,6 +84,17 @@ def test_bie_subcommand(capsys):
     assert max(float(r[4]) for r in rows) < 1e-8
 
 
+@pytest.mark.filterwarnings("ignore:.*node spacings.*:UserWarning")
+def test_bie_hbs_on_depth_zero_tree(capsys):
+    # 40 nodes give an HBS tree of depth 0, which is a valid input
+    code, out = run_cli(
+        ["bie", "--shape", "ellipse", "--n", "40", "--backend", "hbs"], capsys
+    )
+    assert code == 0
+    _, rows = parse_csv(out)
+    assert len(rows) == 25
+
+
 def test_nd_subcommand_metrics_and_schur(capsys):
     code, out = run_cli(["nd", "--dim", "2", "--n", "16"], capsys)
     assert code == 0

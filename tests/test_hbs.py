@@ -18,6 +18,7 @@ from fds.hbs import (
     woodbury_variant,
 )
 from fds.linalg import SingularMatrixError, dense_lu_solve
+from fds.special import hankel0_first_kind
 from fds.tree import build_uniform_tree
 
 RNG_SEED = 90210
@@ -33,6 +34,16 @@ def green_kernel_matrix(N):
 def ellipse_bie_matrix(N):
     curve = make_curve("ellipse", N, 2.0, 1.0)
     return assemble_bie(curve, np.zeros(N)).matrix
+
+
+def helmholtz_starfish_matrix(N):
+    """0.25i H0(10 |x_i - x_j|) / N on N starfish nodes, diagonal 1 + 0.5i."""
+    x = make_curve("starfish", N + N % 2, 0.3, 5).x[:N]
+    d = np.linalg.norm(x[:, None, :] - x[None, :, :], axis=-1)
+    np.fill_diagonal(d, 1.0)
+    A = 0.25j * hankel0_first_kind(10.0 * d) / N
+    np.fill_diagonal(A, 1.0 + 0.5j)
+    return A
 
 
 class TestWoodburyVariant:
@@ -124,6 +135,14 @@ class TestCompress:
         tree = build_uniform_tree(1024, 64)
         H = compress_to_hbs(A, tree, 1e-10)
         assert np.linalg.norm(H.todense() - A) <= 1e-9 * np.linalg.norm(A)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_far_field_entry_raises(self, bad):
+        # the far field reaches the IDs only through its QR factors
+        A = ellipse_bie_matrix(256)
+        A[5, 200] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            compress_to_hbs(A, build_uniform_tree(256, 32), 1e-10)
 
     def test_submatrix_property(self):
         # sibling interactions are literal submatrices, bit for bit
@@ -258,6 +277,59 @@ class TestInvert:
         # [[I, I], [I, I]] has regular leaves but a singular root block
         I2 = np.eye(2)
         H = compress_to_hbs(np.block([[I2, I2], [I2, I2]]), build_uniform_tree(4, 2), 1e-12)
+        with pytest.raises(SingularMatrixError, match="level 0"):
+            hbs_invert(H)
+
+
+class TestLeastSquaresCutoff:
+    def test_starfish_residual_n4096(self):
+        # The interpolation bases are fitted on the QR factors with the
+        # cutoff eps * max(M, k) of the tall far-field problem; numpy's
+        # default for the small factors, eps * max(n, k), measured a
+        # residual 3.9e-12 here against 4.2e-13.
+        N = 4096
+        A = assemble_bie(make_curve("starfish", N, 0.3, 5), np.zeros(N)).matrix
+        H = compress_to_hbs(A, build_uniform_tree(N, 64), 1e-10)
+        b = np.random.default_rng(1).standard_normal(N)
+        x = hbs_invert(H).apply(b)
+        assert np.linalg.norm(A @ x - b) <= 1.5e-12 * np.linalg.norm(b)
+
+
+class TestComplexOddSize:
+    def test_helmholtz_kernel_n777(self):
+        # complex, N not a power of two, unequal leaves (97 and 98)
+        N = 777
+        A = helmholtz_starfish_matrix(N)
+        H = compress_to_hbs(A, build_uniform_tree(N, 64), 1e-10)
+        assert H.per_level_ranks() == {1: 46, 2: 42, 3: 32}
+        assert np.linalg.norm(H.todense() - A) <= 1e-10 * np.linalg.norm(A)
+        rng = np.random.default_rng(RNG_SEED)
+        b = rng.standard_normal(N) + 1j * rng.standard_normal(N)
+        x = hbs_invert(H).apply(b)
+        assert np.linalg.norm(A @ x - b) <= 1e-11 * np.linalg.norm(b)
+
+
+class TestDepthZero:
+    """N below twice the leaf size: the tree is the root alone."""
+
+    def test_round_trip(self):
+        rng = np.random.default_rng(RNG_SEED)
+        N = 50
+        A = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N)) + 10 * np.eye(N)
+        tree = build_uniform_tree(N, 32)
+        assert tree.depth == 0
+        H = compress_to_hbs(A, tree, 1e-10)
+        assert np.array_equal(H.todense(), A)
+        assert hbs_storage(H) == {"stored_scalars": N * N, "per_level_ranks": {}}
+        X = rng.standard_normal((N, 3))
+        assert np.array_equal(hbs_matvec(H, X), A @ X)
+        inv = hbs_invert(H)
+        assert list(inv.cond_estimates) == [1]
+        assert np.linalg.norm(A @ inv.apply(X) - X) <= 1e-13 * np.linalg.norm(X)
+
+    @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
+    def test_singular_root_raises(self):
+        H = compress_to_hbs(np.ones((20, 20)), build_uniform_tree(20, 16), 1e-10)
         with pytest.raises(SingularMatrixError, match="level 0"):
             hbs_invert(H)
 
