@@ -177,16 +177,39 @@ def green_1d(x, y, a, b):
     return np.where(x >= y, lower, upper) / (b - a)
 
 
+_ROW_BLOCK = 1 << 15  # entries per block of rows in assemble_nystrom
+
+
 def assemble_nystrom(p: Bvp1dProblem):
     """Trapezoidal Nystrom system (I + G M, G g) on the interior grid.
 
     G[i, j] = h * green_1d(x_i, x_j); the h/2 endpoint weights never
-    enter because the density vanishes at the boundary.
+    enter because the density vanishes at the boundary. G is formed
+    block of rows by block of rows in the returned array, rhs = G g is
+    taken from it, and it is then turned into I + G M in place, so the
+    only N x N array is the result.
     """
-    x = p.x
-    G = p.h * green_1d(x[:, None], x[None, :], p.a, p.b)
-    system = np.eye(p.N) + G * p.m[None, :]
-    rhs = G @ p.g
+    x, N = p.x, p.N
+    left, right = x - p.a, p.b - x
+    system = np.empty((N, N))
+    step = max(1, _ROW_BLOCK // N)
+    for i in range(0, N, step):
+        r = slice(i, i + step)
+        blk = system[r]
+        # x increases, so left of the diagonal block green_1d takes its
+        # lower branch and right of it its upper branch
+        for out, u, v in ((blk[:, :i], right, left[:i]),
+                          (blk[:, i + step:], left, right[i + step:])):
+            np.multiply(u[r, None], v, out=out)
+            np.divide(out, p.b - p.a, out=out)
+        blk[:, r] = green_1d(x[r, None], x[None, r], p.a, p.b)
+        np.multiply(p.h, blk, out=blk)
+    rhs = system @ p.g
+    for i in range(0, N, step):
+        blk = system[i:i + step]
+        np.multiply(blk, p.m, out=blk)
+        blk += 0.0  # as in I + G M: an entry G m = -0.0 reads +0.0
+    system.flat[::N + 1] += 1.0
     return system, rhs
 
 

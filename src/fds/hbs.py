@@ -55,6 +55,12 @@ def woodbury_variant(D, U, V, Atilde=None):
     SingularMatrixError identifying which of the two inverses failed.
     With an empty low-rank part (K = 0), G = D^{-1} and E, F are empty.
     """
+    return _woodbury_variant(D, U, V)[0]
+
+
+def _woodbury_variant(D, U, V):
+    """``woodbury_variant``'s blocks and the 1-norm condition number of D,
+    ||D||_1 ||D^{-1}||_1, read off the D^{-1} the blocks are built from."""
     D = np.asarray(D)
     U = np.asarray(U)
     V = np.asarray(V)
@@ -62,9 +68,10 @@ def woodbury_variant(D, U, V, Atilde=None):
     K = U.shape[1]
     lu = lu_factor_checked(D, "D")
     Dinv = scipy.linalg.lu_solve(lu, np.eye(n, dtype=D.dtype))
+    cond = _cond_1(D, Dinv)
     if K == 0:
         empty = np.zeros((n, 0), dtype=D.dtype)
-        return np.zeros((0, 0), dtype=D.dtype), empty, empty, Dinv
+        return (np.zeros((0, 0), dtype=D.dtype), empty, empty, Dinv), cond
     Z = scipy.linalg.lu_solve(lu, U)  # D^{-1} U
     M = V.conj().T @ Z  # V* D^{-1} U
     Dhat = scipy.linalg.lu_solve(lu_factor_checked(M, "V* D^-1 U"), np.eye(K))
@@ -72,7 +79,12 @@ def woodbury_variant(D, U, V, Atilde=None):
     E = Z @ Dhat
     F = W @ Dhat.conj().T  # F* = Dhat V* D^{-1}
     G = Dinv - Z @ Dhat @ W.conj().T
-    return Dhat, E, F, G
+    return (Dhat, E, F, G), cond
+
+
+def _cond_1(A, Ainv):
+    """1-norm condition number from an inverse already formed; 1 if empty."""
+    return float(np.linalg.norm(A, 1) * np.linalg.norm(Ainv, 1)) if A.size else 1.0
 
 
 # -- shared skeleton construction ---------------------------------------------
@@ -368,20 +380,19 @@ def hbs_invert(H: HbsMatrix) -> HbsInverse:
                 a, b = t.children(tau)
                 Dt = np.block([[Dhat[a], H.Atilde[(a, b)]],
                                [H.Atilde[(b, a)], Dhat[b]]])
-            conds[tau] = float(np.linalg.cond(Dt, 1)) if Dt.size else 1.0
-            if conds[tau] > 1e13:
-                logger.warning(
-                    "Dtilde at node %d (level %d) has condition estimate %.2e",
-                    tau, ell, conds[tau],
-                )
             try:
-                Dhat[tau], E[tau], F[tau], G[tau] = woodbury_variant(
+                (Dhat[tau], E[tau], F[tau], G[tau]), conds[tau] = _woodbury_variant(
                     Dt, H.U[tau], H.V[tau]
                 )
             except SingularMatrixError as exc:
                 raise SingularMatrixError(
                     f"singular intermediate at node {tau} (level {ell}): {exc}"
                 ) from exc
+            if conds[tau] > 1e13:
+                logger.warning(
+                    "Dtilde at node %d (level %d) has condition estimate %.2e",
+                    tau, ell, conds[tau],
+                )
     if t.depth == 0:
         root = H.D[1]
     else:
@@ -392,7 +403,7 @@ def hbs_invert(H: HbsMatrix) -> HbsInverse:
     else:
         lu = lu_factor_checked(root, "root block (level 0)")
         G_root = scipy.linalg.lu_solve(lu, np.eye(root.shape[0], dtype=root.dtype))
-    conds[1] = float(np.linalg.cond(root, 1)) if root.size else 1.0
+    conds[1] = _cond_1(root, G_root)
     return HbsInverse(tree=t, E=E, F=F, G=G, G_root=G_root,
                       k2=len(H.skeleton.get(2, ())), cond_estimates=conds)
 

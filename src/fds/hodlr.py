@@ -11,7 +11,12 @@ dense leaf diagonal blocks. Two inverse representations are provided:
 * ``invert_multiplicative`` -- the exact non-recursive product
   A^{-1} = B_0 B_1 ... B_L where each B_ell is block diagonal with
   identity-plus-low-rank blocks; off-diagonal ranks provably never grow
-  during its construction.
+  during its construction. The blocks of each factor are kept as
+  stacks of equal shape, so its apply is one batched product per
+  stack: depth + 1 of them on a tree whose levels have one block size
+  and rank, O(N (leaf + rank)) flops in all.
+
+Blocks are addressed through slices of ``tree.ranges``, never gathered.
 """
 
 from dataclasses import dataclass
@@ -55,11 +60,11 @@ class HodlrMatrix:
 
     def todense(self) -> np.ndarray:
         A = np.zeros((self.N, self.N), dtype=self.dtype)
+        r = self.tree.ranges
         for tau in self.tree.leaves():
-            i = self.tree.index_range(tau)
-            A[np.ix_(i, i)] = self.leaf_diag[tau]
+            A[slice(*r[tau]), slice(*r[tau])] = self.leaf_diag[tau]
         for (a, b), f in self.offdiag.items():
-            A[np.ix_(self.tree.index_range(a), self.tree.index_range(b))] = f.todense()
+            A[slice(*r[a]), slice(*r[b])] = f.todense()
         return A
 
 
@@ -73,15 +78,13 @@ def compress_to_hodlr(A, tree: ClusterTree, tol) -> HodlrMatrix:
     A = np.asarray(A)
     if A.shape != (tree.N, tree.N):
         raise ValueError(f"matrix shape {A.shape} does not match tree over {tree.N}")
+    r = tree.ranges
     offdiag = {}
     for alpha, beta in sibling_pairs(tree):
-        ia, ib = tree.index_range(alpha), tree.index_range(beta)
-        offdiag[(alpha, beta)] = low_rank_approx(A[np.ix_(ia, ib)], tol)
-        offdiag[(beta, alpha)] = low_rank_approx(A[np.ix_(ib, ia)], tol)
-    leaf_diag = {
-        tau: A[np.ix_(tree.index_range(tau), tree.index_range(tau))].copy()
-        for tau in tree.leaves()
-    }
+        sa, sb = slice(*r[alpha]), slice(*r[beta])
+        offdiag[(alpha, beta)] = low_rank_approx(A[sa, sb], tol)
+        offdiag[(beta, alpha)] = low_rank_approx(A[sb, sa], tol)
+    leaf_diag = {tau: A[slice(*r[tau]), slice(*r[tau])].copy() for tau in tree.leaves()}
     return HodlrMatrix(tree=tree, offdiag=offdiag, leaf_diag=leaf_diag, tol=tol)
 
 
@@ -91,12 +94,11 @@ def hodlr_matvec(H: HodlrMatrix, x):
     if x.shape[0] != H.N:
         raise ValueError(f"vector length {x.shape[0]} != {H.N}")
     y = np.zeros(x.shape, dtype=np.result_type(H.dtype, x.dtype))
-    t = H.tree
-    for tau in t.leaves():
-        i = t.index_range(tau)
-        y[i] = H.leaf_diag[tau] @ x[i]
+    r = H.tree.ranges
+    for tau in H.tree.leaves():
+        y[slice(*r[tau])] = H.leaf_diag[tau] @ x[slice(*r[tau])]
     for (a, b), f in H.offdiag.items():
-        y[t.index_range(a)] += f.matvec(x[t.index_range(b)])
+        y[slice(*r[a])] += f.matvec(x[slice(*r[b])])
     return y
 
 
@@ -194,35 +196,95 @@ def recompress_inverse(inv: HodlrInverseWoodbury, tol) -> HodlrMatrix:
 
 
 @dataclass
+class _Stack:
+    """Same-shaped diagonal blocks of one factor B_ell, stacked on axis 0.
+
+    Block j acts on rows ``rows[j]`` of the vector. ``rows`` is None when
+    the stack is the whole level and its blocks tile range(N) in order:
+    the blocks are then a reshape view of the vector.
+    """
+
+    nodes: list  # node ids, one per block
+    rows: np.ndarray  # (g, n) row indices, or None
+    U: np.ndarray  # (g, n, n) leaf inverses, or (g, n, k) left factors
+    V: np.ndarray = None  # (g, n, k) right factors; the block is I + U V*
+
+    def blocks(self, y):
+        """The (g, n, r) blocks of y: a view, or a gathered copy."""
+        if self.rows is None:
+            return y.reshape(self.U.shape[:2] + y.shape[1:])
+        return y[self.rows]
+
+
+def _stack(t, nodes, arrays):
+    """One _Stack per distinct block shape among ``nodes``, in node order;
+    ``arrays(tau)`` gives the node's (U,) or (U, V) pair."""
+    shapes = {}
+    for tau in nodes:
+        shapes.setdefault(tuple(a.shape for a in arrays(tau)), []).append(tau)
+    out = []
+    for members in shapes.values():
+        rows = None
+        if len(shapes) > 1:
+            rows = np.array([np.arange(*t.ranges[tau]) for tau in members])
+        out.append(_Stack(members, rows, *(np.stack(s) for s in zip(*map(arrays, members)))))
+    return out
+
+
+@dataclass
 class HodlrInverseMultiplicative:
     """A^{-1} = B_0 B_1 ... B_L, each factor block diagonal.
 
-    ``leaf_inverses`` holds the dense blocks of B_L; ``level_blocks[ell]``
-    maps node tau at level ell to the identity-plus-low-rank correction
-    of its block of B_ell.
+    B_L is ``leaf_stacks``: the dense leaf inverses, stacked by block
+    size. Each coarser B_ell is ``level_stacks[ell]``: its
+    identity-plus-low-rank blocks I + U V*, stacked by (block size,
+    rank). ``apply`` takes (N,) or (N, r) right-hand sides and runs one
+    batched ``matmul`` per stack, leaves first: O(N (leaf + rank) r)
+    flops and depth + 1 batched products on a tree whose levels each
+    have one block size and rank (a stack covering its whole level
+    works on a reshape view of the vector; the others gather and
+    scatter their rows). ``leaf_inverses`` and ``level_blocks`` give
+    the per-node blocks as views into the stacks.
     """
 
     tree: ClusterTree
-    leaf_inverses: dict  # tau -> dense inverse of the leaf block
-    level_blocks: dict  # ell -> {tau: LowRankFactor}, block = I + U V*
+    leaf_stacks: list  # _Stack of (g, n, n) leaf inverses
+    level_stacks: dict  # ell -> [_Stack of (U, V) factors]
 
     @property
     def nfactors(self) -> int:
         return self.tree.depth + 1
 
+    @property
+    def leaf_inverses(self):
+        """Leaf tau -> dense inverse of its diagonal block."""
+        return {tau: s.U[j] for s in self.leaf_stacks for j, tau in enumerate(s.nodes)}
+
+    @property
+    def level_blocks(self):
+        """ell -> {tau: LowRankFactor}; B_ell's block at tau is I + U V*."""
+        return {ell: {tau: LowRankFactor(s.U[j], s.V[j])
+                      for s in stacks for j, tau in enumerate(s.nodes)}
+                for ell, stacks in self.level_stacks.items()}
+
     def apply(self, x):
         x = np.asarray(x)
         if x.shape[0] != self.tree.N:
             raise ValueError(f"vector length {x.shape[0]} != {self.tree.N}")
-        t = self.tree
-        y = np.zeros(x.shape, dtype=np.result_type(x.dtype, *(m.dtype for m in self.leaf_inverses.values())))
-        for tau in t.leaves():
-            i = t.index_range(tau)
-            y[i] = self.leaf_inverses[tau] @ x[i]
-        for ell in range(t.depth - 1, -1, -1):
-            for tau, corr in self.level_blocks[ell].items():
-                i = t.index_range(tau)
-                y[i] += corr.matvec(y[i])
+        stacks = self.leaf_stacks + [s for ss in self.level_stacks.values() for s in ss]
+        y = np.empty(x.shape, dtype=np.result_type(x.dtype, *(s.U.dtype for s in stacks)))
+        x2, y2 = x.reshape(len(x), -1), y.reshape(len(y), -1)
+        for s in self.leaf_stacks:
+            if s.rows is None:
+                np.matmul(s.U, s.blocks(x2), out=s.blocks(y2))
+            else:
+                y2[s.rows] = s.U @ s.blocks(x2)
+        for ell in range(self.tree.depth - 1, -1, -1):
+            for s in self.level_stacks[ell]:
+                yb = s.blocks(y2)
+                yb += s.U @ (np.swapaxes(s.V.conj(), 1, 2) @ yb)
+                if s.rows is not None:
+                    y2[s.rows] = yb
         return y
 
 
@@ -235,7 +297,7 @@ def invert_multiplicative(H: HodlrMatrix) -> HodlrInverseMultiplicative:
     and left-multiplies the running matrix, which only updates the left
     factors of the remaining off-diagonal blocks: their ranks never
     change. The off-diagonal factor updates are done in place on a
-    working copy.
+    working copy. The blocks of each factor are then stacked by shape.
     """
     t = H.tree
     work = {key: (f.U.copy(), f.V) for key, f in H.offdiag.items()}
@@ -243,15 +305,13 @@ def invert_multiplicative(H: HodlrMatrix) -> HodlrInverseMultiplicative:
     def update_left_factors(ell_active, apply_block):
         """Left-multiply every remaining off-diagonal block by B_ell."""
         for (a, b), (U, _) in work.items():
-            if t.level(a) > ell_active:
+            d = ell_active - t.level(a)
+            if d < 0:
                 continue  # already consumed into a diagonal block
-            ia = t.index_range(a)
-            start = ia[0]
-            # B_ell blocks whose range intersects I_a (they tile it)
-            for tau in t.nodes_at_level(ell_active):
+            start = t.ranges[a][0]
+            # the B_ell blocks of a's descendants at level ell tile I_a
+            for tau in range(a << d, (a + 1) << d):
                 lo, hi = t.ranges[tau]
-                if lo >= ia[-1] + 1 or hi <= start:
-                    continue
                 sl = slice(lo - start, hi - start)
                 U[sl] = apply_block(tau, U[sl])
 
@@ -261,7 +321,7 @@ def invert_multiplicative(H: HodlrMatrix) -> HodlrInverseMultiplicative:
         leaf_inverses[tau] = scipy.linalg.lu_solve((lu, piv), np.eye(len(piv)))
     update_left_factors(t.depth, lambda tau, M: leaf_inverses[tau] @ M)
 
-    level_blocks = {}
+    level_stacks = {}
     for ell in range(t.depth - 1, -1, -1):
         blocks = {}
         for tau in t.nodes_at_level(ell):
@@ -283,7 +343,8 @@ def invert_multiplicative(H: HodlrMatrix) -> HodlrInverseMultiplicative:
             core_lu = lu_factor_checked(core, f"identity-plus-low-rank core at node {tau}")
             corr_U = -scipy.linalg.lu_solve(core_lu, Uc.T, trans=1).T  # -Uc core^{-1}
             blocks[tau] = LowRankFactor(corr_U, Vc)
-        level_blocks[ell] = blocks
+        level_stacks[ell] = _stack(t, t.nodes_at_level(ell),
+                                   lambda tau: (blocks[tau].U, blocks[tau].V))
 
         def apply_block(tau, M, blocks=blocks):
             return M + blocks[tau].matvec(M)
@@ -291,7 +352,8 @@ def invert_multiplicative(H: HodlrMatrix) -> HodlrInverseMultiplicative:
         update_left_factors(ell, apply_block)
 
     return HodlrInverseMultiplicative(
-        tree=t, leaf_inverses=leaf_inverses, level_blocks=level_blocks
+        tree=t, leaf_stacks=_stack(t, t.leaves(), lambda tau: (leaf_inverses[tau],)),
+        level_stacks=level_stacks,
     )
 
 
@@ -310,11 +372,9 @@ def storage_report(obj):
             ranks.append(max(nd.Va.shape[1], nd.Vb.shape[1]))
         return {"stored_scalars": scalars, "max_rank": max(ranks)}
     if isinstance(obj, HodlrInverseMultiplicative):
-        scalars = sum(M.size for M in obj.leaf_inverses.values())
-        ranks = [0]
-        for blocks in obj.level_blocks.values():
-            for f in blocks.values():
-                scalars += f.storage()
-                ranks.append(f.rank)
-        return {"stored_scalars": scalars, "max_rank": max(ranks)}
+        levels = [s for stacks in obj.level_stacks.values() for s in stacks]
+        scalars = sum(s.U.size for s in obj.leaf_stacks)
+        scalars += sum(s.U.size + s.V.size for s in levels)
+        return {"stored_scalars": scalars,
+                "max_rank": max((s.U.shape[2] for s in levels), default=0)}
     raise TypeError(f"no storage report for {type(obj).__name__}")

@@ -1,5 +1,7 @@
 """1D boundary value solvers: finite differences vs the integral equation."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -178,6 +180,40 @@ class TestNystrom:
         G = p.h * green_1d(x[:, None], x[None, :], 0.0, 1.0)
         assert np.allclose(system, np.eye(32) + G * p.m[None, :], atol=1e-15)
         assert np.allclose(rhs, G @ p.g, atol=1e-15)
+
+    @pytest.mark.parametrize("N", [1, 2, 7, 64, 1000])
+    def test_bitwise_entrywise_oracle(self, N):
+        # the one-buffer assembly performs the same operations per entry
+        # as the dense formula, including +0.0 where G m is -0.0
+        a, b = -1.5, 2.25
+        p = Bvp1dProblem.from_functions(a, b, N, lambda x: 30.0 * np.sin(3.0 * x),
+                                        lambda x: np.exp(-x))
+        p.m[N // 2] = -0.0
+        x = p.x
+        G = p.h * green_1d(x[:, None], x[None, :], a, b)
+        system, rhs = assemble_nystrom(p)
+        oracle = np.eye(N) + G * p.m
+        assert system.dtype == oracle.dtype and system.shape == oracle.shape
+        assert system.tobytes() == oracle.tobytes()
+        assert rhs.tobytes() == (G @ p.g).tobytes()
+
+    def test_grid_outside_interval_rejected(self):
+        p = Bvp1dProblem(1.0, 0.0, 5, np.zeros(5), np.zeros(5))
+        with pytest.raises(ValueError, match="outside the interval"):
+            assemble_nystrom(p)
+
+    def test_one_dense_buffer(self):
+        # the returned matrix is the only N x N allocation: the dense
+        # formula peaked at 3.13 N^2 doubles
+        N = 1024
+        p = fig2_problem(N)
+        tracemalloc.start()
+        try:
+            assemble_nystrom(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * 8 * N * N
 
     def test_fd_ie_equivalence(self):
         # (D + M)^{-1} rhs = (I + G M)^{-1} G rhs on the shared grid

@@ -1,6 +1,8 @@
 """Block-separable / HBS formats: the Woodbury variation, skeletonization,
 and the level-by-level inversion pipeline."""
 
+import logging
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -261,6 +263,43 @@ class TestInvert:
         nodes = [tau for tau in range(1, tree.nnodes + 1)]
         assert sorted(inv.cond_estimates) == nodes
         assert all(np.isfinite(c) and c >= 1.0 for c in inv.cond_estimates.values())
+
+    def test_condition_estimates_match_dense_cond(self):
+        # each Dtilde block rebuilt bottom-up, its condition number taken
+        # by numpy's explicit inverse
+        N = 512
+        A = assemble_bie(make_curve("starfish", N, 0.3, 5), np.zeros(N)).matrix
+        tree = build_uniform_tree(N, 64)
+        H = compress_to_hbs(A, tree, 1e-10)
+        inv = hbs_invert(H)
+        Dhat, ref = {}, {}
+        for ell in range(tree.depth, -1, -1):
+            for tau in tree.nodes_at_level(ell):
+                if tree.is_leaf(tau):
+                    Dt = H.D[tau]
+                else:
+                    a, b = tree.children(tau)
+                    Dt = np.block([[Dhat[a], H.Atilde[(a, b)]], [H.Atilde[(b, a)], Dhat[b]]])
+                ref[tau] = np.linalg.cond(Dt, 1)
+                if tau > 1:
+                    Dhat[tau] = woodbury_variant(Dt, H.U[tau], H.V[tau])[0]
+        assert sorted(inv.cond_estimates) == sorted(ref)
+        for tau, c in ref.items():
+            assert c / 3 <= inv.cond_estimates[tau] <= 3 * c
+
+    def test_ill_conditioned_block_logged(self, caplog):
+        A = green_kernel_matrix(128) + np.eye(128)
+        tree = build_uniform_tree(128, 32)
+        H = compress_to_hbs(A, tree, 1e-12)
+        leaf = next(iter(tree.leaves()))
+        H.D[leaf] = np.diag(np.logspace(0, -15, tree.size(leaf)))
+        with caplog.at_level(logging.WARNING, logger="fds.hbs"):
+            inv = hbs_invert(H)
+        assert inv.cond_estimates[leaf] > 1e13
+        assert [r.getMessage() for r in caplog.records if r.name == "fds.hbs"] == [
+            f"Dtilde at node {leaf} (level {tree.depth}) has condition estimate "
+            f"{inv.cond_estimates[leaf]:.2e}"
+        ]
 
     @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
     def test_singular_intermediate_names_node_and_level(self):

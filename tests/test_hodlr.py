@@ -5,6 +5,7 @@ import pytest
 
 from fds.bvp1d import Bvp1dProblem, assemble_nystrom
 from fds.hodlr import (
+    HodlrMatrix,
     compress_to_hodlr,
     hodlr_matvec,
     invert_multiplicative,
@@ -218,6 +219,101 @@ class TestMultiplicativeInverse:
         H = compress_to_hodlr(np.block([[I2, I2], [I2, I2]]), build_uniform_tree(4, 2), 1e-12)
         with pytest.raises(SingularMatrixError, match="core at node 1"):
             invert_multiplicative(H)
+
+
+def reference_apply(inv, x):
+    """The per-node multiplicative apply: every leaf block of B_L, then
+    every block of B_ell for ell = depth - 1 .. 0, one product each."""
+    t = inv.tree
+    dtype = np.result_type(x.dtype, *(m.dtype for m in inv.leaf_inverses.values()))
+    y = np.zeros(x.shape, dtype=dtype)
+    for tau in t.leaves():
+        i = t.index_range(tau)
+        y[i] = inv.leaf_inverses[tau] @ x[i]
+    for ell in range(t.depth - 1, -1, -1):
+        for tau, corr in inv.level_blocks[ell].items():
+            i = t.index_range(tau)
+            y[i] += corr.matvec(y[i])
+    return y
+
+
+def mixed_rank_hodlr(N, leaf):
+    """HODLR matrix whose sibling blocks of one level have ranks 1, 2, 3."""
+    rng = np.random.default_rng(RNG_SEED)
+    tree = build_uniform_tree(N, leaf)
+    offdiag = {}
+    for a, b in [(2 * t, 2 * t + 1) for t in range(1, 2**tree.depth)]:
+        for p, q in ((a, b), (b, a)):
+            k = 1 + p % 3
+            offdiag[(p, q)] = LowRankFactor(rng.standard_normal((tree.size(p), k)) / N,
+                                            rng.standard_normal((tree.size(q), k)))
+    leaf_diag = {t: rng.standard_normal((tree.size(t),) * 2) + tree.size(t) * np.eye(tree.size(t))
+                 for t in tree.leaves()}
+    return HodlrMatrix(tree=tree, offdiag=offdiag, leaf_diag=leaf_diag, tol=0.0)
+
+
+def complex_kernel_matrix(N):
+    i = np.arange(N)
+    return kernel_matrix(N) * np.exp(0.3j * (i[:, None] - i[None, :])) + 10 * np.eye(N)
+
+
+class TestBatchedApply:
+    """The stacked apply against the per-node loop it replaced."""
+
+    CASES = {
+        # N = 777, leaf 64: blocks of 97 and 98 rows, two stacks per level
+        "two_sizes": lambda: compress_to_hodlr(ie_matrix(777)[0], build_uniform_tree(777, 64),
+                                               1e-12),
+        "complex": lambda: compress_to_hodlr(complex_kernel_matrix(300),
+                                             build_uniform_tree(300, 32), 1e-12),
+        "mixed_ranks": lambda: mixed_rank_hodlr(512, 32),
+        # N < 2 * leaf: one dense block
+        "depth_zero": lambda: compress_to_hodlr(kernel_matrix(100) + np.eye(100),
+                                                build_uniform_tree(100, 64), 1e-12),
+    }
+
+    @pytest.mark.parametrize("nrhs", [None, 3])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_matches_per_node_apply(self, case, nrhs):
+        H = self.CASES[case]()
+        inv = invert_multiplicative(H)
+        rng = np.random.default_rng(RNG_SEED)
+        x = rng.standard_normal((H.N,) if nrhs is None else (H.N, nrhs))
+        y = inv.apply(x)
+        y_ref = reference_apply(inv, x)
+        assert y.shape == x.shape and y.dtype == y_ref.dtype
+        assert np.linalg.norm(y - y_ref) <= 1e-14 * np.linalg.norm(y_ref)
+
+    def test_stack_layout(self):
+        two = invert_multiplicative(self.CASES["two_sizes"]())
+        assert [len(two.level_stacks[ell]) for ell in range(3)] == [1, 2, 2]
+        assert len(two.leaf_stacks) == 2 and two.level_stacks[0][0].rows is None
+        mixed = invert_multiplicative(self.CASES["mixed_ranks"]())
+        ranks = {s.U.shape[2] for s in mixed.level_stacks[2]}
+        assert len(ranks) > 1  # unequal ranks in one level: one stack each
+        zero = invert_multiplicative(self.CASES["depth_zero"]())
+        assert zero.level_stacks == {} and zero.leaf_stacks[0].U.shape == (1, 100, 100)
+
+    def test_views_share_the_stacks(self):
+        inv = invert_multiplicative(self.CASES["two_sizes"]())
+        for s in inv.leaf_stacks:
+            for j, tau in enumerate(s.nodes):
+                assert np.shares_memory(inv.leaf_inverses[tau], s.U[j])
+        assert sorted(inv.leaf_inverses) == list(inv.tree.leaves())
+        for ell, blocks in inv.level_blocks.items():
+            assert sorted(blocks) == list(inv.tree.nodes_at_level(ell))
+
+    def test_wrong_length_raises(self):
+        inv = invert_multiplicative(self.CASES["two_sizes"]())
+        with pytest.raises(ValueError, match="vector length"):
+            inv.apply(np.ones(776))
+
+    def test_storage_count_n4096(self):
+        # the bvp1d rung at N = 4096, leaf 64: 64 leaf inverses of 64^2
+        # plus rank-2 corrections, the count before the stacked layout
+        A, _ = ie_matrix(4096)
+        inv = invert_multiplicative(compress_to_hodlr(A, build_uniform_tree(4096, 64), 1e-10))
+        assert storage_report(inv) == {"stored_scalars": 360448, "max_rank": 2}
 
 
 class TestInverseConsistency:
