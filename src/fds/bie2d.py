@@ -26,10 +26,11 @@ import numpy as np
 from .linalg import (
     LowRankFactor,
     SeparationError,
-    dense_lu_solve,
     interpolative_decomposition,
     recompress,
 )
+from .solve import factor
+from .tree import build_uniform_tree
 
 __all__ = [
     "Curve",
@@ -241,25 +242,14 @@ def assemble_bie(curve: Curve, f) -> BieSystem:
 def solve_interior_dirichlet(curve: Curve, f, backend="dense", tol=1e-10):
     """Density sigma solving the interior Dirichlet problem with data f.
 
-    ``backend`` picks the linear solver applied to the Nystrom system:
-    a dense LU, or HODLR / HBS compression at tolerance ``tol`` followed
-    by the corresponding structured inverse.
+    ``backend`` (dense, hodlr or hbs) picks the ``solve.factor`` pipeline
+    applied to the Nystrom system; ``tol`` is its compression tolerance.
     """
-    from . import hbs as _hbs
-    from . import hodlr as _hodlr
-    from .tree import build_uniform_tree
-
+    if backend not in ("dense", "hodlr", "hbs"):
+        raise ValueError(f"unknown backend {backend!r}")
     system = assemble_bie(curve, f)
-    if backend == "dense":
-        return dense_lu_solve(system.matrix, system.rhs)
     tree = build_uniform_tree(curve.N, leaf_size=max(32, min(64, curve.N // 4)))
-    if backend == "hodlr":
-        H = _hodlr.compress_to_hodlr(system.matrix, tree, tol)
-        return _hodlr.invert_woodbury(H).apply(system.rhs)
-    if backend == "hbs":
-        H = _hbs.compress_to_hbs(system.matrix, tree, tol)
-        return _hbs.hbs_invert(H).apply(system.rhs)
-    raise ValueError(f"unknown backend {backend!r}")
+    return factor(system.matrix, backend, tree, tol).apply(system.rhs)
 
 
 def eval_double_layer(curve: Curve, sigma, targets):

@@ -19,8 +19,6 @@ EXIT_FLAGS = 2
 EXIT_NUMERICAL = 3
 EXIT_PRECONDITION = 4
 
-_RANK_FOOTER_EPS = (1e-05, 1e-06, 1e-07, 1e-08, 1e-09, 1e-10)
-
 
 def _fmt(v):
     if isinstance(v, (float, np.floating)):
@@ -45,7 +43,8 @@ def _write_csv(path, comments, header, rows, footer=()):
 
 def _spectrum_csv(result):
     rows = [(j + 1, s) for j, s in enumerate(result.sigmas)]
-    footer = [(f"rank@{eps:.0e}", result.rank_at(eps)) for eps in _RANK_FOOTER_EPS]
+    ranks = result.metadata["tolerance_ranks"]
+    footer = [(f"rank@{eps:.0e}", r) for eps, r in ranks.items()]
     return rows, footer
 
 
@@ -68,13 +67,11 @@ def _cmd_spectrum(args):
     result = experiments.spectrum_potential(
         args.kernel, args.grid_k, args.geometry, kappa=args.kappa, seed=args.seed
     )
-    rows, footer = _spectrum_csv(result)
     _write_csv(
         args.out,
         [f"fds spectrum {result.label} seed={args.seed}"],
         ["j", "sigma_rel"],
-        rows,
-        footer,
+        *_spectrum_csv(result),
     )
 
 
@@ -134,14 +131,11 @@ def _cmd_nd(args):
             operator="helmholtz" if args.kappa else "laplace",
             kappa=args.kappa,
         )
-        rows = [(j + 1, s) for j, s in enumerate(result.sigmas)]
-        footer = [(f"rank@{eps:.0e}", result.rank_at(eps)) for eps in _RANK_FOOTER_EPS]
         _write_csv(
             args.out,
             [f"fds nd --schur {result.label} seed={args.seed}"],
             ["j", "sigma_rel"],
-            rows,
-            footer,
+            *_spectrum_csv(result),
         )
         return
     m = -args.kappa**2 if args.kappa else None

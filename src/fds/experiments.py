@@ -19,10 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import bie2d, bvp1d, hbs, hodlr, sparsend
+from . import bie2d, bvp1d, sparsend
 from .linalg import complex_singular_values, range_finder
 from .quadrature import gauss_legendre
 from .results import SpectrumResult
+from .solve import factor
 from .special import hankel0_first_kind
 from .tree import build_uniform_tree
 
@@ -151,90 +152,46 @@ class BenchRow:
     residual: float
 
 
-def _ie_matrix(N):
-    p = bvp1d.Bvp1dProblem.from_functions(
-        0.0, 1.0, N, lambda x: 100.0 * (1.0 + x) * np.cos(x), lambda x: 1.0 + np.cos(1.0 + x)
-    )
-    system, rhs = bvp1d.assemble_nystrom(p)
-    return system, rhs
-
-
-def _bench_structured(fmt, N, tol, rng):
-    A, b = _ie_matrix(N)
-    tree = build_uniform_tree(N, leaf_size=64)
-    t0 = time.perf_counter()
-    if fmt == "hodlr":
-        H = hodlr.compress_to_hodlr(A, tree, tol)
-        inv = hodlr.invert_multiplicative(H)
-        stored = hodlr.storage_report(H)["stored_scalars"]
+def _bench_problem(target, size, rng):
+    """(A, b, backend, tree) of one ``scaling_bench`` row."""
+    if target == "nd-factor":
+        st = sparsend.assemble_stencil(2, size)
+        tree = sparsend.nd_partition(2, size, leaf_cells=4)
+        return st.A, rng.standard_normal(st.N), "nd", tree
+    if target in ("hodlr-inv", "hbs-inv"):
+        p = bvp1d.Bvp1dProblem.from_functions(
+            0.0, 1.0, size,
+            lambda x: 100.0 * (1.0 + x) * np.cos(x), lambda x: 1.0 + np.cos(1.0 + x))
+        A, b = bvp1d.assemble_nystrom(p)
+        backend = target.removesuffix("-inv")
+    elif target == "bie-solve":
+        curve = bie2d.make_curve("ellipse", size, 2.0, 1.0)
+        f = bie2d.laplace_fundamental(np.linalg.norm(curve.x - [3.0, 1.5], axis=1))
+        system = bie2d.assemble_bie(curve, f)
+        A, b, backend = system.matrix, system.rhs, "hbs"
     else:
-        H = hbs.compress_to_hbs(A, tree, tol)
-        inv = hbs.hbs_invert(H)
-        stored = hbs.hbs_storage(H)["stored_scalars"]
-    build_s = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    x = inv.apply(b)
-    apply_s = time.perf_counter() - t0
-    residual = float(np.linalg.norm(A @ x - b) / np.linalg.norm(b))
-    return BenchRow(N=N, build_s=build_s, apply_s=apply_s,
-                    stored_scalars=int(stored), residual=residual)
-
-
-def _bench_nd(n, rng):
-    st = sparsend.assemble_stencil(2, n)
-    tree = sparsend.nd_partition(2, n, leaf_cells=4)
-    t0 = time.perf_counter()
-    fac = sparsend.nd_factor(st, tree)
-    build_s = time.perf_counter() - t0
-    b = rng.standard_normal(st.N)
-    t0 = time.perf_counter()
-    x = sparsend.nd_solve(fac, b)
-    apply_s = time.perf_counter() - t0
-    stored = sum(fr.lu[0].size + fr.X.size + fr.F_BS.size for fr in fac.fronts)
-    residual = float(np.linalg.norm(st.A @ x - b) / np.linalg.norm(b))
-    return BenchRow(N=st.N, build_s=build_s, apply_s=apply_s,
-                    stored_scalars=int(stored), residual=residual)
-
-
-def _bench_bie(N, tol, rng):
-    curve = bie2d.make_curve("ellipse", N, 2.0, 1.0)
-    charge = np.array([3.0, 1.5])
-    f = bie2d.laplace_fundamental(np.linalg.norm(curve.x - charge, axis=1))
-    system = bie2d.assemble_bie(curve, f)
-    tree = build_uniform_tree(N, leaf_size=64)
-    t0 = time.perf_counter()
-    H = hbs.compress_to_hbs(system.matrix, tree, tol)
-    inv = hbs.hbs_invert(H)
-    build_s = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    sigma = inv.apply(system.rhs)
-    apply_s = time.perf_counter() - t0
-    stored = hbs.hbs_storage(H)["stored_scalars"]
-    residual = float(
-        np.linalg.norm(system.matrix @ sigma - system.rhs) / np.linalg.norm(system.rhs)
-    )
-    return BenchRow(N=N, build_s=build_s, apply_s=apply_s,
-                    stored_scalars=int(stored), residual=residual)
+        raise ValueError(f"unknown bench target {target!r}")
+    return A, b, backend, build_uniform_tree(size, leaf_size=64)
 
 
 def scaling_bench(target, sizes, tol=1e-10, seed=0):
     """Build/apply timings, exact storage, and residuals across sizes.
 
     ``sizes`` are matrix dimensions N for hodlr-inv / hbs-inv /
-    bie-solve, and grid points per side n for nd-factor.
+    bie-solve, and grid points per side n for nd-factor. ``build_s``
+    times ``solve.factor``, ``apply_s`` one solve.
     """
     rng = np.random.default_rng(seed)
     rows = []
     for size in sizes:
-        size = int(size)
-        if target == "hodlr-inv":
-            rows.append(_bench_structured("hodlr", size, tol, rng))
-        elif target == "hbs-inv":
-            rows.append(_bench_structured("hbs", size, tol, rng))
-        elif target == "nd-factor":
-            rows.append(_bench_nd(size, rng))
-        elif target == "bie-solve":
-            rows.append(_bench_bie(size, tol, rng))
-        else:
-            raise ValueError(f"unknown bench target {target!r}")
+        A, b, backend, tree = _bench_problem(target, int(size), rng)
+        t0 = time.perf_counter()
+        fac = factor(A, backend, tree, tol)
+        build_s = time.perf_counter() - t0
+        t0 = time.perf_counter()
+        x = fac.apply(b)
+        apply_s = time.perf_counter() - t0
+        residual = float(np.linalg.norm(A @ x - b) / np.linalg.norm(b))
+        rows.append(BenchRow(N=len(b), build_s=build_s, apply_s=apply_s,
+                             stored_scalars=fac.stored_scalars, residual=residual))
     return rows

@@ -148,10 +148,6 @@ class BlockSeparableMatrix:
     D: list  # dense diagonal blocks
     skeleton: list  # global skeleton indices per block
 
-    @property
-    def nblocks(self) -> int:
-        return len(self.partition)
-
     def todense(self):
         N = sum(len(i) for i in self.partition)
         dtype = self.D[0].dtype
@@ -248,27 +244,8 @@ class HbsMatrix:
         }
 
     def todense(self) -> np.ndarray:
-        """Unroll the telescoping factorization (test-scale only)."""
-        t = self.tree
-        A = np.zeros((self.N, self.N), dtype=self.dtype)
-        long_u, long_v = {}, {}
-        for ell in range(t.depth, 0, -1):
-            for tau in t.nodes_at_level(ell):
-                if t.is_leaf(tau):
-                    long_u[tau] = self.U[tau]
-                    long_v[tau] = self.V[tau]
-                else:
-                    a, b = t.children(tau)
-                    long_u[tau] = scipy.linalg.block_diag(long_u[a], long_u[b]) @ self.U[tau]
-                    long_v[tau] = scipy.linalg.block_diag(long_v[a], long_v[b]) @ self.V[tau]
-        for a, b in sibling_pairs(t):
-            ia, ib = t.index_range(a), t.index_range(b)
-            A[np.ix_(ia, ib)] = long_u[a] @ self.Atilde[(a, b)] @ long_v[b].conj().T
-            A[np.ix_(ib, ia)] = long_u[b] @ self.Atilde[(b, a)] @ long_v[a].conj().T
-        for tau in t.leaves():
-            i = t.index_range(tau)
-            A[np.ix_(i, i)] = self.D[tau]
-        return A
+        """Dense A as the matvec of the identity (test-scale only)."""
+        return hbs_matvec(self, np.eye(self.N, dtype=self.dtype))
 
 
 def compress_to_hbs(A, tree: ClusterTree, tol) -> HbsMatrix:

@@ -59,13 +59,7 @@ class HodlrMatrix:
         return max((f.rank for f in self.offdiag.values()), default=0)
 
     def todense(self) -> np.ndarray:
-        A = np.zeros((self.N, self.N), dtype=self.dtype)
-        r = self.tree.ranges
-        for tau in self.tree.leaves():
-            A[slice(*r[tau]), slice(*r[tau])] = self.leaf_diag[tau]
-        for (a, b), f in self.offdiag.items():
-            A[slice(*r[a]), slice(*r[b])] = f.todense()
-        return A
+        return hodlr_matvec(self, np.eye(self.N, dtype=self.dtype))
 
 
 def compress_to_hodlr(A, tree: ClusterTree, tol) -> HodlrMatrix:

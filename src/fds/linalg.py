@@ -25,7 +25,6 @@ __all__ = [
     "low_rank_approx",
     "recompress",
     "interpolative_decomposition",
-    "row_interpolative_decomposition",
     "lu_factor_checked",
     "dense_lu_solve",
     "complex_singular_values",
@@ -70,10 +69,6 @@ class LowRankFactor:
 
     def matvec(self, x):
         return self.U @ (self.V.conj().T @ x)
-
-    def rmatvec(self, x):
-        """Apply the conjugate transpose: V @ (U* x)."""
-        return self.V @ (self.U.conj().T @ x)
 
     def storage(self) -> int:
         return self.U.size + self.V.size
@@ -167,7 +162,7 @@ def truncated_svd(A, tol=None, max_rank=None):
         k = int(np.sum(s > tol * s[0]))
     if max_rank is not None:
         k = min(k, max_rank)
-    return U[:, :k], s[:k], Vh[:k, :].conj().T
+    return U[:, :k], s[:k], Vh[:k].copy().conj().T  # a view would keep all of Vh alive
 
 
 _DENSE_SVD_LIMIT = 512
@@ -261,11 +256,6 @@ def interpolative_decomposition(A, tol) -> InterpolativeFactor:
     return InterpolativeFactor(
         skeleton=np.asarray(perm[:rank]), interp=interp, perm=np.asarray(perm)
     )
-
-
-def row_interpolative_decomposition(A, tol) -> InterpolativeFactor:
-    """Row ID of A, i.e. the column ID of A*. Skeleton indexes rows."""
-    return interpolative_decomposition(np.asarray(A).conj().T, tol)
 
 
 def lu_factor_checked(A, where):

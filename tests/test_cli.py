@@ -84,6 +84,16 @@ def test_bie_subcommand(capsys):
     assert max(float(r[4]) for r in rows) < 1e-8
 
 
+def test_bie_hodlr_backend(capsys):
+    code, out = run_cli(
+        ["bie", "--shape", "starfish", "--n", "256", "--backend", "hodlr"], capsys
+    )
+    assert code == 0
+    _, rows = parse_csv(out)
+    assert len(rows) == 25
+    assert max(float(r[4]) for r in rows) < 1e-8
+
+
 @pytest.mark.filterwarnings("ignore:.*node spacings.*:UserWarning")
 def test_bie_hbs_on_depth_zero_tree(capsys):
     # 40 nodes give an HBS tree of depth 0, which is a valid input

@@ -112,6 +112,17 @@ class TestScalingBench:
         rows = scaling_bench("bie-solve", [128], tol=1e-8)
         assert rows[0].N == 128 and rows[0].residual < 1e-6
 
+    @pytest.mark.parametrize("target, sizes, stored", [
+        ("hodlr-inv", [256, 512], [17408, 35840]),
+        ("hbs-inv", [256, 512], [17174, 34650]),
+        ("nd-factor", [16, 32], [7922, 41686]),
+        ("bie-solve", [128, 256], [21632, 32736]),
+    ])
+    def test_pinned_storage(self, target, sizes, stored):
+        rows = scaling_bench(target, sizes, tol=1e-10)
+        assert [r.stored_scalars for r in rows] == stored
+        assert all(r.residual < 1e-10 for r in rows)
+
     def test_unknown_target(self):
         with pytest.raises(ValueError):
             scaling_bench("qr-inv", [64])

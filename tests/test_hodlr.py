@@ -361,6 +361,19 @@ class TestStorage:
         s2 = storage_report(synthetic(2048, 4, 32))["stored_scalars"]
         assert 2.0 <= s2 / s1 <= 2.5
 
+    def test_held_memory_matches_storage_count(self):
+        # the factors own their memory: no block keeps its whole SVD alive
+        A, _ = ie_matrix(1024)
+        H = compress_to_hodlr(A, build_uniform_tree(1024, 64), 1e-10)
+        owners = {}
+        arrays = [M for f in H.offdiag.values() for M in (f.U, f.V)]
+        for M in arrays + list(H.leaf_diag.values()):
+            while M.base is not None:
+                M = M.base
+            owners[id(M)] = M.nbytes
+        held = sum(owners.values())
+        assert held <= 2 * storage_report(H)["stored_scalars"] * A.itemsize
+
     def test_max_rank_is_max_over_factors(self):
         A, _ = ie_matrix(128)
         tree = build_uniform_tree(128, 16)

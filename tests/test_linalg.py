@@ -107,6 +107,17 @@ class TestTruncatedSvd:
         U, s, V = truncated_svd(A, max_rank=3)
         assert len(s) == 3
 
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_factor_owns_only_kept_rows(self, dtype):
+        # a view into the full Vh would keep the whole SVD alive with V
+        rng = np.random.default_rng(RNG_SEED)
+        A = (rng.standard_normal((60, 3)) @ rng.standard_normal((3, 50))).astype(dtype)
+        _, _, V = truncated_svd(A, 1e-10)
+        owner = V
+        while owner.base is not None:
+            owner = owner.base
+        assert V.shape == (50, 3) and owner.nbytes == V.nbytes
+
     def test_reconstruction_error_bound(self):
         rng = np.random.default_rng(RNG_SEED + 1)
         for _ in range(100):
