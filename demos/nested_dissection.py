@@ -3,12 +3,9 @@
 Recursive grid-line separators confine LU fill to dense fronts, giving
 the classical O(N^{3/2}) factorization cost in 2D. The demo factors the
 5-point Laplacian, verifies second-order accuracy on a manufactured
-solution, shows the measured flop scaling, and times ``nd_factor`` and
-``nd_solve`` up to n = 512 (best of three; pin BLAS to one thread, e.g.
-OPENBLAS_NUM_THREADS=1, to compare machines).
+solution, shows the measured flop scaling and solves one 3D problem.
+``demos/nd_stages.py`` times the partition, factor and solve stages.
 """
-
-import time
 
 import numpy as np
 
@@ -32,25 +29,6 @@ for n in (32, 64, 128):
 slope = np.polyfit(np.log(Ns), np.log(flops), 1)[0]
 print(f"\nfitted flop exponent vs N: {slope:.2f}  (theory: 3/2)")
 print("the discretization error above drops 4x per grid doubling (second order).")
-
-print(f"\n{'n':>5} {'fronts':>7} {'nd_factor s':>12} {'nd_solve ms':>12} {'ns/flop':>8}")
-for n in (128, 256, 512):
-    st = assemble_stencil(2, n)
-    tree = nd_partition(2, n, leaf_cells=4)
-    b = np.ones(st.N)
-    t_fac, t_sol = [], []
-    for _ in range(3):
-        t = time.perf_counter()
-        fac = nd_factor(st, tree)
-        t_fac.append(time.perf_counter() - t)
-        t = time.perf_counter()
-        nd_solve(fac, b)
-        t_sol.append(time.perf_counter() - t)
-        fronts, flops = len(fac.fronts), fac.flops
-        del fac  # one factorization in memory at a time
-    print(f"{n:>5} {fronts:>7} {min(t_fac):>12.3f} "
-          f"{1e3 * min(t_sol):>12.1f} {1e9 * min(t_fac) / flops:>8.2f}")
-print("ns/flop is factor time per counted dense-kernel flop; flat means flop-bound.")
 
 print("\n3D seven-point stencil, n = 12:")
 st = assemble_stencil(3, 12)

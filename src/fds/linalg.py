@@ -215,7 +215,7 @@ def low_rank_approx(A, tol) -> LowRankFactor:
     Q, B, _ = range_finder(A, tol)
     Ub, s, Vh = np.linalg.svd(B, full_matrices=False)
     r = eps_rank(s, tol)
-    return LowRankFactor((Q @ Ub[:, :r]) * s[:r], Vh[:r].conj().T)
+    return LowRankFactor((Q @ Ub[:, :r]) * s[:r], Vh[:r].copy().conj().T)  # not a view of Vh
 
 
 def recompress(factor: LowRankFactor, tol) -> LowRankFactor:

@@ -9,7 +9,7 @@ factorization with its inverse and its storage count:
 * ``hbs``: ``compress_to_hbs`` at ``tol``, then ``hbs_invert``; stores
   the HBS matrix;
 * ``nd``: ``nd_factor`` of a sparse or stencil A, applied by
-  ``nd_solve``; stores the fronts (LU of F_SS, X and F_BS).
+  ``nd_solve``; stores the fronts (LU and inverse of F_SS, X and F_BS).
 """
 
 from dataclasses import dataclass
@@ -48,5 +48,6 @@ def factor(A, backend, tree=None, tol=1e-10) -> Factorization:
     if backend == "nd":
         fac = sparsend.nd_factor(A, tree)
         return Factorization(lambda b: sparsend.nd_solve(fac, b),
-                             sum(g.lu.size + g.X.size + g.F_BS.size for g in fac.groups))
+                             sum(g.lu.size + g.inv.size + g.X.size + g.F_BS.size
+                                 for g in fac.groups))
     raise ValueError(f"unknown backend {backend!r}")

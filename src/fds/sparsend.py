@@ -2,7 +2,8 @@
 
 The grid for -Delta u + m u = f on the unit box with Dirichlet exterior
 is recursively bisected by grid-line (2D) or grid-plane (3D) separators
-into disconnected subdomains. Factoring bottom-up, each node eliminates
+into disconnected subdomains; ``nd_partition`` builds the separator tree
+one level at a time. Factoring bottom-up, each node eliminates
 its separator through a dense frontal matrix: its couplings in A (real or
 complex, symmetric or nonsymmetric pattern) plus the Schur-complement
 updates passed up from its children. Dense-kernel flops are counted; they
@@ -14,7 +15,9 @@ updates land in it, and groups the fronts by (tree level, separator
 size, boundary size); it raises SeparationError when the tree does not
 separate A. The numeric phase factors one level at a time, deepest
 first, each group as one stack of dense fronts, so the Python work per
-front is one LAPACK call. ``nd_solve`` sweeps the same groups.
+front is one LAPACK call, which also stores F_SS^{-1}. ``nd_solve``
+sweeps the same groups with batched products only: no LAPACK call and
+no Python loop over fronts.
 
 ``schur_offdiag_spectrum`` reproduces the off-diagonal singular-value
 study of the top separator's Schur complement,
@@ -123,61 +126,69 @@ class NdTree:
         return out[::-1]  # reversed root-right-left preorder
 
 
-def _flat(shape, *coords):
-    idx = coords[0]
-    for s, c in zip(shape[1:], coords[1:]):
-        idx = idx * s + c
-    return idx
+def _box_indices(shape, lo, hi):
+    """Flat indices of each box [lo[i], hi[i]) of the grid, in
+    lexicographic order: one broadcast sum per distinct box shape."""
+    sides, kind = np.unique(hi - lo, axis=0, return_inverse=True)
+    out = [None] * len(lo)
+    for k, side in enumerate(sides):
+        at = np.flatnonzero(kind == k)
+        idx = (np.ravel_multi_index(lo[at].T, shape)[:, None]
+               + np.ravel_multi_index(np.indices(side).reshape(len(shape), -1), shape))
+        for i, row in zip(at, idx):
+            out[i] = row
+    return out
 
 
-def _box_indices(shape, box):
-    grids = np.meshgrid(*[np.arange(lo, hi) for lo, hi in box], indexing="ij")
-    return _flat(shape, *grids).ravel()
+def _partition(shape, leaf_cells):
+    """Root NdNode of the separator tree of the grid of ``shape``.
 
-
-def _partition_box(shape, box, leaf_cells, depth):
-    sides = [hi - lo for lo, hi in box]
-    if max(sides) <= leaf_cells:
-        return NdNode(box=box, separator=_box_indices(shape, box))
+    A box side is cut when it is longer than max(2, leaf_cells); the cut
+    axis is the first such side counting from axis depth mod ndim, and
+    the cut is the center grid line (plane), the left half the smaller.
+    A box with no side to cut is a leaf whose separator is the whole box.
+    The tree is built one level at a time: every box of a level is cut
+    with vectorized index arithmetic, and its nodes are made bottom-up.
+    """
     ndim = len(shape)
-    # alternate the cut axis by depth, skipping axes too short to split
-    for probe in range(ndim):
-        axis = (depth + probe) % ndim
-        if sides[axis] >= 3 and sides[axis] > leaf_cells:
-            break
-    else:
-        axis = int(np.argmax(sides))
-        if sides[axis] < 3:
-            return NdNode(box=box, separator=_box_indices(shape, box))
-    lo, hi = box[axis]
-    cut = lo + (hi - lo - 1) // 2  # center line, left half the smaller
-    sep_box = list(box)
-    sep_box[axis] = (cut, cut + 1)
-    left_box = list(box)
-    left_box[axis] = (lo, cut)
-    right_box = list(box)
-    right_box[axis] = (cut + 1, hi)
-    left = _partition_box(shape, tuple(left_box), leaf_cells, depth + 1)
-    right = _partition_box(shape, tuple(right_box), leaf_cells, depth + 1)
-    return NdNode(
-        box=box,
-        separator=_box_indices(shape, tuple(sep_box)),
-        children=(left, right),
-    )
+    lo, hi = np.zeros((1, ndim), int), np.array([shape])
+    levels = []
+    while len(lo):
+        side = hi - lo
+        roll = (len(levels) + np.arange(ndim)) % ndim
+        can = side[:, roll] > max(2, leaf_cells)
+        cut = np.flatnonzero(can.any(axis=1))
+        axis = roll[can[cut].argmax(axis=1)]
+        at = lo[cut, axis] + (side[cut, axis] - 1) // 2
+        slo, shi = lo.copy(), hi.copy()
+        slo[cut, axis], shi[cut, axis] = at, at + 1
+        levels.append((lo, hi, cut, _box_indices(shape, slo, shi)))
+        # the children of box cut[j] are rows 2j (left) and 2j + 1 (right)
+        lo, hi = np.repeat(lo[cut], 2, axis=0), np.repeat(hi[cut], 2, axis=0)
+        hi[0::2][np.arange(len(cut)), axis] = at
+        lo[1::2][np.arange(len(cut)), axis] = at + 1
+    below = []
+    for lo, hi, cut, seps in reversed(levels):
+        children = [()] * len(lo)
+        for j, i in enumerate(cut):
+            children[i] = (below[2 * j], below[2 * j + 1])
+        boxes = zip(*[zip(lo[:, a].tolist(), hi[:, a].tolist()) for a in range(ndim)])
+        below = [NdNode(box=box, separator=sep, children=ch)
+                 for box, sep, ch in zip(boxes, seps, children)]
+    return below[0]
 
 
 def nd_partition(dim, n, leaf_cells) -> NdTree:
     """Recursive separator decomposition of the n^dim grid.
 
     Bisection alternates axes, cutting the center grid line (2D) or
-    plane (3D); recursion stops when a box side is at most
-    ``leaf_cells``.
+    plane (3D); it stops when every box side is at most ``leaf_cells``.
+    Each tree level is cut at once with vectorized index arithmetic.
     """
     if not 3 <= leaf_cells <= n:
         raise ValueError(f"need 3 <= leaf_cells <= n, got leaf_cells={leaf_cells}")
     shape = (n,) * dim
-    root = _partition_box(shape, tuple((0, n) for _ in range(dim)), leaf_cells, 0)
-    return NdTree(shape=shape, root=root)
+    return NdTree(shape=shape, root=_partition(shape, leaf_cells))
 
 
 # -- multifrontal factorization --------------------------------------------------
@@ -188,6 +199,7 @@ class _Front:
     sep: np.ndarray
     bnd: np.ndarray
     lu: tuple
+    inv: np.ndarray  # F_SS^{-1}
     X: np.ndarray  # F_SS^{-1} F_SB
     F_BS: np.ndarray
 
@@ -200,29 +212,56 @@ class _Group:
     ids: np.ndarray  # postorder front numbers
     sep: np.ndarray  # (g, s)
     bnd: np.ndarray  # (g, b)
+    rows: int  # where its (g, s + b) front vectors start in the level's stack
+    up: list  # (lo, hi, dst): boundary rows of fronts lo:hi add to rows dst a level up
     # set by the numeric phase
     lu: np.ndarray = None  # (g, s, s) LAPACK LU of F_SS, each Fortran-ordered
     piv: np.ndarray = None  # (g, s)
-    X: np.ndarray = None  # (g, s, b), each Fortran-ordered
+    inv: np.ndarray = None  # (g, s, s) F_SS^{-1}, each Fortran-ordered
+    X: np.ndarray = None  # (g, s, b) F_SS^{-1} F_SB, each Fortran-ordered
     F_BS: np.ndarray = None  # (g, b, s)
 
 
 @dataclass
+class _Level:
+    """One tree level's groups and the stack of their front vectors
+    (``rows`` of them) that ``nd_solve`` fills: y[sep_idx] at sep_rows."""
+
+    groups: list
+    rows: int
+    sep_rows: np.ndarray
+    sep_idx: np.ndarray
+
+
+@dataclass
 class NdFactors:
+    """The fronts of ``nd_factor``, grouped per tree level.
+
+    ``flops`` is the dense-kernel model count summed over fronts: the LU
+    of F_SS, X = F_SS^{-1} F_SB and the Schur update F_BS X. The inverse
+    columns that the same solve computes alongside X are not counted.
+    """
+
     tree: NdTree
-    groups: list  # _Group stacks, deepest tree level first
+    levels: list  # _Level per tree level, deepest first
     ordering: np.ndarray  # elimination order (concatenated separators)
     flops: float
     N: int
 
+    @property
+    def groups(self):
+        """_Group stacks, deepest tree level first."""
+        return [grp for level in self.levels for grp in level.groups]
+
     @cached_property
     def fronts(self):
         """_Front per postorder node, each a view into its group's stacks."""
-        fronts = [None] * sum(len(grp.ids) for grp in self.groups)
-        for grp in self.groups:
+        groups = self.groups
+        fronts = [None] * sum(len(grp.ids) for grp in groups)
+        for grp in groups:
             for i, f in enumerate(grp.ids):
-                fronts[f] = _Front(sep=grp.sep[i], bnd=grp.bnd[i],
-                                   lu=(grp.lu[i], grp.piv[i]), X=grp.X[i], F_BS=grp.F_BS[i])
+                fronts[f] = _Front(sep=grp.sep[i], bnd=grp.bnd[i], lu=(grp.lu[i], grp.piv[i]),
+                                   inv=grp.inv[i], X=grp.X[i], F_BS=grp.F_BS[i])
         return fronts
 
 
@@ -233,16 +272,20 @@ def _symbolic(A, tree):
     Returns ``(nodes, ordering, s, b, width, levels)``: the postorder
     nodes, the concatenated separators, the separator and boundary sizes
     per front, the number of child slots, and per tree level
-    (deepest first) a tuple ``(size, pos, ent, members)``. The level's
-    fronts are packed into one flat buffer of ``size`` scalars, and
-    ``A.data[ent]`` goes to positions ``pos`` in it. Each member is
+    (deepest first) a tuple ``(size, pos, ent, members, level)``. The
+    level's fronts are packed into one flat buffer of ``size`` scalars,
+    and ``A.data[ent]`` goes to positions ``pos`` in it. Each member is
     ``(group, offset, up)``: the group's (g, m, m) front stack starts at
     ``offset``, and ``up = (cut, base, m_parent, loc)`` adds the Schur
     updates of its fronts ``cut[k]:cut[k + 1]``, the k-th children of
     their parents, into rows and columns ``loc`` of the m_parent x
     m_parent parent fronts at ``base`` in the buffer of the level above.
-    Raises SeparationError when the separators do not tile range(N) or a
-    front's boundary leaves its parent's front.
+    ``level`` is the ``_Level`` that ``nd_solve`` sweeps, whose groups'
+    ``up`` maps do the same for front vectors. Within one group and
+    child slot no destination repeats: each parent has one k-th child
+    and a child's ``loc`` rows are distinct. Raises SeparationError when
+    the separators do not tile range(N) or a front's boundary leaves its
+    parent's front.
     """
     N = A.shape[0]
     nodes = tree.postorder()
@@ -339,27 +382,43 @@ def _symbolic(A, tree):
     shape = ((depth.max() - depth) * (s.max() + 1) + s) * (b.max() + 1) + b
     order = np.argsort((shape * width + slot) * len(nodes) + np.arange(len(nodes)))
     cut = np.flatnonzero(np.diff(shape[order], prepend=-1, append=-1))
-    size = (m * m)[order]
-    start = np.cumsum(size) - size
-    offset = np.empty(len(nodes), int)  # from the start of the level's buffer
-    offset[order] = start - start[np.searchsorted(-depth[order], -depth[order])]
+    first = np.searchsorted(-depth[order], -depth[order])
+
+    def packed(size):  # offset of each front from the start of its level's stack
+        start = np.cumsum(size[order]) - size[order]
+        out = np.empty(len(nodes), int)
+        out[order] = start - start[first]
+        return out
+
+    offset, row = packed(m * m), packed(m)
     pos = offset[own] + lr * m[own] + lc
+    sep_row = row[front] + local[ordering]  # of each separator index in the solve
     sep_off = np.cumsum(s) - s
+
+    def by_level(key):  # positions of each level's items, deepest first, in order
+        rank = (depth.max() - key).astype(np.min_scalar_type(depth.max()))
+        at = np.argsort(rank, kind="stable")  # a radix sort of small integers
+        return np.split(at, np.cumsum(np.bincount(rank, minlength=depth.max() + 1))[:-1])
+
     levels = []
-    for d in range(depth.max(), -1, -1):
+    for d, at, sep_at in zip(range(depth.max(), -1, -1), by_level(depth[own]),
+                             by_level(depth[front])):
         members = []
         for lo, hi in zip(cut[:-1], cut[1:]):
             ids = order[lo:hi]
             if depth[ids[0]] != d:
                 continue
             brow = boff[ids, None] + np.arange(b[ids[0]])
-            grp = _Group(ids=ids, bnd=bj[brow],
-                         sep=ordering[sep_off[ids, None] + np.arange(s[ids[0]])])
             pa = parent[ids]
             kcut = np.searchsorted(slot[ids], np.arange(width + 1))
+            up = [(i, j, row[pa[i:j], None] + loc[brow[i:j]])
+                  for i, j in zip(kcut[:-1], kcut[1:]) if d and i < j]
+            grp = _Group(ids=ids, bnd=bj[brow], rows=int(row[ids[0]]), up=up,
+                         sep=ordering[sep_off[ids, None] + np.arange(s[ids[0]])])
             members.append((grp, offset[ids[0]], (kcut, offset[pa], m[pa], loc[brow])))
-        at = np.flatnonzero(depth[own] == d)
-        levels.append((int(size[depth[order] == d].sum()), pos[at], at, members))
+        level = _Level(groups=[grp for grp, _, _ in members], rows=int(m[depth == d].sum()),
+                       sep_rows=sep_row[sep_at], sep_idx=ordering[sep_at])
+        levels.append((int((m * m)[depth == d].sum()), pos[at], at, members, level))
     return nodes, ordering, s, b, width, levels
 
 
@@ -375,9 +434,10 @@ def nd_factor(A, tree: NdTree) -> NdFactors:
     fronts by (tree level, len(sep), len(bnd)). The numeric phase goes
     one level at a time, deepest first. Per group it gathers A's entries
     and the children's Schur updates into one stack of dense fronts,
-    calls LAPACK gesv once per front for the partially pivoted LU of
-    F_SS and X = F_SS^{-1} F_SB, and forms every update F_BB - F_BS X in
-    one batched product.
+    calls LAPACK gesv once per front with right-hand sides [F_SB | I],
+    which gives the partially pivoted LU of F_SS, X = F_SS^{-1} F_SB and
+    F_SS^{-1} together, and forms every update F_BB - F_BS X in one
+    batched product.
 
     Raises ValueError for a NaN or inf in A, SeparationError naming a
     box when the separators do not tile range(N) or a child's boundary
@@ -393,77 +453,90 @@ def nd_factor(A, tree: NdTree) -> NdFactors:
     if not np.isfinite(A.data).all():
         raise ValueError("array must not contain infs or NaNs")
     dtype = np.result_type(A.dtype, float)
-    getrf, gesv = scipy.linalg.get_lapack_funcs(("getrf", "gesv"), dtype=dtype)
+    gesv, = scipy.linalg.get_lapack_funcs(("gesv",), dtype=dtype)
     nodes, ordering, s, b, width, levels = _symbolic(A, tree)
-    groups = []
     below = []  # (front stack, separator size, up map) of the level below
-    for size, pos, ent, members in levels:
+    for size, pos, ent, members, _ in levels:
         buf = np.zeros(size, dtype)
         buf[pos] = A.data[ent]
-        # siblings overlap in their parent, so add the k-th children together
+        # siblings overlap in their parent, so add the k-th children together;
+        # within one child group and slot no destination repeats
         for k in range(width):
             for F, sk, (cut, base, mp, loc) in below:
                 i = slice(cut[k], cut[k + 1])
-                dst = base[i, None, None] + loc[i, :, None] * mp[i, None, None] + loc[i, None, :]
-                np.add.at(buf, dst.ravel(), F[i, sk:, sk:].reshape(-1))
+                buf[base[i, None, None] + loc[i, :, None] * mp[i, None, None]
+                    + loc[i, None, :]] += F[i, sk:, sk:]
         below = []
         for grp, off, up in members:
             (g, sk), bk = grp.sep.shape, grp.bnd.shape[1]
             F = buf[off:off + g * (sk + bk) ** 2].reshape(g, sk + bk, sk + bk)
             lu = np.empty((g, sk, sk), dtype).transpose(0, 2, 1)
             lu[...] = F[:, :sk, :sk]
-            X = np.empty((g, bk, sk), dtype).transpose(0, 2, 1)
-            X[...] = F[:, :sk, sk:]
+            rhs = np.empty((g, bk + sk, sk), dtype).transpose(0, 2, 1)
+            rhs[:, :, :bk] = F[:, :sk, sk:]
+            rhs[:, :, bk:] = np.eye(sk)
             piv = np.empty((g, sk), np.int32)
-            # Fortran-ordered, so LAPACK works in place; gesv leaves F_SS
-            # unfactored when X is empty, hence getrf for boundaryless fronts
-            for i in range(g):
-                piv[i] = (gesv(lu[i], X[i], 1, 1) if bk else getrf(lu[i], 1))[1]
+            for i in range(g):  # Fortran-ordered, so LAPACK works in place
+                piv[i] = gesv(lu[i], rhs[i], 1, 1)[1]
             tiny = ~(np.abs(np.diagonal(lu, axis1=1, axis2=2)) >= 1e-300)
             if tiny.any():
                 i, k = np.argwhere(tiny)[0]
                 raise SingularMatrixError(
                     f"front at box {nodes[grp.ids[i]].box} is singular (pivot {k})")
+            X = rhs[:, :, :bk]
             F_BS = F[:, sk:, :sk].copy()
             F[:, sk:, sk:] -= F_BS @ X
-            grp.lu, grp.piv, grp.X, grp.F_BS = lu, piv, X, F_BS
-            groups.append(grp)
+            grp.lu, grp.piv, grp.inv, grp.X, grp.F_BS = lu, piv, rhs[:, :, bk:], X, F_BS
             below.append((F, sk, up))
     # a running total over fronts in postorder, term by term
     terms = np.stack([(2.0 / 3.0) * s**3, 2.0 * s * s * b, 2.0 * b * s * b], axis=1)
     flops = np.cumsum(terms)[-1]
-    return NdFactors(tree=tree, groups=groups, ordering=ordering, flops=float(flops),
-                     N=A.shape[0])
+    return NdFactors(tree=tree, levels=[level for *_, level in levels], ordering=ordering,
+                     flops=float(flops), N=A.shape[0])
 
 
 def nd_solve(factors: NdFactors, b):
     """Two-sweep substitution through the elimination tree, one group of
-    same-shaped fronts at a time.
+    same-shaped fronts at a time, with no per-front call.
 
     Accepts a single right-hand side or a matrix of them; a NaN or inf
-    raises ValueError. The forward sweep goes deepest level first: per
-    group one gather of y_S, one getrs per front for z_S = F_SS^{-1} y_S,
-    and one accumulating scatter of F_BS z_S into the boundaries, which
-    siblings share. The backward sweep reuses z_S: x_S = z_S - X x_B.
+    raises ValueError. The forward sweep is multifrontal, deepest level
+    first: each level's front vectors start as b on the separator rows
+    and zero elsewhere, and take their children's updates through the
+    extend-add maps of the factor. Per group, z_S = F_SS^{-1} w_S is one
+    batched product with the stored inverses, and the update
+    w_B - F_BS z_S is added into the parents' vectors one child slot at
+    a time. The backward sweep goes root first: x_S = z_S - X x_B.
     """
     b = np.asarray(b)
     if not np.isfinite(b).all():
         raise ValueError("array must not contain infs or NaNs")
     single = b.ndim == 1
-    y = b.reshape(factors.N, -1).astype(np.result_type(b, float, factors.groups[0].lu))
-    getrs, = scipy.linalg.get_lapack_funcs(("getrs",), dtype=y.dtype)
-    for grp in factors.groups:
-        z = np.swapaxes(y[grp.sep], 1, 2).copy()  # each z[i].T Fortran-ordered
-        for lu, piv, zi in zip(grp.lu, grp.piv, z):
-            info = getrs(lu, piv, zi.T, 0, 1)[1]  # in place
-            if info:
-                raise ValueError(f"illegal value in argument {-info} of getrs")
-        z = np.swapaxes(z, 1, 2)
-        y[grp.sep] = z
-        np.subtract.at(y, grp.bnd, grp.F_BS @ z)
-    for grp in reversed(factors.groups):
-        y[grp.sep] -= grp.X @ y[grp.bnd]
-    return y[:, 0] if single else y
+    b = b.reshape(factors.N, -1)
+    dtype = np.result_type(b, float, factors.levels[0].groups[0].inv)
+
+    def vectors(level):
+        w = np.zeros((level.rows, b.shape[1]), dtype)
+        w[level.sep_rows] = b[level.sep_idx]
+        return w
+
+    zs = []
+    w = vectors(factors.levels[0])
+    for level, above in zip(factors.levels, factors.levels[1:] + [None]):
+        w_up = vectors(above) if above else None
+        for grp in level.groups:
+            (g, s), nb = grp.sep.shape, grp.bnd.shape[1]
+            W = w[grp.rows:grp.rows + g * (s + nb)].reshape(g, s + nb, -1)
+            z = grp.inv @ W[:, :s]
+            W[:, s:] -= grp.F_BS @ z
+            for lo, hi, dst in grp.up:
+                w_up[dst] += W[lo:hi, s:]
+            zs.append(z)
+        w = w_up
+    x = np.empty(b.shape, dtype)
+    for grp, z in zip(reversed(factors.groups), reversed(zs)):
+        x[grp.sep] = z - grp.X @ x[grp.bnd]
+    return x[:, 0] if single else x
 
 
 # -- Schur-complement spectrum study ---------------------------------------------
@@ -495,8 +568,7 @@ def schur_offdiag_spectrum(dim, n, operator="laplace", kappa=None, leaf_cells=8)
     A = st.A
     shape = (n,) * dim
     cut = (n - 1) // 2
-    grids = np.meshgrid(*[np.arange(s) for s in shape], indexing="ij")
-    flat = _flat(shape, *grids)
+    flat = np.arange(st.N).reshape(shape)
     sep = flat[cut]  # the plane i0 = cut, shape (n,) or (n, n)
     I2 = flat[:cut].ravel()
     half = n // 2
@@ -505,13 +577,7 @@ def schur_offdiag_spectrum(dim, n, operator="laplace", kappa=None, leaf_cells=8)
 
     sub = A[np.ix_(I2, I2)]
     subshape = (cut,) + shape[1:]
-    subtree = NdTree(
-        shape=subshape,
-        root=_partition_box(
-            subshape, tuple((0, s) for s in subshape), leaf_cells, 0
-        ),
-    )
-    fac = nd_factor(sub, subtree)
+    fac = nd_factor(sub, NdTree(shape=subshape, root=_partition(subshape, leaf_cells)))
     rhs = np.asarray(A[np.ix_(I2, Ib)].todense())
     X = nd_solve(fac, rhs)
     S = np.asarray(A[np.ix_(Ia, I2)].todense()) @ X

@@ -374,6 +374,20 @@ class TestStorage:
         held = sum(owners.values())
         assert held <= 2 * storage_report(H)["stored_scalars"] * A.itemsize
 
+    def test_range_finder_factors_hold_exactly_their_count(self):
+        # top blocks 1024 wide go through the range finder; V must not be a
+        # view of the sample-sized Vh
+        A, _ = ie_matrix(2048)
+        H = compress_to_hodlr(A, build_uniform_tree(2048, 64), 1e-10)
+        assert max(f.U.shape[0] for f in H.offdiag.values()) > 512
+        owners = {}
+        arrays = [M for f in H.offdiag.values() for M in (f.U, f.V)]
+        for M in arrays + list(H.leaf_diag.values()):
+            while M.base is not None:
+                M = M.base
+            owners[id(M)] = M.nbytes
+        assert sum(owners.values()) == storage_report(H)["stored_scalars"] * A.itemsize
+
     def test_max_rank_is_max_over_factors(self):
         A, _ = ie_matrix(128)
         tree = build_uniform_tree(128, 16)

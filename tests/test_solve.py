@@ -76,5 +76,5 @@ def test_stored_scalars():
     st = assemble_stencil(2, 13)
     tree = nd_partition(2, 13, 3)
     fronts = nd_factor(st, tree).fronts
-    front_sum = sum(fr.lu[0].size + fr.X.size + fr.F_BS.size for fr in fronts)
-    assert factor(st, "nd", tree).stored_scalars == front_sum
+    front_sum = sum(fr.lu[0].size + fr.inv.size + fr.X.size + fr.F_BS.size for fr in fronts)
+    assert factor(st, "nd", tree).stored_scalars == front_sum == 5138

@@ -6,12 +6,17 @@ import weakref
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse
+import scipy.sparse.linalg
 from hypothesis import given, settings, strategies
 
 from fds import bie2d
 from fds.linalg import SeparationError, SingularMatrixError
 from fds.sparsend import (
+    NdNode,
+    _partition,
+    _symbolic,
     assemble_stencil,
     nd_factor,
     nd_partition,
@@ -25,6 +30,50 @@ RNG_SEED = 31415
 def _subtree_indices(node):
     """Every grid index eliminated in the subtree rooted at ``node``."""
     return np.concatenate([node.separator] + [_subtree_indices(c) for c in node.children])
+
+
+def _box_indices_reference(shape, box):
+    grids = np.meshgrid(*[np.arange(lo, hi) for lo, hi in box], indexing="ij")
+    idx = grids[0]
+    for s, c in zip(shape[1:], grids[1:]):
+        idx = idx * s + c
+    return idx.ravel()
+
+
+def _partition_box_reference(shape, box, leaf_cells, depth):
+    """The recursive partition, one meshgrid per box: the oracle for the
+    level-by-level ``_partition``."""
+    sides = [hi - lo for lo, hi in box]
+    if max(sides) <= leaf_cells:
+        return NdNode(box=box, separator=_box_indices_reference(shape, box))
+    ndim = len(shape)
+    # alternate the cut axis by depth, skipping axes too short to split
+    for probe in range(ndim):
+        axis = (depth + probe) % ndim
+        if sides[axis] >= 3 and sides[axis] > leaf_cells:
+            break
+    else:
+        axis = int(np.argmax(sides))
+        if sides[axis] < 3:
+            return NdNode(box=box, separator=_box_indices_reference(shape, box))
+    lo, hi = box[axis]
+    cut = lo + (hi - lo - 1) // 2  # center line, left half the smaller
+    sep_box, left_box, right_box = list(box), list(box), list(box)
+    sep_box[axis], left_box[axis], right_box[axis] = (cut, cut + 1), (lo, cut), (cut + 1, hi)
+    left = _partition_box_reference(shape, tuple(left_box), leaf_cells, depth + 1)
+    right = _partition_box_reference(shape, tuple(right_box), leaf_cells, depth + 1)
+    return NdNode(box=box, separator=_box_indices_reference(shape, tuple(sep_box)),
+                  children=(left, right))
+
+
+def _assert_same_tree(node, ref):
+    assert node.box == ref.box
+    assert all(type(v) is int for side in node.box for v in side)
+    assert node.separator.dtype == ref.separator.dtype
+    assert np.array_equal(node.separator, ref.separator)
+    assert len(node.children) == len(ref.children)
+    for child, ref_child in zip(node.children, ref.children):
+        _assert_same_tree(child, ref_child)
 
 
 class TestAssemble:
@@ -101,6 +150,22 @@ class TestPartition:
         assert not tree.root.children
         assert len(tree.root.separator) == 64
 
+    @pytest.mark.parametrize("dim, ns", [(2, (3, 6, 17, 37, 45, 100)), (3, (5, 7, 12, 13))])
+    def test_matches_recursive_reference(self, dim, ns):
+        # same boxes, the same separators in the same order, the same children
+        for n in ns:
+            for leaf_cells in range(3, min(n, 8) + 1):
+                ref = _partition_box_reference((n,) * dim, ((0, n),) * dim, leaf_cells, 0)
+                _assert_same_tree(nd_partition(dim, n, leaf_cells).root, ref)
+
+    @pytest.mark.parametrize("shape", [(31, 64), (63, 128), (11, 24, 24), (7, 16, 16)])
+    def test_schur_subshape_matches_reference(self, shape):
+        # the half-domain grid of schur_offdiag_spectrum, including leaf
+        # sizes below 3 that only that path accepts
+        for leaf_cells in (1, 2, 3, 4, 8):
+            ref = _partition_box_reference(shape, tuple((0, s) for s in shape), leaf_cells, 0)
+            _assert_same_tree(_partition(shape, leaf_cells), ref)
+
     def test_indices_cover_grid_once(self):
         for dim, n in ((2, 17), (3, 7)):
             tree = nd_partition(dim, n, leaf_cells=3)
@@ -171,6 +236,56 @@ class TestFactorSolve:
         x = nd_solve(fac, b)
         assert np.iscomplexobj(x)
         assert np.linalg.norm(st.A @ x - b) <= 1e-10 * np.linalg.norm(b)
+
+    @pytest.mark.parametrize("shift", ["helmholtz", "complex"])
+    @pytest.mark.parametrize("nrhs", [1, 3])
+    def test_vs_splu_forward_error(self, shift, nrhs):
+        # indefinite Helmholtz at 10 waves (m = -kappa^2) and a complex shift;
+        # both solvers are backward stable, so they agree to within a small
+        # multiple of eps * cond_1(A) (measured: 8e-14 against 1.4e-11 for
+        # Helmholtz, 8e-16 against 3e-14 for the complex shift)
+        n = 45
+        if shift == "helmholtz":
+            A = assemble_stencil(2, n, -(2.0 * np.pi * 10.0) ** 2).A
+        else:
+            A = assemble_stencil(2, n).A
+            A = (A + 1j * (n + 1) ** 2 * scipy.sparse.identity(n * n)).tocsr()
+        lu = scipy.sparse.linalg.splu(A.tocsc())
+        inv_norm = scipy.sparse.linalg.onenormest(scipy.sparse.linalg.LinearOperator(
+            A.shape, matvec=lu.solve, rmatvec=lambda v: lu.solve(v, "H"), dtype=A.dtype))
+        cond = scipy.sparse.linalg.norm(A, 1) * inv_norm
+        rng = np.random.default_rng(RNG_SEED)
+        b = rng.standard_normal((n * n, nrhs))[:, 0 if nrhs == 1 else slice(None)]
+        x = nd_solve(nd_factor(A, nd_partition(2, n, leaf_cells=4)), b)
+        x_ref = lu.solve(b.astype(A.dtype))
+        assert x.shape == x_ref.shape and x.dtype == A.dtype
+        assert np.max(np.abs(x - x_ref)) <= 10 * np.finfo(float).eps * cond * np.max(np.abs(x_ref))
+
+    def test_front_inverse_matches_lu(self):
+        st = assemble_stencil(3, 5)
+        for fr in nd_factor(st, nd_partition(3, 5, leaf_cells=3)).fronts:
+            ref = scipy.linalg.lu_solve(fr.lu, np.eye(len(fr.sep)))
+            assert np.max(np.abs(fr.inv - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("dim, n", [(2, 128), (2, 37), (3, 12), (3, 9)])
+    def test_extend_add_destinations_distinct(self, dim, n):
+        # the factor adds each child group and slot with one unbuffered
+        # fancy-index add, and the solve passes front vectors up the same way
+        A = assemble_stencil(dim, n).A
+        *_, width, levels = _symbolic(A, nd_partition(dim, n, leaf_cells=4))
+        checked = 0
+        for *_, members, level in levels:
+            for grp, _, (cut, base, mp, loc) in members:
+                for k in range(width):
+                    i = slice(cut[k], cut[k + 1])
+                    dst = base[i, None, None] + loc[i, :, None] * mp[i, None, None] + loc[i, None, :]
+                    assert len(np.unique(dst)) == dst.size
+                    checked += 1
+                for lo, hi, dst in grp.up:
+                    assert len(np.unique(dst)) == dst.size == (hi - lo) * grp.bnd.shape[1]
+            # the separator rows of a level's front vectors are distinct too
+            assert len(np.unique(level.sep_rows)) == len(level.sep_rows)
+        assert checked > 0
 
     def test_zero_rhs(self):
         st = assemble_stencil(2, 8)
