@@ -13,9 +13,10 @@ Inversion follows the one-level variation-of-Woodbury identity
     Dhat = (V* D^{-1} U)^{-1},   E = D^{-1} U Dhat,
     F = (Dhat V* D^{-1})*,       G = D^{-1} - D^{-1} U Dhat V* D^{-1},
 
-applied once per tree level, bottom-up; the inverse is then applied by
-an upward sweep through F*, one small dense solve at the root, and a
-downward sweep through E and G.
+applied once per tree level, bottom-up; the root takes an empty basis,
+so its G is the inverse of its coupled block. The inverse is then a
+matrix in the same telescoping form as A, with F, E and G in place of
+V, U and the nodes' own blocks, and one sweep applies both.
 """
 
 import logging
@@ -24,7 +25,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .linalg import SingularMatrixError, interpolative_decomposition, lu_factor_checked
+from .linalg import (_BLOCKS_HINT, SingularMatrixError, interpolative_decomposition,
+                     lu_factor_checked)
 from .tree import ClusterTree, sibling_pairs
 
 logger = logging.getLogger(__name__)
@@ -60,7 +62,7 @@ def woodbury_variant(D, U, V, Atilde=None):
 
 def _woodbury_variant(D, U, V):
     """``woodbury_variant``'s blocks and the 1-norm condition number of D,
-    ||D||_1 ||D^{-1}||_1, read off the D^{-1} the blocks are built from."""
+    ||D||_1 ||D^{-1}||_1 (1 if empty), read off the D^{-1} the blocks are built from."""
     D = np.asarray(D)
     U = np.asarray(U)
     V = np.asarray(V)
@@ -68,7 +70,7 @@ def _woodbury_variant(D, U, V):
     K = U.shape[1]
     lu = lu_factor_checked(D, "D")
     Dinv = scipy.linalg.lu_solve(lu, np.eye(n, dtype=D.dtype))
-    cond = _cond_1(D, Dinv)
+    cond = float(np.linalg.norm(D, 1) * np.linalg.norm(Dinv, 1)) if n else 1.0
     if K == 0:
         empty = np.zeros((n, 0), dtype=D.dtype)
         return (np.zeros((0, 0), dtype=D.dtype), empty, empty, Dinv), cond
@@ -80,11 +82,6 @@ def _woodbury_variant(D, U, V):
     F = W @ Dhat.conj().T  # F* = Dhat V* D^{-1}
     G = Dinv - Z @ Dhat @ W.conj().T
     return (Dhat, E, F, G), cond
-
-
-def _cond_1(A, Ainv):
-    """1-norm condition number from an inverse already formed; 1 if empty."""
-    return float(np.linalg.norm(A, 1) * np.linalg.norm(Ainv, 1)) if A.size else 1.0
 
 
 # -- shared skeleton construction ---------------------------------------------
@@ -289,67 +286,85 @@ def compress_to_hbs(A, tree: ClusterTree, tol) -> HbsMatrix:
     return HbsMatrix(tree=t, U=U, V=V, Atilde=Atilde, D=D, skeleton=skel, tol=tol)
 
 
-def hbs_matvec(H: HbsMatrix, x):
-    """y = A x: upward sweep through V*, sibling interactions, downward
-    sweep through U, plus the leaf diagonal blocks."""
-    x = np.asarray(x)
-    t = H.tree
-    if x.shape[0] != H.N:
-        raise ValueError(f"vector length {x.shape[0]} != {H.N}")
-    if t.depth == 0:
-        return H.D[1] @ x
-    uhat = {}
-    for ell in range(t.depth, 0, -1):
-        for tau in t.nodes_at_level(ell):
-            if t.is_leaf(tau):
-                uhat[tau] = H.V[tau].conj().T @ x[t.index_range(tau)]
+def _telescope(tree: ClusterTree, W, Z, B, x):
+    """M x for M in telescoping form: an HBS matrix or its inverse.
+
+    Upward, each node stacks its rows of x (leaf) or its children's
+    coefficients (parent) into v_tau and passes W_tau* v_tau up.
+    Downward, each node forms B(tau, v_tau) + Z_tau q_tau (no Z term at
+    the root) and splits it over its children, or writes it out at a leaf.
+    """
+    x = np.ascontiguousarray(x)  # leaf blocks of rows are then contiguous
+    if x.shape[0] != tree.N:
+        raise ValueError(f"vector length {x.shape[0]} != {tree.N}")
+    v, up = {}, {}
+    for ell in range(tree.depth, -1, -1):
+        for tau in tree.nodes_at_level(ell):
+            v[tau] = (x[slice(*tree.ranges[tau])] if tree.is_leaf(tau)
+                      else np.concatenate([up[c] for c in tree.children(tau)]))
+            if ell:
+                up[tau] = W[tau].conj().T @ v[tau]
+    q, y = {}, []
+    for ell in range(tree.depth + 1):
+        for tau in tree.nodes_at_level(ell):
+            out = B(tau, v[tau]) + Z[tau] @ q[tau] if ell else B(tau, v[tau])
+            if tree.is_leaf(tau):
+                y.append(out)
             else:
-                a, b = t.children(tau)
-                uhat[tau] = H.V[tau].conj().T @ np.concatenate([uhat[a], uhat[b]])
-    qhat = {2: H.Atilde[(2, 3)] @ uhat[3], 3: H.Atilde[(3, 2)] @ uhat[2]}
-    for ell in range(1, t.depth):
-        for tau in t.nodes_at_level(ell):
-            a, b = t.children(tau)
-            down = H.U[tau] @ qhat[tau]
-            ka = len(H.skeleton[a])
-            qhat[a] = H.Atilde[(a, b)] @ uhat[b] + down[:ka]
-            qhat[b] = H.Atilde[(b, a)] @ uhat[a] + down[ka:]
-    y = np.zeros(x.shape, dtype=np.result_type(H.dtype, x.dtype))
-    for tau in t.leaves():
-        i = t.index_range(tau)
-        y[i] = H.D[tau] @ x[i] + H.U[tau] @ qhat[tau]
-    return y
+                a, b = tree.children(tau)
+                q[a], q[b] = out[:len(up[a])], out[len(up[a]):]
+    return np.concatenate(y)
+
+
+def hbs_matvec(H: HbsMatrix, x):
+    """y = A x by the telescoping sweep through V* and U. A leaf's own
+    block is D_tau; a parent's couples its children through the sibling
+    interactions, [Atilde_ab v_b; Atilde_ba v_a]."""
+    t = H.tree
+
+    def coupling(tau, v):
+        if t.is_leaf(tau):
+            return H.D[tau] @ v
+        a, b = t.children(tau)
+        ka = len(H.skeleton[a])
+        return np.concatenate([H.Atilde[(a, b)] @ v[ka:], H.Atilde[(b, a)] @ v[:ka]])
+
+    return _telescope(t, H.V, H.U, coupling, x)
 
 
 @dataclass
 class HbsInverse:
+    """A^{-1} in the telescoping form of A: F, E and G take the places of
+    V, U and the nodes' own blocks, and ``apply`` runs the sweep that
+    ``hbs_matvec`` runs. The root's G is the inverse of its Dtilde."""
+
     tree: ClusterTree
     E: dict
     F: dict
     G: dict
-    G_root: np.ndarray
-    k2: int  # skeleton size of node 2, to split the root solve (0 at depth 0)
     # 1-norm condition estimates of every Dtilde block (the stability
     # bookkeeping used instead of a ULV-style factorization)
     cond_estimates: dict = field(default_factory=dict)
 
     def apply(self, u):
-        return hbs_apply_inverse(self, u)
+        return _telescope(self.tree, self.F, self.E, lambda tau, v: self.G[tau] @ v, u)
 
 
 def hbs_invert(H: HbsMatrix) -> HbsInverse:
-    """Build the inverse blocks (E, F, G) per node plus the root solve.
+    """The inverse in telescoping form: blocks (E, F, G) of every node.
 
     Leaves take Dtilde = D_tau; a parent's Dtilde couples its children's
-    Dhat blocks through their sibling interaction. Every intermediate
-    inverse is a dense partially pivoted LU; a singular one raises with
-    the node id and level, and a 1-norm condition estimate of every
-    block is recorded (ill conditioning is logged, not repaired). On a
-    tree of depth 0 the root block is the one leaf block D itself.
+    Dhat blocks through their sibling interaction. Each Dtilde goes
+    through the Woodbury variation with the node's bases, the root's
+    with an empty one, so its G is Dtilde^{-1} (A itself at depth 0).
+    Every intermediate inverse is a dense partially pivoted LU; a
+    singular one raises with the node id and level, and a 1-norm
+    condition estimate of every block is recorded (ill conditioning is
+    logged, not repaired).
     """
     t = H.tree
     E, F, G, Dhat, conds = {}, {}, {}, {}, {}
-    for ell in range(t.depth, 0, -1):
+    for ell in range(t.depth, -1, -1):
         for tau in t.nodes_at_level(ell):
             if t.is_leaf(tau):
                 Dt = H.D[tau]
@@ -359,62 +374,24 @@ def hbs_invert(H: HbsMatrix) -> HbsInverse:
                                [H.Atilde[(b, a)], Dhat[b]]])
             try:
                 (Dhat[tau], E[tau], F[tau], G[tau]), conds[tau] = _woodbury_variant(
-                    Dt, H.U[tau], H.V[tau]
+                    Dt, H.U.get(tau, Dt[:, :0]), H.V.get(tau, Dt[:, :0])
                 )
             except SingularMatrixError as exc:
                 raise SingularMatrixError(
                     f"singular intermediate at node {tau} (level {ell}): {exc}"
+                    f"{_BLOCKS_HINT}"
                 ) from exc
             if conds[tau] > 1e13:
                 logger.warning(
                     "Dtilde at node %d (level %d) has condition estimate %.2e",
                     tau, ell, conds[tau],
                 )
-    if t.depth == 0:
-        root = H.D[1]
-    else:
-        root = np.block([[Dhat[2], H.Atilde[(2, 3)]],
-                         [H.Atilde[(3, 2)], Dhat[3]]])
-    if root.size == 0:
-        G_root = root
-    else:
-        lu = lu_factor_checked(root, "root block (level 0)")
-        G_root = scipy.linalg.lu_solve(lu, np.eye(root.shape[0], dtype=root.dtype))
-    conds[1] = _cond_1(root, G_root)
-    return HbsInverse(tree=t, E=E, F=F, G=G, G_root=G_root,
-                      k2=len(H.skeleton.get(2, ())), cond_estimates=conds)
+    return HbsInverse(tree=t, E=E, F=F, G=G, cond_estimates=conds)
 
 
 def hbs_apply_inverse(inv: HbsInverse, u):
-    """q = A^{-1} u: F* upward, dense root solve, E/G downward."""
-    t = inv.tree
-    u = np.asarray(u)
-    if u.shape[0] != t.N:
-        raise ValueError(f"vector length {u.shape[0]} != {t.N}")
-    if t.depth == 0:
-        return inv.G_root @ u
-    uhat = {}
-    for ell in range(t.depth, 0, -1):
-        for tau in t.nodes_at_level(ell):
-            vec = (
-                u[t.index_range(tau)]
-                if t.is_leaf(tau)
-                else np.concatenate([uhat[c] for c in t.children(tau)])
-            )
-            uhat[tau] = inv.F[tau].conj().T @ vec
-    qroot = inv.G_root @ np.concatenate([uhat[2], uhat[3]])
-    qhat = {2: qroot[: inv.k2], 3: qroot[inv.k2:]}
-    for ell in range(1, t.depth):
-        for tau in t.nodes_at_level(ell):
-            a, b = t.children(tau)
-            vec = inv.E[tau] @ qhat[tau] + inv.G[tau] @ np.concatenate([uhat[a], uhat[b]])
-            na = uhat[a].shape[0]
-            qhat[a], qhat[b] = vec[:na], vec[na:]
-    q = np.zeros(u.shape, dtype=np.result_type(qroot.dtype, u.dtype))
-    for tau in t.leaves():
-        i = t.index_range(tau)
-        q[i] = inv.E[tau] @ qhat[tau] + inv.G[tau] @ u[i]
-    return q
+    """q = A^{-1} u, by ``inv.apply``."""
+    return inv.apply(u)
 
 
 def hbs_storage(H: HbsMatrix):

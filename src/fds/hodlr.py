@@ -24,7 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .linalg import LowRankFactor, low_rank_approx, lu_factor_checked
+from .linalg import (_BLOCKS_HINT, LowRankFactor, SingularMatrixError, low_rank_approx,
+                     lu_factor_checked)
 from .tree import ClusterTree, sibling_pairs
 
 __all__ = [
@@ -139,6 +140,14 @@ class HodlrInverseWoodbury:
         return out
 
 
+def _leaf_lu(H: HodlrMatrix, tau):
+    """Checked LU of leaf diagonal block tau, which both inverses need."""
+    try:
+        return lu_factor_checked(H.leaf_diag[tau], f"leaf diagonal block {tau}")
+    except SingularMatrixError as exc:
+        raise SingularMatrixError(f"{exc}{_BLOCKS_HINT}") from exc
+
+
 def invert_woodbury(H: HodlrMatrix) -> HodlrInverseWoodbury:
     """Recursive Woodbury inverse, stored as an apply-operator.
 
@@ -149,7 +158,7 @@ def invert_woodbury(H: HodlrMatrix) -> HodlrInverseWoodbury:
     t = H.tree
     inv = HodlrInverseWoodbury(tree=t, leaf_lu={}, nodes={})
     for tau in t.leaves():
-        inv.leaf_lu[tau] = lu_factor_checked(H.leaf_diag[tau], f"leaf diagonal block {tau}")
+        inv.leaf_lu[tau] = _leaf_lu(H, tau)
     # bottom-up so child applies are available
     for ell in range(t.depth - 1, -1, -1):
         for tau in t.nodes_at_level(ell):
@@ -311,7 +320,7 @@ def invert_multiplicative(H: HodlrMatrix) -> HodlrInverseMultiplicative:
 
     leaf_inverses = {}
     for tau in t.leaves():
-        lu, piv = lu_factor_checked(H.leaf_diag[tau], f"leaf diagonal block {tau}")
+        lu, piv = _leaf_lu(H, tau)
         leaf_inverses[tau] = scipy.linalg.lu_solve((lu, piv), np.eye(len(piv)))
     update_left_factors(t.depth, lambda tau, M: leaf_inverses[tau] @ M)
 

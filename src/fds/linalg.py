@@ -40,6 +40,11 @@ class SeparationError(ValueError):
     """A geometric separation precondition was violated."""
 
 
+# ends the errors of methods that invert blocks of A rather than A itself
+_BLOCKS_HINT = ("; the method needs invertible leaf and intermediate blocks,"
+                " and A itself may still be invertible")
+
+
 @dataclass(frozen=True)
 class LowRankFactor:
     """Tall factor pair (U, V) representing the product U @ V.conj().T.

@@ -19,6 +19,7 @@ import scipy.linalg
 
 from . import hbs, hodlr, sparsend
 from .linalg import _check_input, lu_factor_checked
+from .tree import ClusterTree
 
 __all__ = ["Factorization", "factor"]
 
@@ -33,8 +34,12 @@ def factor(A, backend, tree=None, tol=1e-10) -> Factorization:
     """Factor A with ``backend`` (dense | hodlr | hbs | nd).
 
     ``tree`` is a ``ClusterTree`` for hodlr and hbs, an ``NdTree`` for
-    nd, and unused for dense.
+    nd, and unused for dense; a missing or wrong one raises ValueError.
     """
+    needs = {"hodlr": ClusterTree, "hbs": ClusterTree, "nd": sparsend.NdTree}.get(backend)
+    if needs and not isinstance(tree, needs):
+        raise ValueError(f"backend {backend!r} needs a tree of type {needs.__name__}, "
+                         f"got {type(tree).__name__}")
     if backend == "dense":
         lu = lu_factor_checked(_check_input(A), "matrix")
         return Factorization(lambda b: scipy.linalg.lu_solve(lu, b), lu[0].size)

@@ -301,6 +301,16 @@ class TestInvert:
             f"{inv.cond_estimates[leaf]:.2e}"
         ]
 
+    def test_ill_conditioned_root_logged(self, caplog):
+        # the root block is checked like every other node's Dtilde
+        tree = build_uniform_tree(40, 32)  # depth 0: the root is the one leaf
+        H = compress_to_hbs(np.diag(np.logspace(0, -15, 40)), tree, 1e-10)
+        with caplog.at_level(logging.WARNING, logger="fds.hbs"):
+            hbs_invert(H)
+        assert [r.getMessage() for r in caplog.records if r.name == "fds.hbs"] == [
+            "Dtilde at node 1 (level 0) has condition estimate 1.00e+15"
+        ]
+
     @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
     def test_singular_intermediate_names_node_and_level(self):
         A = green_kernel_matrix(64) + np.eye(64)
@@ -373,7 +383,39 @@ class TestDepthZero:
             hbs_invert(H)
 
 
+def sweep_case(name):
+    """(H, X) where the shared sweep is thinnest: a complex depth-1 tree
+    (N = 100, leaf 32) or the rank-0 identity tree (N = 64, leaf 8), with
+    three right-hand sides in X."""
+    rng = np.random.default_rng(RNG_SEED)
+    if name == "depth1-complex":
+        A, leaf = helmholtz_starfish_matrix(100), 32
+        X = rng.standard_normal((100, 3)) + 1j * rng.standard_normal((100, 3))
+    else:
+        A, leaf = np.eye(64), 8
+        X = rng.standard_normal((64, 3))
+    return compress_to_hbs(A, build_uniform_tree(len(A), leaf), 1e-12), X
+
+
 class TestApplyInverse:
+    @pytest.mark.parametrize("case", ["depth1-complex", "rank0-identity"])
+    def test_block_matches_columns(self, case):
+        H, X = sweep_case(case)
+        inv = hbs_invert(H)
+        for apply in (lambda x: hbs_matvec(H, x), inv.apply):
+            Y = apply(X)
+            # a block goes through gemm and a column through gemv, whose
+            # sums may round differently (bitwise on the rank-0 tree)
+            assert np.linalg.norm(Y - np.column_stack([apply(x) for x in X.T])) <= (
+                1e-12 * np.linalg.norm(Y))
+
+    @pytest.mark.parametrize("case", ["depth1-complex", "rank0-identity"])
+    def test_inverse_recovers_block(self, case):
+        H, X = sweep_case(case)
+        Y = hbs_invert(H).apply(hbs_matvec(H, X))
+        assert Y.shape == X.shape
+        assert np.linalg.norm(Y - X) <= 1e-12 * np.linalg.norm(X)
+
     def test_identity_inverse(self):
         tree = build_uniform_tree(64, 8)
         H = compress_to_hbs(np.eye(64), tree, 1e-12)

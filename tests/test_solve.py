@@ -54,6 +54,33 @@ def test_nd_matches_dense_solve(dtype, n, leaf_cells):
     assert np.linalg.norm(fac.apply(b) - x_ref) <= 1e-12 * np.linalg.norm(x_ref)
 
 
+@pytest.mark.parametrize("backend, tree, needs", [
+    ("hodlr", None, "ClusterTree"),
+    ("hbs", None, "ClusterTree"),
+    ("hbs", nd_partition(2, 5, 3), "ClusterTree"),
+    ("nd", None, "NdTree"),
+    ("nd", build_uniform_tree(25, 8), "NdTree"),
+], ids=["hodlr-none", "hbs-none", "hbs-ndtree", "nd-none", "nd-clustertree"])
+def test_missing_or_wrong_tree(backend, tree, needs):
+    with pytest.raises(ValueError, match=f"backend '{backend}' needs a tree of type {needs}"):
+        factor(assemble_stencil(2, 5).A.toarray(), backend, tree)
+
+
+@pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
+def test_swap_matrix_singular_blocks_hint():
+    # [[0, I], [I, 0]] has condition number 1, but every leaf block is zero
+    I, Z = np.eye(64), np.zeros((64, 64))
+    A = np.block([[Z, I], [I, Z]])
+    b = rhs(128, float)
+    assert np.linalg.norm(factor(A, "dense").apply(b) - A @ b) <= 1e-14 * np.linalg.norm(b)
+    tree = build_uniform_tree(128, 16)
+    hint = "; the method needs invertible leaf and intermediate blocks, and A itself may still"
+    for backend, prefix in (("hodlr", "leaf diagonal block 8 is singular"),
+                            ("hbs", r"singular intermediate at node 8 \(level 3\)")):
+        with pytest.raises(SingularMatrixError, match=prefix + ".*" + hint):
+            factor(A, backend, tree)
+
+
 def test_unknown_backend():
     with pytest.raises(ValueError, match="unknown backend"):
         factor(np.eye(4), "qr")
