@@ -26,6 +26,7 @@ import numpy as np
 from .linalg import (
     LowRankFactor,
     SeparationError,
+    _inexact,
     interpolative_decomposition,
     recompress,
 )
@@ -228,8 +229,8 @@ class BieSystem:
 
 
 def assemble_bie(curve: Curve, f) -> BieSystem:
-    """Nystrom system (-1/2 I + K) sigma = f on the curve nodes."""
-    f = np.asarray(f, dtype=float)
+    """Nystrom system (-1/2 I + K) sigma = f on the curve nodes; f may be complex."""
+    f = _inexact(f)
     if f.shape[0] != curve.N:
         raise ValueError("boundary data must be sampled at the curve nodes")
     K, _ = _dlp(curve.x[:, None, :], curve.x[None, :, :], curve.normal[None, :, :])
@@ -255,11 +256,12 @@ def solve_interior_dirichlet(curve: Curve, f, backend="dense", tol=1e-10):
 def eval_double_layer(curve: Curve, sigma, targets):
     """Evaluate u = D[sigma] at interior targets by plain quadrature.
 
-    Returns (values, near_mask); entries of ``near_mask`` flag targets
-    closer to the curve than five node spacings, where the plain rule is
-    inaccurate (a warning is also emitted; no corrected quadrature here).
+    A complex sigma gives complex values. Returns (values, near_mask);
+    entries of ``near_mask`` flag targets closer to the curve than five
+    node spacings, where the plain rule is inaccurate (a warning is also
+    emitted; no corrected quadrature here).
     """
-    sigma = np.asarray(sigma, dtype=float)
+    sigma = _inexact(sigma)
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
     K, r2 = _dlp(targets[:, None, :], curve.x[None, :, :], curve.normal[None, :, :])
     _reject_coincident(r2)

@@ -31,6 +31,13 @@ __all__ = [
 ]
 
 
+def _real(x, name):
+    """x as a float64 array; complex data raises ValueError naming it."""
+    if np.iscomplexobj(x):
+        raise ValueError(f"{name} must be real, got complex values")
+    return np.asarray(x, dtype=float)
+
+
 @dataclass
 class Bvp1dProblem:
     """Coefficient samples of -u'' + m u = g with Dirichlet data fa, fb."""
@@ -46,8 +53,7 @@ class Bvp1dProblem:
     def __post_init__(self):
         if self.N < 1:
             raise ValueError(f"need at least one interior point, got N={self.N}")
-        self.m = np.asarray(self.m, dtype=float)
-        self.g = np.asarray(self.g, dtype=float)
+        self.m, self.g = _real(self.m, "m"), _real(self.g, "g")
         if self.m.shape != (self.N,) or self.g.shape != (self.N,):
             raise ValueError("m and g must be sampled at the N interior points")
 
@@ -115,7 +121,7 @@ def solve_tridiag(T: TridiagonalMatrix, rhs):
     Pivoting keeps the O(N) solve stable when an oscillatory m makes
     the stencil indefinite. A singular matrix raises SingularMatrixError.
     """
-    rhs = np.asarray(rhs, dtype=float)
+    rhs = _real(rhs, "rhs")
     n = T.N
     if rhs.shape[0] != n:
         raise ValueError(f"rhs length {rhs.shape[0]} != {n}")

@@ -119,6 +119,12 @@ def _check_input(A, tol=None):
     return A
 
 
+def _inexact(x):
+    """x as a float64 array, or complex128 when x is complex."""
+    x = np.asarray(x)
+    return x.astype(np.result_type(x, float), copy=False)
+
+
 def cpqr(A, tol):
     """Column-pivoted QR truncated at a relative pivot threshold.
 

@@ -3,7 +3,9 @@
 The grid for -Delta u + m u = f on the unit box with Dirichlet exterior
 is recursively bisected by grid-line (2D) or grid-plane (3D) separators
 into disconnected subdomains; ``nd_partition`` builds the separator tree
-one level at a time. Factoring bottom-up, each node eliminates
+one level at a time and stores it as arrays over its nodes in postorder
+(box corners, parent, child slot, depth, and the separators concatenated
+into one elimination ordering). Factoring bottom-up, each node eliminates
 its separator through a dense frontal matrix: its couplings in A (real or
 complex, symmetric or nonsymmetric pattern) plus the Schur-complement
 updates passed up from its children. Dense-kernel flops are counted; they
@@ -32,14 +34,13 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse
 
-from .linalg import SeparationError, SingularMatrixError
+from .linalg import SeparationError, SingularMatrixError, _inexact
 from .results import SpectrumResult
 
 __all__ = [
     "StencilMatrix",
     "assemble_stencil",
     "NdTree",
-    "NdNode",
     "nd_partition",
     "NdFactors",
     "nd_factor",
@@ -69,22 +70,18 @@ class StencilMatrix:
 def assemble_stencil(dim, n, m_field=None) -> StencilMatrix:
     """5-point (dim=2) or 7-point (dim=3) stencil plus a zeroth-order term.
 
-    m_field may be None (zero), a scalar, or per-grid-point samples in
-    lexicographic order.
+    m_field may be None (zero), a real or complex scalar, or per-grid-point
+    samples in lexicographic order; A is complex when m_field is.
     """
     if dim not in (2, 3):
         raise ValueError(f"dim must be 2 or 3, got {dim}")
     if n < 3:
         raise ValueError(f"need n >= 3 points per side, got {n}")
     N = n**dim
-    if m_field is None:
-        m = np.zeros(N)
-    elif np.isscalar(m_field):
-        m = np.full(N, float(m_field))
-    else:
-        m = np.asarray(m_field, dtype=float).ravel()
-        if m.shape != (N,):
-            raise ValueError(f"m_field must have {N} samples")
+    m = _inexact(0.0 if m_field is None else m_field)
+    m = np.full(N, m) if m.ndim == 0 else m.ravel()
+    if m.shape != (N,):
+        raise ValueError(f"m_field must have {N} samples")
     h2inv = float((n + 1) ** 2)
     eye1 = scipy.sparse.identity(n, format="csr")
     lap1 = scipy.sparse.diags_array(
@@ -107,48 +104,37 @@ def assemble_stencil(dim, n, m_field=None) -> StencilMatrix:
 
 
 @dataclass
-class NdNode:
-    box: tuple  # ((lo, hi), ...) half-open cell ranges per axis
-    separator: np.ndarray  # flat indices eliminated at this node
-    children: tuple = ()  # (left NdNode, right NdNode) or empty
-
-
-@dataclass
 class NdTree:
+    """Separator tree of a grid as arrays over its nodes in postorder:
+    children before their parent, the left subtree first, so every subtree
+    is the run of ids that ends at its root and the root is the last node.
+    Node i eliminates the grid indices ``ordering[offsets[i]:offsets[i + 1]]``.
+    """
+
     shape: tuple  # grid points per axis
-    root: NdNode
+    lo: np.ndarray  # (nodes, ndim) first cell of each node's box per axis
+    hi: np.ndarray  # (nodes, ndim) one past its last cell
+    parent: np.ndarray  # -1 at the root
+    slot: np.ndarray  # 0 for a left child and the root, 1 for a right child
+    depth: np.ndarray  # 0 at the root
+    ordering: np.ndarray  # the separators' flat indices, concatenated
+    offsets: np.ndarray  # (nodes + 1,) start of each separator in ordering
 
-    def postorder(self):
-        out, todo = [], [self.root]
-        while todo:
-            out.append(todo.pop())
-            todo.extend(out[-1].children)
-        return out[::-1]  # reversed root-right-left preorder
-
-
-def _box_indices(shape, lo, hi):
-    """Flat indices of each box [lo[i], hi[i]) of the grid, in
-    lexicographic order: one broadcast sum per distinct box shape."""
-    sides, kind = np.unique(hi - lo, axis=0, return_inverse=True)
-    out = [None] * len(lo)
-    for k, side in enumerate(sides):
-        at = np.flatnonzero(kind == k)
-        idx = (np.ravel_multi_index(lo[at].T, shape)[:, None]
-               + np.ravel_multi_index(np.indices(side).reshape(len(shape), -1), shape))
-        for i, row in zip(at, idx):
-            out[i] = row
-    return out
+    def box(self, i):
+        """((lo, hi), ...) half-open cell ranges per axis of node i."""
+        return tuple(zip(self.lo[i].tolist(), self.hi[i].tolist()))
 
 
 def _partition(shape, leaf_cells):
-    """Root NdNode of the separator tree of the grid of ``shape``.
+    """Separator tree of the grid of ``shape``.
 
     A box side is cut when it is longer than max(2, leaf_cells); the cut
     axis is the first such side counting from axis depth mod ndim, and
     the cut is the center grid line (plane), the left half the smaller.
     A box with no side to cut is a leaf whose separator is the whole box.
     The tree is built one level at a time: every box of a level is cut
-    with vectorized index arithmetic, and its nodes are made bottom-up.
+    with vectorized index arithmetic. Postorder ids come from the subtree
+    sizes, summed up the levels and handed down them.
     """
     ndim = len(shape)
     lo, hi = np.zeros((1, ndim), int), np.array([shape])
@@ -162,20 +148,40 @@ def _partition(shape, leaf_cells):
         at = lo[cut, axis] + (side[cut, axis] - 1) // 2
         slo, shi = lo.copy(), hi.copy()
         slo[cut, axis], shi[cut, axis] = at, at + 1
-        levels.append((lo, hi, cut, _box_indices(shape, slo, shi)))
+        levels.append((lo, hi, slo, shi, cut))
         # the children of box cut[j] are rows 2j (left) and 2j + 1 (right)
         lo, hi = np.repeat(lo[cut], 2, axis=0), np.repeat(hi[cut], 2, axis=0)
         hi[0::2][np.arange(len(cut)), axis] = at
         lo[1::2][np.arange(len(cut)), axis] = at + 1
-    below = []
-    for lo, hi, cut, seps in reversed(levels):
-        children = [()] * len(lo)
-        for j, i in enumerate(cut):
-            children[i] = (below[2 * j], below[2 * j + 1])
-        boxes = zip(*[zip(lo[:, a].tolist(), hi[:, a].tolist()) for a in range(ndim)])
-        below = [NdNode(box=box, separator=sep, children=ch)
-                 for box, sep, ch in zip(boxes, seps, children)]
-    return below[0]
+    size = [np.zeros(0, int)]  # of each subtree, deepest level first
+    for lo, *_, cut in reversed(levels):
+        size.append(np.ones(len(lo), int))
+        size[-1][cut] += size[-2][0::2] + size[-2][1::2]
+    # a subtree's run of ids ends at its root, the right child's run just
+    # before its parent and the left child's just before the right one's
+    ids = [size[-1] - 1]
+    for (*_, cut), sz in zip(levels, size[-2:0:-1]):
+        right = ids[-1][cut] - 1
+        ids.append(np.stack([right - sz[1::2], right], axis=1).ravel())
+    order = np.empty(size[-1][0], int)  # level row of each postorder id
+    order[np.concatenate(ids)] = np.arange(len(order))
+    lo, hi, slo, shi = (np.concatenate(part)[order] for part in list(zip(*levels))[:4])
+    parent = np.concatenate([[-1]] + [np.repeat(i[cut], 2) for i, (*_, cut) in zip(ids, levels)])
+    slot = np.concatenate([np.arange(len(i)) % 2 for i in ids])
+    depth = np.repeat(np.arange(len(ids)), [len(i) for i in ids])
+    # each separator box's flat indices, written straight into ordering with
+    # one broadcast sum per distinct box shape
+    offsets = np.concatenate([[0], np.cumsum(np.prod(shi - slo, axis=1))])
+    ordering = np.empty(offsets[-1], int)
+    keys = np.add(shape, 1)  # a box's side lengths as one integer
+    sides, kind = np.unique(np.ravel_multi_index((shi - slo).T, keys), return_inverse=True)
+    for k, side in enumerate(np.transpose(np.unravel_index(sides, keys))):
+        at = np.flatnonzero(kind == k)
+        cells = np.ravel_multi_index(np.indices(side).reshape(ndim, -1), shape)
+        ordering[offsets[at, None] + np.arange(len(cells))] = (
+            np.ravel_multi_index(slo[at].T, shape)[:, None] + cells)
+    return NdTree(shape=shape, lo=lo, hi=hi, parent=parent[order], slot=slot[order],
+                  depth=depth[order], ordering=ordering, offsets=offsets)
 
 
 def nd_partition(dim, n, leaf_cells) -> NdTree:
@@ -183,12 +189,10 @@ def nd_partition(dim, n, leaf_cells) -> NdTree:
 
     Bisection alternates axes, cutting the center grid line (2D) or
     plane (3D); it stops when every box side is at most ``leaf_cells``.
-    Each tree level is cut at once with vectorized index arithmetic.
     """
     if not 3 <= leaf_cells <= n:
         raise ValueError(f"need 3 <= leaf_cells <= n, got leaf_cells={leaf_cells}")
-    shape = (n,) * dim
-    return NdTree(shape=shape, root=_partition(shape, leaf_cells))
+    return _partition((n,) * dim, leaf_cells)
 
 
 # -- multifrontal factorization --------------------------------------------------
@@ -244,7 +248,6 @@ class NdFactors:
 
     tree: NdTree
     levels: list  # _Level per tree level, deepest first
-    ordering: np.ndarray  # elimination order (concatenated separators)
     flops: float
     N: int
 
@@ -269,57 +272,42 @@ def _symbolic(A, tree):
     """Symbolic phase of ``nd_factor``: fronts, their level/shape groups,
     and the maps that gather A and the children's updates into them.
 
-    Returns ``(nodes, ordering, s, b, width, levels)``: the postorder
-    nodes, the concatenated separators, the separator and boundary sizes
-    per front, the number of child slots, and per tree level
-    (deepest first) a tuple ``(size, pos, ent, members, level)``. The
-    level's fronts are packed into one flat buffer of ``size`` scalars,
-    and ``A.data[ent]`` goes to positions ``pos`` in it. Each member is
-    ``(group, offset, up)``: the group's (g, m, m) front stack starts at
-    ``offset``, and ``up = (cut, base, m_parent, loc)`` adds the Schur
-    updates of its fronts ``cut[k]:cut[k + 1]``, the k-th children of
-    their parents, into rows and columns ``loc`` of the m_parent x
-    m_parent parent fronts at ``base`` in the buffer of the level above.
-    ``level`` is the ``_Level`` that ``nd_solve`` sweeps, whose groups'
-    ``up`` maps do the same for front vectors. Within one group and
-    child slot no destination repeats: each parent has one k-th child
-    and a child's ``loc`` rows are distinct. Raises SeparationError when
-    the separators do not tile range(N) or a front's boundary leaves its
-    parent's front.
+    Front i is the tree's node i. Returns ``(s, b, width, levels)``: the
+    separator and boundary sizes per front, the number of child slots,
+    and per tree level (deepest first) a tuple ``(size, pos, ent,
+    members, level)``. The level's fronts are packed into one flat
+    buffer of ``size`` scalars, and ``A.data[ent]`` goes to positions
+    ``pos`` in it. Each member is ``(group, offset, up)``: the group's
+    (g, m, m) front stack starts at ``offset``, and ``up = (cut, base,
+    m_parent, loc)`` adds the Schur updates of its fronts
+    ``cut[k]:cut[k + 1]``, the k-th children of their parents, into rows
+    and columns ``loc`` of the m_parent x m_parent parent fronts at
+    ``base`` in the buffer of the level above. ``level`` is the
+    ``_Level`` that ``nd_solve`` sweeps, whose groups' ``up`` maps do the
+    same for front vectors. Within one group and child slot no
+    destination repeats: each parent has one k-th child and a child's
+    ``loc`` rows are distinct. Raises SeparationError when the separators
+    do not tile range(N) or a front's boundary leaves its parent's front.
     """
     N = A.shape[0]
-    nodes = tree.postorder()
-    parent, slot, depth = [0] * len(nodes), [0] * len(nodes), [0] * len(nodes)
-    waiting = []  # fronts whose parent comes later
-    for i, nd in enumerate(nodes):
-        if nd.children:  # the last len(children) waiting fronts, in order
-            for k, child in enumerate(waiting[-len(nd.children):]):
-                parent[child], slot[child] = i, k
-            del waiting[-len(nd.children):]
-        waiting.append(i)
-    for i in range(len(nodes) - 2, -1, -1):  # parents follow their children
-        depth[i] = depth[parent[i]] + 1
-    parent, slot, depth = np.array(parent), np.array(slot), np.array(depth)
-    width = slot.max() + 1
-
-    seps = [nd.separator for nd in nodes]
-    s = np.array([len(sep) for sep in seps])
-    ordering = np.concatenate(seps)
-    front = np.repeat(np.arange(len(nodes)), s)
+    parent, slot, depth, ordering = tree.parent, tree.slot, tree.depth, tree.ordering
+    nodes, width = len(parent), slot.max() + 1
+    s = np.diff(tree.offsets)
+    front = np.repeat(np.arange(nodes), s)
     bad = (ordering < 0) | (ordering >= N)
     if bad.any():
         i = bad.argmax()
-        raise SeparationError(f"separator at box {nodes[front[i]].box} holds index "
+        raise SeparationError(f"separator at box {tree.box(front[i])} holds index "
                               f"{ordering[i]}, outside range({N})")
     count = np.bincount(ordering, minlength=N)
     if (count != 1).any():
         j = int(np.argmax(count != 1))
         raise SeparationError(f"index {j} lies in {count[j]} of the separators under box "
-                              f"{tree.root.box}, not in exactly one")
+                              f"{tree.box(-1)}, not in exactly one")
     owner = np.empty(N, int)
     owner[ordering] = front
     local = np.empty(N, int)  # row of an index in the front that eliminates it
-    local[ordering] = np.arange(N) - np.repeat(np.cumsum(s) - s, s)
+    local[ordering] = np.arange(N) - np.repeat(tree.offsets[:-1], s)
 
     # A[r, c] belongs to the earlier of the fronts eliminating r and c; the
     # other index is on that front's boundary (pattern of A + A^T). A
@@ -343,9 +331,9 @@ def _symbolic(A, tree):
         leak = owner[j] < p  # eliminated in a subtree beside f
         if leak.any():
             i = leak.argmax()
-            raise SeparationError(f"front at box {nodes[f[i]].box} couples to index "
+            raise SeparationError(f"front at box {tree.box(f[i])} couples to index "
                                   f"{j[i]}, outside its parent's front at box "
-                                  f"{nodes[p[i]].box}")
+                                  f"{tree.box(p[i])}")
         up = np.flatnonzero(owner[j] > p)
         mine = key_depth == d
         cand = np.concatenate([key[mine], p[up] * N + j[up]])
@@ -360,8 +348,8 @@ def _symbolic(A, tree):
         bkeys.append(below)
         done += len(below)
     bf, bj = np.divmod(np.concatenate(bkeys), N)
-    b = np.bincount(bf, minlength=len(nodes))
-    boff = np.zeros(len(nodes), int)
+    b = np.bincount(bf, minlength=nodes)
+    boff = np.zeros(nodes, int)
     first = np.flatnonzero(np.diff(bf, prepend=-1))
     boff[bf[first]] = first
     # row of each boundary index in the parent front: its separator or boundary
@@ -380,20 +368,19 @@ def _symbolic(A, tree):
     # each level's fronts packed group after group into one buffer
     m = s + b
     shape = ((depth.max() - depth) * (s.max() + 1) + s) * (b.max() + 1) + b
-    order = np.argsort((shape * width + slot) * len(nodes) + np.arange(len(nodes)))
+    order = np.argsort((shape * width + slot) * nodes + np.arange(nodes))
     cut = np.flatnonzero(np.diff(shape[order], prepend=-1, append=-1))
     first = np.searchsorted(-depth[order], -depth[order])
 
     def packed(size):  # offset of each front from the start of its level's stack
         start = np.cumsum(size[order]) - size[order]
-        out = np.empty(len(nodes), int)
+        out = np.empty(nodes, int)
         out[order] = start - start[first]
         return out
 
     offset, row = packed(m * m), packed(m)
     pos = offset[own] + lr * m[own] + lc
     sep_row = row[front] + local[ordering]  # of each separator index in the solve
-    sep_off = np.cumsum(s) - s
 
     def by_level(key):  # positions of each level's items, deepest first, in order
         rank = (depth.max() - key).astype(np.min_scalar_type(depth.max()))
@@ -414,12 +401,12 @@ def _symbolic(A, tree):
             up = [(i, j, row[pa[i:j], None] + loc[brow[i:j]])
                   for i, j in zip(kcut[:-1], kcut[1:]) if d and i < j]
             grp = _Group(ids=ids, bnd=bj[brow], rows=int(row[ids[0]]), up=up,
-                         sep=ordering[sep_off[ids, None] + np.arange(s[ids[0]])])
+                         sep=ordering[tree.offsets[ids, None] + np.arange(s[ids[0]])])
             members.append((grp, offset[ids[0]], (kcut, offset[pa], m[pa], loc[brow])))
         level = _Level(groups=[grp for grp, _, _ in members], rows=int(m[depth == d].sum()),
                        sep_rows=sep_row[sep_at], sep_idx=ordering[sep_at])
         levels.append((int((m * m)[depth == d].sum()), pos[at], at, members, level))
-    return nodes, ordering, s, b, width, levels
+    return s, b, width, levels
 
 
 def nd_factor(A, tree: NdTree) -> NdFactors:
@@ -454,7 +441,7 @@ def nd_factor(A, tree: NdTree) -> NdFactors:
         raise ValueError("array must not contain infs or NaNs")
     dtype = np.result_type(A.dtype, float)
     gesv, = scipy.linalg.get_lapack_funcs(("gesv",), dtype=dtype)
-    nodes, ordering, s, b, width, levels = _symbolic(A, tree)
+    s, b, width, levels = _symbolic(A, tree)
     below = []  # (front stack, separator size, up map) of the level below
     for size, pos, ent, members, _ in levels:
         buf = np.zeros(size, dtype)
@@ -482,7 +469,7 @@ def nd_factor(A, tree: NdTree) -> NdFactors:
             if tiny.any():
                 i, k = np.argwhere(tiny)[0]
                 raise SingularMatrixError(
-                    f"front at box {nodes[grp.ids[i]].box} is singular (pivot {k})")
+                    f"front at box {tree.box(grp.ids[i])} is singular (pivot {k})")
             X = rhs[:, :, :bk]
             F_BS = F[:, sk:, :sk].copy()
             F[:, sk:, sk:] -= F_BS @ X
@@ -491,8 +478,8 @@ def nd_factor(A, tree: NdTree) -> NdFactors:
     # a running total over fronts in postorder, term by term
     terms = np.stack([(2.0 / 3.0) * s**3, 2.0 * s * s * b, 2.0 * b * s * b], axis=1)
     flops = np.cumsum(terms)[-1]
-    return NdFactors(tree=tree, levels=[level for *_, level in levels], ordering=ordering,
-                     flops=float(flops), N=A.shape[0])
+    return NdFactors(tree=tree, levels=[level for *_, level in levels], flops=float(flops),
+                     N=A.shape[0])
 
 
 def nd_solve(factors: NdFactors, b):
@@ -575,9 +562,7 @@ def schur_offdiag_spectrum(dim, n, operator="laplace", kappa=None, leaf_cells=8)
     Ia = sep[:half].ravel()
     Ib = sep[half:].ravel()
 
-    sub = A[np.ix_(I2, I2)]
-    subshape = (cut,) + shape[1:]
-    fac = nd_factor(sub, NdTree(shape=subshape, root=_partition(subshape, leaf_cells)))
+    fac = nd_factor(A[np.ix_(I2, I2)], _partition((cut,) + shape[1:], leaf_cells))
     rhs = np.asarray(A[np.ix_(I2, Ib)].todense())
     X = nd_solve(fac, rhs)
     S = np.asarray(A[np.ix_(Ia, I2)].todense()) @ X

@@ -208,6 +208,24 @@ class TestSolveAndEval:
             sigma = solve_interior_dirichlet(curve, f, backend=backend, tol=1e-10)
             assert np.linalg.norm(sigma - ref) <= 1e-8 * np.linalg.norm(ref)
 
+    @pytest.mark.parametrize("backend", ["dense", "hodlr", "hbs"])
+    def test_complex_data_is_linear(self, backend):
+        # real and imaginary parts go through the solve and the evaluation;
+        # a dropped part is an O(1) error, while real and complex products
+        # round differently (1e-15 relative here for dense and hodlr, 1e-12
+        # for the hbs inverse, whose entries exceed those of A^-1)
+        curve = make_curve("ellipse", 256, 2.0, 1.0)
+        f1 = point_charge_data(curve)
+        f2 = np.cos(curve.t)
+        sigma1, sigma2, sigma = (solve_interior_dirichlet(curve, f, backend=backend)
+                                 for f in (f1, f2, f1 + 1j * f2))
+        assert np.iscomplexobj(sigma)
+        assert np.max(np.abs(sigma - (sigma1 + 1j * sigma2))) <= 1e-10 * np.max(np.abs(sigma))
+        targets = interior_targets(curve, n=10)
+        u = eval_double_layer(curve, sigma, targets)[0]
+        u1, u2 = (eval_double_layer(curve, s, targets)[0] for s in (sigma1, sigma2))
+        assert np.max(np.abs(u - (u1 + 1j * u2))) <= 1e-12 * np.max(np.abs(u))
+
     def test_constant_density_gauss_identity(self):
         curve = make_curve("ellipse", 512, 2.0, 1.0)
         targets = interior_targets(curve, n=15)

@@ -56,7 +56,23 @@ class TestAssembleFd:
         assert np.allclose(T.sub, -h2inv) and np.allclose(T.sup, -h2inv)
 
 
+    @pytest.mark.parametrize("name", ["m", "g"])
+    def test_complex_samples_raise(self, name):
+        # the finite-difference and integral-equation routes are real only
+        samples = {"m": np.ones(4), "g": np.ones(4)}
+        samples[name] = samples[name] + 1j
+        with pytest.raises(ValueError, match=f"^{name} must be real"):
+            Bvp1dProblem(0.0, 1.0, 4, **samples)
+
+
 class TestSolveTridiag:
+    def test_complex_rhs_raises(self):
+        from fds.bvp1d import TridiagonalMatrix
+
+        T = TridiagonalMatrix(np.zeros(2), np.ones(3), np.zeros(2))
+        with pytest.raises(ValueError, match="^rhs must be real"):
+            solve_tridiag(T, np.ones(3) + 1j)
+
     def test_identity(self):
         from fds.bvp1d import TridiagonalMatrix
 

@@ -14,7 +14,6 @@ from hypothesis import given, settings, strategies
 from fds import bie2d
 from fds.linalg import SeparationError, SingularMatrixError
 from fds.sparsend import (
-    NdNode,
     _partition,
     _symbolic,
     assemble_stencil,
@@ -27,9 +26,20 @@ from fds.sparsend import (
 RNG_SEED = 31415
 
 
-def _subtree_indices(node):
-    """Every grid index eliminated in the subtree rooted at ``node``."""
-    return np.concatenate([node.separator] + [_subtree_indices(c) for c in node.children])
+def _separator(tree, i):
+    return tree.ordering[tree.offsets[i]:tree.offsets[i + 1]]
+
+
+def _children(tree, i):
+    """Child ids of node i, in slot order."""
+    kids = np.flatnonzero(tree.parent == i)
+    return kids[np.argsort(tree.slot[kids])]
+
+
+def _subtree_indices(tree, i):
+    """Every grid index eliminated in the subtree rooted at node i."""
+    return np.concatenate([_separator(tree, i)]
+                          + [_subtree_indices(tree, c) for c in _children(tree, i)])
 
 
 def _box_indices_reference(shape, box):
@@ -42,10 +52,10 @@ def _box_indices_reference(shape, box):
 
 def _partition_box_reference(shape, box, leaf_cells, depth):
     """The recursive partition, one meshgrid per box: the oracle for the
-    level-by-level ``_partition``."""
+    level-by-level ``_partition``. A node is (box, separator, children)."""
     sides = [hi - lo for lo, hi in box]
     if max(sides) <= leaf_cells:
-        return NdNode(box=box, separator=_box_indices_reference(shape, box))
+        return box, _box_indices_reference(shape, box), ()
     ndim = len(shape)
     # alternate the cut axis by depth, skipping axes too short to split
     for probe in range(ndim):
@@ -55,25 +65,39 @@ def _partition_box_reference(shape, box, leaf_cells, depth):
     else:
         axis = int(np.argmax(sides))
         if sides[axis] < 3:
-            return NdNode(box=box, separator=_box_indices_reference(shape, box))
+            return box, _box_indices_reference(shape, box), ()
     lo, hi = box[axis]
     cut = lo + (hi - lo - 1) // 2  # center line, left half the smaller
     sep_box, left_box, right_box = list(box), list(box), list(box)
     sep_box[axis], left_box[axis], right_box[axis] = (cut, cut + 1), (lo, cut), (cut + 1, hi)
     left = _partition_box_reference(shape, tuple(left_box), leaf_cells, depth + 1)
     right = _partition_box_reference(shape, tuple(right_box), leaf_cells, depth + 1)
-    return NdNode(box=box, separator=_box_indices_reference(shape, tuple(sep_box)),
-                  children=(left, right))
+    return box, _box_indices_reference(shape, tuple(sep_box)), (left, right)
 
 
-def _assert_same_tree(node, ref):
-    assert node.box == ref.box
-    assert all(type(v) is int for side in node.box for v in side)
-    assert node.separator.dtype == ref.separator.dtype
-    assert np.array_equal(node.separator, ref.separator)
-    assert len(node.children) == len(ref.children)
-    for child, ref_child in zip(node.children, ref.children):
-        _assert_same_tree(child, ref_child)
+def _postorder_reference(root):
+    """(box, separator, child ids) of each reference node, in postorder."""
+    out = []
+
+    def visit(node):
+        box, sep, children = node
+        ids = tuple(visit(c) for c in children)
+        out.append((box, sep, ids))
+        return len(out) - 1
+
+    visit(root)
+    return out
+
+
+def _assert_same_tree(tree, root):
+    ref = _postorder_reference(root)
+    assert len(tree.parent) == len(ref)
+    for i, (box, sep, ids) in enumerate(ref):
+        assert tree.box(i) == box
+        assert all(type(v) is int for side in tree.box(i) for v in side)
+        assert _separator(tree, i).dtype == sep.dtype
+        assert np.array_equal(_separator(tree, i), sep)
+        assert tuple(_children(tree, i).tolist()) == ids
 
 
 class TestAssemble:
@@ -118,37 +142,51 @@ class TestAssemble:
         assert np.allclose(grid[2, 2], 0.0)
         assert np.allclose(grid[0, 2], 1.0) and np.allclose(grid[0, 0], 2.0)
 
+    @pytest.mark.parametrize("form", ["scalar", "array"])
+    def test_complex_m_field_kept(self, form):
+        # a complex shift keeps its imaginary part, as a scalar and as samples
+        n = 20
+        rng = np.random.default_rng(RNG_SEED)
+        shift = 1j * (n + 1) ** 2
+        m = shift if form == "scalar" else shift * rng.uniform(0.5, 2.0, (n, n))
+        st = assemble_stencil(2, n, m)
+        assert st.A.dtype == np.complex128
+        assert np.array_equal(st.A.diagonal().imag, np.ravel(np.broadcast_to(m, (n, n)).imag))
+        b = rng.standard_normal(st.N)
+        x = nd_solve(nd_factor(st, nd_partition(2, n, leaf_cells=4)), b)
+        x_ref = scipy.sparse.linalg.splu(st.A.tocsc()).solve(b.astype(complex))
+        assert np.max(np.abs(x - x_ref)) <= 1e-12 * np.max(np.abs(x_ref))
+
 
 class TestPartition:
     def test_top_separator_structure_n6(self):
         tree = nd_partition(2, 6, leaf_cells=3)
-        root = tree.root
-        assert len(root.separator) == 6  # one grid line
+        root = len(tree.parent) - 1
+        assert len(_separator(tree, root)) == 6  # one grid line
         # separator is the center vertical line (axis 0, cut at 2)
-        rows = root.separator // 6
+        rows = _separator(tree, root) // 6
         assert np.all(rows == 2)
-        left, right = root.children
-        assert len(_subtree_indices(left)) == 12 and len(_subtree_indices(right)) == 18
+        left, right = _children(tree, root)
+        assert len(_subtree_indices(tree, left)) == 12
+        assert len(_subtree_indices(tree, right)) == 18
 
     def test_disconnection_everywhere(self):
         st = assemble_stencil(2, 32)
         tree = nd_partition(2, 32, leaf_cells=4)
 
-        def check(node):
-            if not node.children:
-                return
-            i2 = _subtree_indices(node.children[0])
-            i3 = _subtree_indices(node.children[1])
-            assert st.A[np.ix_(i2, i3)].nnz == 0
-            for c in node.children:
-                check(c)
-
-        check(tree.root)
+        cut = 0
+        for i in range(len(tree.parent)):
+            children = _children(tree, i)
+            if len(children):
+                i2, i3 = (_subtree_indices(tree, c) for c in children)
+                assert st.A[np.ix_(i2, i3)].nnz == 0
+                cut += 1
+        assert cut > 1
 
     def test_single_leaf_when_leaf_cells_equals_n(self):
         tree = nd_partition(2, 8, leaf_cells=8)
-        assert not tree.root.children
-        assert len(tree.root.separator) == 64
+        assert tree.parent.tolist() == [-1]
+        assert np.array_equal(tree.ordering, np.arange(64))
 
     @pytest.mark.parametrize("dim, ns", [(2, (3, 6, 17, 37, 45, 100)), (3, (5, 7, 12, 13))])
     def test_matches_recursive_reference(self, dim, ns):
@@ -156,7 +194,7 @@ class TestPartition:
         for n in ns:
             for leaf_cells in range(3, min(n, 8) + 1):
                 ref = _partition_box_reference((n,) * dim, ((0, n),) * dim, leaf_cells, 0)
-                _assert_same_tree(nd_partition(dim, n, leaf_cells).root, ref)
+                _assert_same_tree(nd_partition(dim, n, leaf_cells), ref)
 
     @pytest.mark.parametrize("shape", [(31, 64), (63, 128), (11, 24, 24), (7, 16, 16)])
     def test_schur_subshape_matches_reference(self, shape):
@@ -166,10 +204,35 @@ class TestPartition:
             ref = _partition_box_reference(shape, tuple((0, s) for s in shape), leaf_cells, 0)
             _assert_same_tree(_partition(shape, leaf_cells), ref)
 
+    @pytest.mark.parametrize("shape", [(17, 17), (100, 100), (12, 12, 12), (13, 13, 13),
+                                       (31, 64), (63, 128), (11, 24, 24), (7, 16, 16)])
+    def test_postorder_arrays_consistent(self, shape):
+        for leaf_cells in range(1, 9):
+            tree = _partition(shape, leaf_cells)
+            nodes = len(tree.parent)
+            root = nodes - 1
+            assert tree.parent[root] == -1 and tree.depth[root] == 0 and tree.slot[root] == 0
+            child = np.arange(root)
+            assert np.all(tree.parent[child] > child)
+            assert np.array_equal(tree.depth[child], tree.depth[tree.parent[child]] + 1)
+            # every subtree is the run of ids that ends at its root: as
+            # parents follow children, its size spans its lowest id to its
+            # root; children take slots 0, 1, ... in id order
+            first, size, kids = np.arange(nodes), np.ones(nodes, int), np.zeros(nodes, int)
+            for i in child:
+                p = tree.parent[i]
+                assert tree.slot[i] == kids[p]
+                kids[p] += 1
+                first[p], size[p] = min(first[p], first[i]), size[p] + size[i]
+            assert np.array_equal(size, np.arange(nodes) - first + 1)
+            # the separators tile range(N), each nonempty
+            assert tree.offsets[0] == 0 and np.all(np.diff(tree.offsets) > 0)
+            assert np.array_equal(np.sort(tree.ordering), np.arange(np.prod(shape)))
+
     def test_indices_cover_grid_once(self):
         for dim, n in ((2, 17), (3, 7)):
             tree = nd_partition(dim, n, leaf_cells=3)
-            idx = np.sort(_subtree_indices(tree.root))
+            idx = np.sort(_subtree_indices(tree, len(tree.parent) - 1))
             assert np.array_equal(idx, np.arange(n**dim))
 
 
@@ -353,7 +416,7 @@ class TestFactorSolve:
         # checked once on entry, in a leaf's entry and in the top separator's
         st = assemble_stencil(2, 8)
         tree = nd_partition(2, 8, leaf_cells=3)
-        for i in (tree.postorder()[0].separator[0], tree.root.separator[0]):
+        for i in (tree.ordering[0], tree.ordering[tree.offsets[-2]]):
             for bad in (np.nan, np.inf):
                 A = st.A.copy()
                 A[i, i] = bad
