@@ -1,22 +1,24 @@
-"""HODLR compression and two ways to invert it.
+"""HODLR compression and its inverse as the unrolled Woodbury recursion.
 
 The 1D integral-equation matrix I + G M is diagonal-plus-semi-separable:
 every off-diagonal block of the hierarchical tessellation has exact
-rank 1. Compressing it into the HODLR format and inverting shows off
-both algorithms: the recursive Woodbury apply-operator, and the exact
-multiplicative factorization A^{-1} = B_0 B_1 ... B_L whose factors are
-block-diagonal identity-plus-low-rank matrices (ranks never grow during
-its construction).
+rank 1. Compressing it into the HODLR format and inverting it gives the
+exact multiplicative factorization A^{-1} = B_0 B_1 ... B_L, whose
+factors are block-diagonal identity-plus-low-rank matrices (ranks never
+grow during its construction). Each block of B_ell is one node's
+Woodbury correction, so rebuilding the recursion
+A_tau^{-1} = (I + U V*) blockdiag(A_alpha^{-1}, A_beta^{-1}) from the
+stored blocks gives the inverse of every diagonal block of the matrix.
 """
 
 import numpy as np
+import scipy.linalg
 
 from fds.bvp1d import Bvp1dProblem, assemble_nystrom
 from fds.hodlr import (
     compress_to_hodlr,
     hodlr_matvec,
     invert_multiplicative,
-    invert_woodbury,
     storage_report,
 )
 from fds.tree import build_uniform_tree
@@ -40,11 +42,26 @@ print(f"stored scalars: {rep['stored_scalars']:,} vs dense {N * N:,} "
 x = np.random.default_rng(0).standard_normal(N)
 print(f"matvec agreement: {np.linalg.norm(hodlr_matvec(H, x) - A @ x):.2e}")
 
-inv_w = invert_woodbury(H)
-inv_m = invert_multiplicative(H)
-print(f"\nmultiplicative inverse factor count: {inv_m.nfactors} "
-      f"(= depth + 1 = {tree.depth + 1})")
-for name, inv in [("recursive Woodbury", inv_w), ("multiplicative", inv_m)]:
-    y = inv.apply(hodlr_matvec(H, x))
-    print(f"{name:>20}: || inv(A) (A x) - x || / ||x|| = "
-          f"{np.linalg.norm(y - x) / np.linalg.norm(x):.2e}")
+inv = invert_multiplicative(H)
+print(f"\nmultiplicative inverse factor count: {inv.nfactors} "
+      f"(= depth + 1 = {tree.depth + 1}), "
+      f"{storage_report(inv)['stored_scalars']:,} stored scalars")
+y = inv.apply(hodlr_matvec(H, x))
+print(f"|| inv(A) (A x) - x || / ||x|| = {np.linalg.norm(y - x) / np.linalg.norm(x):.2e}")
+
+# the Woodbury recursion over the stored blocks, against dense inverses of
+# the diagonal blocks of H, worst relative gap per level
+dense = H.todense()
+node_inv = dict(inv.leaf_inverses)
+for ell in range(tree.depth - 1, -1, -1):
+    for tau, f in inv.level_blocks[ell].items():
+        D = scipy.linalg.block_diag(node_inv[2 * tau], node_inv[2 * tau + 1])
+        node_inv[tau] = D + f.U @ (f.V.conj().T @ D)
+print("\nlevel  nodes  block  ||B_ell...B_L|I_tau - inv(A_tau)|| / ||inv(A_tau)||")
+for ell in range(tree.depth + 1):
+    gaps = []
+    for tau in tree.nodes_at_level(ell):
+        block = slice(*tree.ranges[tau])
+        ref = np.linalg.inv(dense[block, block])
+        gaps.append(np.linalg.norm(node_inv[tau] - ref) / np.linalg.norm(ref))
+    print(f"{ell:>5}  {2**ell:>5}  {tree.size(2**ell):>5}  {max(gaps):.2e}")

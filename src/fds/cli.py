@@ -49,6 +49,8 @@ def _spectrum_csv(result):
 
 
 def _cmd_bvp1d(args):
+    if not 1 <= args.n_min <= args.n_max:
+        raise ValueError(f"need 1 <= --n-min <= --n-max, got {args.n_min} and {args.n_max}")
     N_values = []
     N = args.n_min
     while N <= args.n_max:

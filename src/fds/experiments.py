@@ -159,9 +159,7 @@ def _bench_problem(target, size, rng):
         tree = sparsend.nd_partition(2, size, leaf_cells=4)
         return st.A, rng.standard_normal(st.N), "nd", tree
     if target in ("hodlr-inv", "hbs-inv"):
-        p = bvp1d.Bvp1dProblem.from_functions(
-            0.0, 1.0, size,
-            lambda x: 100.0 * (1.0 + x) * np.cos(x), lambda x: 1.0 + np.cos(1.0 + x))
+        p = bvp1d.Bvp1dProblem.from_functions(0.0, 1.0, size, bvp1d._fig2_m, bvp1d._fig2_g)
         A, b = bvp1d.assemble_nystrom(p)
         backend = target.removesuffix("-inv")
     elif target == "bie-solve":

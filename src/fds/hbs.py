@@ -41,7 +41,6 @@ __all__ = [
     "hbs_matvec",
     "HbsInverse",
     "hbs_invert",
-    "hbs_apply_inverse",
     "hbs_storage",
 ]
 
@@ -387,11 +386,6 @@ def hbs_invert(H: HbsMatrix) -> HbsInverse:
                     tau, ell, conds[tau],
                 )
     return HbsInverse(tree=t, E=E, F=F, G=G, cond_estimates=conds)
-
-
-def hbs_apply_inverse(inv: HbsInverse, u):
-    """q = A^{-1} u, by ``inv.apply``."""
-    return inv.apply(u)
 
 
 def hbs_storage(H: HbsMatrix):

@@ -2,19 +2,17 @@
 
 A matrix is stored as one low-rank factor per off-diagonal sibling
 block of a binary cluster tree (both orders kept independently) plus
-dense leaf diagonal blocks. Two inverse representations are provided:
+dense leaf diagonal blocks.
 
-* ``invert_woodbury`` -- the recursive additive form
-  A^{-1} = D^{-1} - D^{-1} W S^{-1} V* D^{-1} with S = I + V* D^{-1} W
-  applied per node, kept as an apply-operator (never re-compressed, so
-  exact up to the factorizations);
-* ``invert_multiplicative`` -- the exact non-recursive product
-  A^{-1} = B_0 B_1 ... B_L where each B_ell is block diagonal with
-  identity-plus-low-rank blocks; off-diagonal ranks provably never grow
-  during its construction. The blocks of each factor are kept as
-  stacks of equal shape, so its apply is one batched product per
-  stack: depth + 1 of them on a tree whose levels have one block size
-  and rank, O(N (leaf + rank)) flops in all.
+Its inverse, ``invert_multiplicative``, is the recursive Woodbury
+formula unrolled into the exact product A^{-1} = B_0 B_1 ... B_L: B_L
+holds the dense leaf inverses, and each coarser B_ell is block diagonal
+with one identity-plus-low-rank block per node of level ell, the
+node's Woodbury correction. Off-diagonal ranks never grow while it is
+built. The blocks of each factor are kept as stacks of equal shape, so
+the apply is one batched product per stack: depth + 1 of them on a
+tree whose levels have one block size and rank, O(N (leaf + rank))
+flops in all.
 
 Blocks are addressed through slices of ``tree.ranges``, never gathered.
 """
@@ -30,11 +28,9 @@ from .tree import ClusterTree, sibling_pairs
 
 __all__ = [
     "HodlrMatrix",
-    "HodlrInverseWoodbury",
     "HodlrInverseMultiplicative",
     "compress_to_hodlr",
     "hodlr_matvec",
-    "invert_woodbury",
     "recompress_inverse",
     "invert_multiplicative",
     "storage_report",
@@ -54,7 +50,8 @@ class HodlrMatrix:
 
     @property
     def dtype(self):
-        return next(iter(self.leaf_diag.values())).dtype
+        return np.result_type(*{M.dtype for M in self.leaf_diag.values()},
+                              *{M.dtype for f in self.offdiag.values() for M in (f.U, f.V)})
 
     def max_rank(self) -> int:
         return max((f.rank for f in self.offdiag.values()), default=0)
@@ -97,105 +94,7 @@ def hodlr_matvec(H: HodlrMatrix, x):
     return y
 
 
-# -- recursive (additive Woodbury) inverse ------------------------------------
-
-
-@dataclass
-class _WoodburyNode:
-    # Y = blockdiag(A_aa, A_bb)^{-1} applied to the stacked off-diagonal
-    # left factors; S_lu is the LU of I + V* D^{-1} W
-    Ya: np.ndarray
-    Yb: np.ndarray
-    Va: np.ndarray
-    Vb: np.ndarray
-    S_lu: tuple
-
-
-@dataclass
-class HodlrInverseWoodbury:
-    tree: ClusterTree
-    leaf_lu: dict
-    nodes: dict  # non-leaf tau -> _WoodburyNode
-
-    def apply(self, x):
-        x = np.asarray(x)
-        if x.shape[0] != self.tree.N:
-            raise ValueError(f"vector length {x.shape[0]} != {self.tree.N}")
-        return self._apply(1, x)
-
-    def _apply(self, tau, x):
-        t = self.tree
-        if t.is_leaf(tau):
-            return scipy.linalg.lu_solve(self.leaf_lu[tau], x)
-        alpha, beta = t.children(tau)
-        na = t.size(alpha)
-        nd = self.nodes[tau]
-        da = self._apply(alpha, x[:na])
-        db = self._apply(beta, x[na:])
-        # S [s_a; s_b] = [V_a* d_a; V_b* d_b]; correction = [Y_a s_b; Y_b s_a]
-        rhs = np.concatenate([nd.Va.conj().T @ da, nd.Vb.conj().T @ db])
-        s = scipy.linalg.lu_solve(nd.S_lu, rhs)
-        ka = nd.Va.shape[1]
-        out = np.concatenate([da - nd.Ya @ s[ka:], db - nd.Yb @ s[:ka]])
-        return out
-
-
-def _leaf_lu(H: HodlrMatrix, tau):
-    """Checked LU of leaf diagonal block tau, which both inverses need."""
-    try:
-        return lu_factor_checked(H.leaf_diag[tau], f"leaf diagonal block {tau}")
-    except SingularMatrixError as exc:
-        raise SingularMatrixError(f"{exc}{_BLOCKS_HINT}") from exc
-
-
-def invert_woodbury(H: HodlrMatrix) -> HodlrInverseWoodbury:
-    """Recursive Woodbury inverse, stored as an apply-operator.
-
-    Per node, S = I + V* D^{-1} W is assembled from child inverse
-    applies and LU-factored; the recursion bottoms out at dense leaf
-    LUs. Raises naming the node when an S (or leaf block) is singular.
-    """
-    t = H.tree
-    inv = HodlrInverseWoodbury(tree=t, leaf_lu={}, nodes={})
-    for tau in t.leaves():
-        inv.leaf_lu[tau] = _leaf_lu(H, tau)
-    # bottom-up so child applies are available
-    for ell in range(t.depth - 1, -1, -1):
-        for tau in t.nodes_at_level(ell):
-            alpha, beta = t.children(tau)
-            fab = H.offdiag[(alpha, beta)]
-            fba = H.offdiag[(beta, alpha)]
-            Ya = inv._apply(alpha, fab.U)  # A_aa^{-1} W_ab
-            Yb = inv._apply(beta, fba.U)  # A_bb^{-1} W_ba
-            ka, kb = fba.rank, fab.rank
-            S = np.eye(ka + kb, dtype=np.result_type(Ya.dtype, Yb.dtype))
-            S = S.astype(np.result_type(S.dtype, fab.V.dtype))
-            S[:ka, ka:] = fba.V.conj().T @ Ya
-            S[ka:, :ka] = fab.V.conj().T @ Yb
-            inv.nodes[tau] = _WoodburyNode(
-                Ya=Ya, Yb=Yb, Va=fba.V, Vb=fab.V,
-                S_lu=lu_factor_checked(S, f"Woodbury core S at node {tau}"),
-            )
-    return inv
-
-
-def recompress_inverse(inv: HodlrInverseWoodbury, tol) -> HodlrMatrix:
-    """Optional post-hoc compression of the additive inverse into HODLR form.
-
-    The exact inverse of a rank-k HODLR matrix is not rank-k HODLR (its
-    off-diagonal ranks grow with the level count), so this step is a
-    controlled approximation: the inverse is applied to identity block
-    columns and the result compressed at ``tol``. Off by default
-    everywhere else in the package; the apply-operator form stays exact.
-    """
-    N = inv.tree.N
-    # identity block columns; the result takes the inverse's dtype
-    dense = np.hstack([inv.apply(np.eye(N, min(64, N - start), -start))
-                       for start in range(0, N, 64)])
-    return compress_to_hodlr(dense, inv.tree, tol)
-
-
-# -- multiplicative (non-recursive) inverse -----------------------------------
+# -- multiplicative inverse ---------------------------------------------------
 
 
 @dataclass
@@ -232,6 +131,25 @@ def _stack(t, nodes, arrays):
             rows = np.array([np.arange(*t.ranges[tau]) for tau in members])
         out.append(_Stack(members, rows, *(np.stack(s) for s in zip(*map(arrays, members)))))
     return out
+
+
+def _left_multiply(stacks, y, x=None):
+    """y <- B y in place, for the (N, r) array y and the block-diagonal
+    factor B whose blocks ``stacks`` hold: blocks I + U V*, or dense
+    leaf blocks U, which write B x into y when x is given."""
+    for s in stacks:
+        if s.V is None:
+            xb = s.blocks(y if x is None else x)
+            if s.rows is None:
+                np.matmul(s.U, xb, out=s.blocks(y))
+            else:
+                y[s.rows] = s.U @ xb
+            continue
+        yb = s.blocks(y)
+        yb += s.U @ (np.swapaxes(s.V.conj(), 1, 2) @ yb)
+        if s.rows is not None:
+            y[s.rows] = yb
+    return y
 
 
 @dataclass
@@ -276,88 +194,93 @@ class HodlrInverseMultiplicative:
             raise ValueError(f"vector length {x.shape[0]} != {self.tree.N}")
         stacks = self.leaf_stacks + [s for ss in self.level_stacks.values() for s in ss]
         y = np.empty(x.shape, dtype=np.result_type(x.dtype, *(s.U.dtype for s in stacks)))
-        x2, y2 = x.reshape(len(x), -1), y.reshape(len(y), -1)
-        for s in self.leaf_stacks:
-            if s.rows is None:
-                np.matmul(s.U, s.blocks(x2), out=s.blocks(y2))
-            else:
-                y2[s.rows] = s.U @ s.blocks(x2)
+        y2 = _left_multiply(self.leaf_stacks, y.reshape(len(y), -1), x.reshape(len(x), -1))
         for ell in range(self.tree.depth - 1, -1, -1):
-            for s in self.level_stacks[ell]:
-                yb = s.blocks(y2)
-                yb += s.U @ (np.swapaxes(s.V.conj(), 1, 2) @ yb)
-                if s.rows is not None:
-                    y2[s.rows] = yb
+            _left_multiply(self.level_stacks[ell], y2)
         return y
 
 
 def invert_multiplicative(H: HodlrMatrix) -> HodlrInverseMultiplicative:
     """Exact multiplicative inverse B_0 ... B_L of a HODLR matrix.
 
-    B_L collects the dense leaf inverses. Each coarser sweep inverts
-    the identity-plus-low-rank diagonal blocks [[I, A'_ab], [A'_ba, I]]
-    through the small-core identity (I + U V*)^{-1} = I - U (I + V* U)^{-1} V*
-    and left-multiplies the running matrix, which only updates the left
-    factors of the remaining off-diagonal blocks: their ranks never
-    change. The off-diagonal factor updates are done in place on a
-    working copy. The blocks of each factor are then stacked by shape.
+    At a node tau of level ell with children alpha, beta, write the
+    diagonal block A_tau = D + W Vc* with D = blockdiag(A_alpha, A_beta),
+    W = blockdiag(U_ab, U_ba) and Vc holding V_ab in rows I_beta and
+    V_ba in rows I_alpha. The Woodbury formula gives
+
+        A_tau^{-1} = (I - Y S^{-1} Vc*) D^{-1},  Y = D^{-1} W,  S = I + Vc* Y,
+
+    and recursing into D^{-1} turns A^{-1} into the product of these
+    corrections, one block diagonal factor B_ell per level, with the
+    dense leaf inverses as B_L. B_ell's block at tau is I + U Vc* with
+    U = -Y S^{-1}, and Y is B_{ell+1} ... B_L applied to W.
+
+    So the build keeps, per level m, the left factors U_ab of its
+    sibling blocks as one N x k_max row panel (zero-padded columns stay
+    zero). Once B_L and then each coarser factor is stacked, every panel
+    still waiting for its level is left-multiplied by it with the
+    apply's own batched product. Only left factors change: the ranks
+    never grow. A singular leaf block or core S raises
+    SingularMatrixError naming the node.
     """
-    t = H.tree
-    work = {key: (f.U.copy(), f.V) for key, f in H.offdiag.items()}
-
-    def update_left_factors(ell_active, apply_block):
-        """Left-multiply every remaining off-diagonal block by B_ell."""
-        for (a, b), (U, _) in work.items():
-            d = ell_active - t.level(a)
-            if d < 0:
-                continue  # already consumed into a diagonal block
-            start = t.ranges[a][0]
-            # the B_ell blocks of a's descendants at level ell tile I_a
-            for tau in range(a << d, (a + 1) << d):
-                lo, hi = t.ranges[tau]
-                sl = slice(lo - start, hi - start)
-                U[sl] = apply_block(tau, U[sl])
-
+    t, r, dtype = H.tree, H.tree.ranges, H.dtype
     leaf_inverses = {}
     for tau in t.leaves():
-        lu, piv = _leaf_lu(H, tau)
-        leaf_inverses[tau] = scipy.linalg.lu_solve((lu, piv), np.eye(len(piv)))
-    update_left_factors(t.depth, lambda tau, M: leaf_inverses[tau] @ M)
+        try:
+            lu = lu_factor_checked(H.leaf_diag[tau], f"leaf diagonal block {tau}")
+        except SingularMatrixError as exc:
+            raise SingularMatrixError(f"{exc}{_BLOCKS_HINT}") from exc
+        leaf_inverses[tau] = scipy.linalg.lu_solve(lu, np.eye(len(lu[1])))
+    leaf_stacks = _stack(t, t.leaves(), lambda tau: (leaf_inverses[tau],))
+
+    panels = {}  # level m -> B_L times the (N, k_max) left factors of its sibling blocks
+    for m in range(1, t.depth + 1):
+        Us = {a: H.offdiag[(a, a ^ 1)].U for a in t.nodes_at_level(m)}
+        P = np.zeros((t.N, max(U.shape[1] for U in Us.values())), dtype=dtype)
+        for a, U in Us.items():
+            P[slice(*r[a]), :U.shape[1]] = U
+        panels[m] = _left_multiply(leaf_stacks, np.empty_like(P), P)
 
     level_stacks = {}
     for ell in range(t.depth - 1, -1, -1):
-        blocks = {}
+        Y = panels.pop(ell + 1)
+        pairs = {}
         for tau in t.nodes_at_level(ell):
             alpha, beta = t.children(tau)
-            Uab, Vab = work.pop((alpha, beta))
-            Uba, Vba = work.pop((beta, alpha))
-            na = t.size(alpha)
-            n = t.size(tau)
-            k1, k2 = Uab.shape[1], Uba.shape[1]
-            dtype = np.result_type(Uab.dtype, Uba.dtype)
-            # diagonal block is I + Uc Vc* with the children's factors stacked
+            Vab, Vba = H.offdiag[(alpha, beta)].V, H.offdiag[(beta, alpha)].V
+            na, n = t.size(alpha), t.size(tau)
+            k1, k2 = Vab.shape[1], Vba.shape[1]
             Uc = np.zeros((n, k1 + k2), dtype=dtype)
-            Uc[:na, :k1] = Uab
-            Uc[na:, k1:] = Uba
+            Uc[:na, :k1] = Y[slice(*r[alpha]), :k1]
+            Uc[na:, k1:] = Y[slice(*r[beta]), :k2]
             Vc = np.zeros((n, k1 + k2), dtype=dtype)
             Vc[na:, :k1] = Vab
             Vc[:na, k1:] = Vba
-            core = np.eye(k1 + k2, dtype=dtype) + Vc.conj().T @ Uc
-            core_lu = lu_factor_checked(core, f"identity-plus-low-rank core at node {tau}")
-            corr_U = -scipy.linalg.lu_solve(core_lu, Uc.T, trans=1).T  # -Uc core^{-1}
-            blocks[tau] = LowRankFactor(corr_U, Vc)
-        level_stacks[ell] = _stack(t, t.nodes_at_level(ell),
-                                   lambda tau: (blocks[tau].U, blocks[tau].V))
+            S = np.eye(k1 + k2, dtype=dtype) + Vc.conj().T @ Uc
+            S_lu = lu_factor_checked(S, f"identity-plus-low-rank core at node {tau}")
+            pairs[tau] = (-scipy.linalg.lu_solve(S_lu, Uc.T, trans=1).T, Vc)  # -Y S^{-1}
+        level_stacks[ell] = _stack(t, t.nodes_at_level(ell), pairs.__getitem__)
+        for P in panels.values():
+            _left_multiply(level_stacks[ell], P)
 
-        def apply_block(tau, M, blocks=blocks):
-            return M + blocks[tau].matvec(M)
+    return HodlrInverseMultiplicative(tree=t, leaf_stacks=leaf_stacks,
+                                      level_stacks=level_stacks)
 
-        update_left_factors(ell, apply_block)
 
-    return HodlrInverseMultiplicative(
-        tree=t, leaf_stacks=_stack(t, t.leaves(), lambda tau: (leaf_inverses[tau],)),
-        level_stacks=level_stacks,
-    )
+def recompress_inverse(inv: HodlrInverseMultiplicative, tol) -> HodlrMatrix:
+    """Optional post-hoc compression of the inverse into HODLR form.
+
+    The exact inverse of a rank-k HODLR matrix is not rank-k HODLR (its
+    off-diagonal ranks grow with the level count), so this step is a
+    controlled approximation: the inverse is applied to identity block
+    columns and the result compressed at ``tol``. Off by default
+    everywhere else in the package; the factored form stays exact.
+    """
+    N = inv.tree.N
+    # identity block columns; the result takes the inverse's dtype
+    dense = np.hstack([inv.apply(np.eye(N, min(64, N - start), -start))
+                       for start in range(0, N, 64)])
+    return compress_to_hodlr(dense, inv.tree, tol)
 
 
 def storage_report(obj):
@@ -366,14 +289,6 @@ def storage_report(obj):
         scalars = sum(D.size for D in obj.leaf_diag.values())
         scalars += sum(f.storage() for f in obj.offdiag.values())
         return {"stored_scalars": scalars, "max_rank": obj.max_rank()}
-    if isinstance(obj, HodlrInverseWoodbury):
-        scalars = sum(lu.size for lu, _ in obj.leaf_lu.values())
-        ranks = [0]
-        for nd in obj.nodes.values():
-            scalars += nd.Ya.size + nd.Yb.size + nd.Va.size + nd.Vb.size
-            scalars += nd.S_lu[0].size
-            ranks.append(max(nd.Va.shape[1], nd.Vb.shape[1]))
-        return {"stored_scalars": scalars, "max_rank": max(ranks)}
     if isinstance(obj, HodlrInverseMultiplicative):
         levels = [s for stacks in obj.level_stacks.values() for s in stacks]
         scalars = sum(s.U.size for s in obj.leaf_stacks)

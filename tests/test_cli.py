@@ -65,6 +65,15 @@ def test_bvp1d_subcommand(capsys):
     assert [r[0] for r in rows] == ["64", "128"]
 
 
+@pytest.mark.parametrize("n_min, n_max", [("0", "128"), ("-3", "128"), ("128", "64")])
+def test_bvp1d_size_range_exits_2(n_min, n_max, capsys):
+    # N doubles from n_min while N <= n_max, which from 0 or below never ends
+    code = main(["bvp1d", "--case", "nonosc", "--n-min", n_min, "--n-max", n_max])
+    assert code == 2
+    assert (f"need 1 <= --n-min <= --n-max, got {n_min} and {n_max}"
+            in capsys.readouterr().err)
+
+
 def test_admissibility_subcommand(capsys):
     code, out = run_cli(["admissibility", "--pts-per-box", "20"], capsys)
     assert code == 0

@@ -1,7 +1,11 @@
-"""HODLR compression, matvec, and the two inverse representations."""
+"""HODLR compression, matvec, and the multiplicative inverse B_0 ... B_L,
+checked as the recursive Woodbury formula it unrolls: per node against
+dense inverses of the diagonal blocks, and per apply against dense solves."""
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import example, given, settings, strategies
 
 from fds.bvp1d import Bvp1dProblem, assemble_nystrom
 from fds.hodlr import (
@@ -9,10 +13,11 @@ from fds.hodlr import (
     compress_to_hodlr,
     hodlr_matvec,
     invert_multiplicative,
-    invert_woodbury,
+    recompress_inverse,
     storage_report,
 )
 from fds.linalg import LowRankFactor, SingularMatrixError, dense_lu_solve
+from fds.solve import factor
 from fds.tree import build_uniform_tree
 
 RNG_SEED = 777
@@ -91,10 +96,12 @@ class TestMatvec:
 
 
 class TestWoodburyInverse:
+    """The multiplicative inverse against what the Woodbury recursion gives."""
+
     def test_scaled_identity(self):
         tree = build_uniform_tree(32, 8)
         H = compress_to_hodlr(2.0 * np.eye(32), tree, 1e-12)
-        inv = invert_woodbury(H)
+        inv = invert_multiplicative(H)
         x = np.arange(32.0)
         assert np.allclose(inv.apply(x), x / 2.0)
 
@@ -102,18 +109,22 @@ class TestWoodburyInverse:
         A, rhs = ie_matrix(512)
         tree = build_uniform_tree(512, 32)
         H = compress_to_hodlr(A, tree, 1e-12)
-        inv = invert_woodbury(H)
+        inv = invert_multiplicative(H)
         x = inv.apply(rhs)
         x_ref = dense_lu_solve(A, rhs)
         assert np.linalg.norm(x - x_ref) <= 1e-8 * np.linalg.norm(x_ref)
 
-    def test_recompressed_inverse_is_hodlr(self):
-        from fds.hodlr import recompress_inverse
+    @pytest.mark.parametrize("case", ["complex", "depth_zero", "mixed_ranks", "two_sizes"])
+    def test_node_products_are_block_inverses(self, case):
+        # B_ell ... B_L restricted to I_tau is A_tau^{-1}, the recursion's value
+        H = TestBatchedApply.CASES[case]()
+        assert max_node_inverse_error(H, invert_multiplicative(H)) <= 1e-12
 
+    def test_recompressed_inverse_is_hodlr(self):
         A, rhs = ie_matrix(256)
         tree = build_uniform_tree(256, 32)
         H = compress_to_hodlr(A, tree, 1e-12)
-        inv = invert_woodbury(H)
+        inv = invert_multiplicative(H)
         Hinv = recompress_inverse(inv, 1e-10)
         x_ref = dense_lu_solve(A, rhs)
         err = np.linalg.norm(hodlr_matvec(Hinv, rhs) - x_ref)
@@ -122,13 +133,10 @@ class TestWoodburyInverse:
         assert 1 <= Hinv.max_rank() <= 16
 
     def test_recompressed_complex_inverse_keeps_imaginary_part(self):
-        from fds.hodlr import recompress_inverse
-
         N = 256
-        i = np.arange(N)
-        A = kernel_matrix(N) * np.exp(0.3j * (i[:, None] - i[None, :])) + 10 * np.eye(N)
+        A = complex_kernel_matrix(N)
         H = compress_to_hodlr(A, build_uniform_tree(N, 32), 1e-12)
-        Hinv = recompress_inverse(invert_woodbury(H), 1e-10)
+        Hinv = recompress_inverse(invert_multiplicative(H), 1e-10)
         rng = np.random.default_rng(RNG_SEED)
         x = rng.standard_normal(N) + 1j * rng.standard_normal(N)
         y = hodlr_matvec(Hinv, x)
@@ -137,23 +145,15 @@ class TestWoodburyInverse:
         assert np.linalg.norm(y - y_ref) <= 1e-8 * np.linalg.norm(y_ref)
 
     @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
-    def test_singular_woodbury_core_names_node(self):
-        # [[I, I], [I, I]] has regular leaves but a singular core at the root
-        I2 = np.eye(2)
-        H = compress_to_hodlr(np.block([[I2, I2], [I2, I2]]), build_uniform_tree(4, 2), 1e-12)
-        with pytest.raises(SingularMatrixError, match="node 1"):
-            invert_woodbury(H)
-
-    @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
-
     def test_singular_leaf_names_node(self):
         tree = build_uniform_tree(32, 8)
         A = kernel_matrix(32) + 10 * np.eye(32)
         H = compress_to_hodlr(A, tree, 1e-12)
         first_leaf = next(iter(tree.leaves()))
         H.leaf_diag[first_leaf] = np.zeros((tree.size(first_leaf),) * 2)
-        with pytest.raises(SingularMatrixError, match=str(first_leaf)):
-            invert_woodbury(H)
+        with pytest.raises(SingularMatrixError,
+                           match=f"leaf diagonal block {first_leaf} is singular"):
+            invert_multiplicative(H)
 
 
 class TestMultiplicativeInverse:
@@ -212,6 +212,22 @@ class TestMultiplicativeInverse:
                            match=r"leaf diagonal block 4 is singular \(pivot 1\)"):
             invert_multiplicative(H)
 
+    def test_complex_right_factors_kept(self):
+        # real leaves and left factors, complex right factors: a working
+        # dtype taken from the left factors drops V's imaginary parts
+        rng = np.random.default_rng(RNG_SEED)
+        tree = build_uniform_tree(64, 16)
+        offdiag = {(a, a ^ 1): LowRankFactor(rng.standard_normal((tree.size(a), 2)) / 8,
+                                             rng.standard_normal((tree.size(a ^ 1), 2))
+                                             + 1j * rng.standard_normal((tree.size(a ^ 1), 2)))
+                   for a in range(2, 2 ** (tree.depth + 1))}
+        leaf_diag = {t: rng.standard_normal((16, 16)) + 16 * np.eye(16) for t in tree.leaves()}
+        H = HodlrMatrix(tree=tree, offdiag=offdiag, leaf_diag=leaf_diag, tol=0.0)
+        x = rng.standard_normal(64)
+        y, y_ref = invert_multiplicative(H).apply(x), np.linalg.solve(H.todense(), x)
+        assert H.dtype == np.complex128 and y.dtype == np.complex128
+        assert np.linalg.norm(y - y_ref) <= 1e-12 * np.linalg.norm(y_ref)
+
     @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
     def test_singular_core_names_node(self):
         # [[I, I], [I, I]] has regular leaves but a singular core at the root
@@ -235,6 +251,25 @@ def reference_apply(inv, x):
             i = t.index_range(tau)
             y[i] += corr.matvec(y[i])
     return y
+
+
+def max_node_inverse_error(H, inv):
+    """Largest relative gap, over all nodes tau of level ell, between
+    B_ell ... B_L restricted to I_tau and the dense inverse of H's
+    diagonal block at tau. The restriction is built as the Woodbury
+    recursion: A_tau^{-1} = (I + U V*) blockdiag(A_alpha^{-1}, A_beta^{-1})."""
+    t, dense = H.tree, H.todense()
+    node_inv = dict(inv.leaf_inverses)
+    for ell in range(t.depth - 1, -1, -1):
+        for tau, f in inv.level_blocks[ell].items():
+            D = scipy.linalg.block_diag(node_inv[2 * tau], node_inv[2 * tau + 1])
+            node_inv[tau] = D + f.U @ (f.V.conj().T @ D)
+    worst = 0.0
+    for tau, got in node_inv.items():
+        lo, hi = t.ranges[tau]
+        ref = np.linalg.inv(dense[lo:hi, lo:hi])
+        worst = max(worst, np.linalg.norm(got - ref) / np.linalg.norm(ref))
+    return worst
 
 
 def mixed_rank_hodlr(N, leaf):
@@ -317,13 +352,12 @@ class TestBatchedApply:
 
 
 class TestInverseConsistency:
-    @pytest.mark.parametrize("inverter", [invert_woodbury, invert_multiplicative])
-    def test_twenty_random_vectors(self, inverter):
+    def test_twenty_random_vectors(self):
         rng = np.random.default_rng(RNG_SEED)
         A, _ = ie_matrix(256)
         tree = build_uniform_tree(256, 32)
         H = compress_to_hodlr(A, tree, 1e-12)
-        inv = inverter(H)
+        inv = invert_multiplicative(H)
         cond = np.linalg.cond(A)
         for _ in range(20):
             x = rng.standard_normal(256)
@@ -393,3 +427,47 @@ class TestStorage:
         tree = build_uniform_tree(128, 16)
         H = compress_to_hodlr(A, tree, 1e-12)
         assert storage_report(H)["max_rank"] == max(f.rank for f in H.offdiag.values())
+
+
+@settings(max_examples=25, derandomize=True, deadline=None, database=None)
+@given(N=strategies.integers(3, 300), leaf=strategies.integers(2, 64),
+       log_tol=strategies.integers(-12, -4), is_complex=strategies.booleans(),
+       cut=strategies.booleans(), seed=strategies.integers(0, 2**32 - 1))
+# a depth-0 tree (N < 2 leaf), and an odd N with a rank-0 root block
+@example(N=100, leaf=64, log_tol=-12, is_complex=False, cut=False, seed=1)
+@example(N=299, leaf=16, log_tol=-4, is_complex=True, cut=True, seed=2)
+def test_factor_hodlr_property(N, leaf, log_tol, is_complex, cut, seed):
+    """factor(A, "hodlr") on real and complex matrices, any N and leaf,
+    tol 1e-12 .. 1e-4; ``cut`` zeroes one root coupling block."""
+    tol = 10.0 ** log_tol
+    rng = np.random.default_rng(seed)
+    x = np.sort(rng.uniform(0.0, 1.0, N))
+    A = 1.0 / (1.0 + 10.0 * np.abs(x[:, None] - x[None, :])) + 4.0 * np.eye(N)
+    if is_complex:
+        A = A * np.exp(3j * (x[:, None] - x[None, :]))
+    tree = build_uniform_tree(N, leaf)
+    if cut and tree.depth:
+        A[slice(*tree.ranges[2]), slice(*tree.ranges[3])] = 0.0
+    b = rng.standard_normal(N)
+
+    H = compress_to_hodlr(A, tree, tol)
+    ranks = {k: f.rank for k, f in H.offdiag.items()}
+    inv = invert_multiplicative(H)
+    assert {k: f.rank for k, f in H.offdiag.items()} == ranks
+    if cut and tree.depth:
+        assert ranks[(2, 3)] == 0
+    for blocks in inv.level_blocks.values():
+        for tau, f in blocks.items():
+            assert f.rank == ranks[(2 * tau, 2 * tau + 1)] + ranks[(2 * tau + 1, 2 * tau)]
+
+    y = factor(A, "hodlr", tree, tol).apply(b)
+    assert np.array_equal(y, inv.apply(b)) and np.iscomplexobj(y) == is_complex
+    # every block is cut at tol times its norm: ||A - H|| <= (depth + 1) tol ||A||
+    y_ref = np.linalg.solve(A, b)
+    bound = 2 * (tree.depth + 1) * tol * np.linalg.cond(A)
+    assert np.linalg.norm(y - y_ref) <= bound * np.linalg.norm(y_ref)
+
+    assert max_node_inverse_error(H, inv) <= 1e-12
+    assert storage_report(inv)["stored_scalars"] == (
+        sum(M.size for M in inv.leaf_inverses.values())
+        + sum(f.storage() for blocks in inv.level_blocks.values() for f in blocks.values()))
