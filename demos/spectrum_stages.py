@@ -1,0 +1,46 @@
+"""Stage times of the Helmholtz box-to-box spectrum study.
+
+The directional operator at kappa = 80 (unit source box, target box
+centered at (2, 0), grid_k x grid_k Gauss-Legendre nodes on each) is
+built and sampled at grid_k = 33 / 40 / 48, the sizes past the
+exact-SVD limit. Each stage is timed separately, best of three: the
+kernel matrix and the seeded range finder at the 1e-14 cut that
+``experiments.spectrum_potential`` uses. The number of sampled columns
+and rank@1e-10 of the normalized spectrum are printed with them. BLAS
+runs on one thread unless OPENBLAS_NUM_THREADS (or OMP_NUM_THREADS /
+MKL_NUM_THREADS) is set.
+"""
+
+import os
+
+for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(var, "1")
+
+import time  # noqa: E402
+
+from fds.experiments import _gl_box, _kernel_matrix  # noqa: E402
+from fds.linalg import eps_rank, range_finder  # noqa: E402
+
+
+def best_of_three(fn):
+    times = []
+    for _ in range(3):
+        t = time.perf_counter()
+        out = fn()
+        times.append(time.perf_counter() - t)
+    return min(times), out
+
+
+kappa = 80.0
+print(f"{'grid_k':>6} {'N':>5} {'kernel s':>9} {'range finder s':>15} {'columns':>8} "
+      f"{'rank@1e-10':>11}")
+for k in (33, 40, 48):
+    src, ws = _gl_box(k, (0.0, 0.0))
+    trg, wt = _gl_box(k, (2.0, 0.0))
+    t_ker, V = best_of_three(lambda: _kernel_matrix("helmholtz", kappa, trg, wt, src, ws))
+    t_rf, (_, _, s) = best_of_three(lambda: range_finder(V, 1e-14, 0))
+    print(f"{k:>6} {k * k:>5} {t_ker:>9.3f} {t_rf:>15.3f} {len(s):>8} "
+          f"{eps_rank(s, 1e-10):>11}")
+    del V  # one kernel matrix in memory at a time
+print("columns is the width of the kept sample; the range finder stops once at least "
+      "10 sampled singular values lie at or below 1e-14 sigma_1.")

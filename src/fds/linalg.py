@@ -178,46 +178,63 @@ def truncated_svd(A, tol=None, max_rank=None):
 
 _DENSE_SVD_LIMIT = 512
 _RANGE_FINDER_SEED = 0x5EED
+_RANGE_FINDER_START = 32  # columns in the first sample
+_RANGE_FINDER_TAIL = 10  # sampled singular values that must lie at or below the cut
 
 
-def range_finder(A, tol, seed=_RANGE_FINDER_SEED, block=32):
-    """Seeded Gaussian range finder with two power steps.
+def range_finder(A, tol, seed=_RANGE_FINDER_SEED):
+    """Seeded Gaussian range finder with two power steps that keeps its samples.
 
     Returns (Q, B, s): Q has orthonormal columns spanning the sampled
-    range of A, B = Q* A, and s holds the singular values of B. The
-    sample block (complex for complex A) starts at ``block`` columns and
-    is doubled with fresh draws from the same generator until the
-    captured spectrum provably reaches the cut, s[-1] <= tol * s[0], or
-    spans min(m, n) columns. Halko, Martinsson & Tropp, SIAM Rev. 53
-    (2011), Algorithm 4.4 (randomized subspace iteration).
+    range of A, B = Q* A, and s holds the singular values of B. The first
+    sample (complex for complex A) has 32 columns and two power steps
+    (Halko, Martinsson & Tropp, SIAM Rev. 53 (2011), Algorithm 4.4).
+    While fewer than 10 trailing values of s lie at or below
+    ``tol * s[0]``, new draws double the sample, up to min(m, n); they
+    take the same power steps, orthogonalized twice against the kept Q
+    after each product with A, and their rows are appended to B
+    (Martinsson & Voronin, SISC 38 (2016)). The stop test reads the
+    sampled spectrum; it does not prove that the cut is reached.
     """
     A = _check_input(A, tol)
     m, n = A.shape
     rng = np.random.default_rng(seed)
+    Q = np.empty((m, 0), dtype=A.dtype)
+    B = np.empty((0, n), dtype=A.dtype)
+    Ah = A.conj().T  # one copy of a complex A, a view of a real one
+    k = min(_RANGE_FINDER_START, m, n)
     while True:
-        k = min(block, m, n)
-        Om = rng.standard_normal((n, k))
+        Om = rng.standard_normal((n, k - Q.shape[1]))
         if np.iscomplexobj(A):
-            Om = Om + 1j * rng.standard_normal((n, k))
-        Q, _ = np.linalg.qr(A @ Om)
+            Om = Om + 1j * rng.standard_normal(Om.shape)
+        Qn = _orth_against(Q, A @ Om)
         for _ in range(2):
-            Q, _ = np.linalg.qr(A.conj().T @ Q)
-            Q, _ = np.linalg.qr(A @ Q)
-        B = Q.conj().T @ A
+            Qn, _ = np.linalg.qr(Ah @ Qn)
+            Qn = _orth_against(Q, A @ Qn)
+        Q = np.hstack([Q, Qn])
+        B = np.vstack([B, Qn.conj().T @ A])
         s = np.linalg.svd(B, compute_uv=False)
-        if k == min(m, n) or s[0] == 0.0 or s[-1] <= tol * s[0]:
+        if (k == min(m, n) or s[0] == 0.0
+                or np.count_nonzero(s <= tol * s[0]) >= _RANGE_FINDER_TAIL):
             return Q, B, s
-        block *= 2
+        k = min(2 * k, m, n)
+
+
+def _orth_against(Q, Y):
+    """Orthonormal basis of Y projected twice off range(Q); Q may have no columns."""
+    for _ in range(2):
+        Y = Y - Q @ (Q.conj().T @ Y)
+    return np.linalg.qr(Y)[0]
 
 
 def low_rank_approx(A, tol) -> LowRankFactor:
     """Compress a dense block to a LowRankFactor at the truncated-SVD cut.
 
     Small blocks go through the full SVD. Large ones go through
-    ``range_finder``, whose certified basis makes the SVD of the
-    projected block reproduce the leading singular triplets to machine
-    accuracy, so the returned factors match the dense path at the same
-    tolerance.
+    ``range_finder``, whose sample grows until its spectrum has passed
+    the cut, so the SVD of the projected block reproduces the leading
+    singular triplets to machine accuracy and the returned factors match
+    the dense path at the same tolerance.
     """
     A = np.asarray(A)
     if min(A.shape) <= _DENSE_SVD_LIMIT:

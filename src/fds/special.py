@@ -30,13 +30,18 @@ def bessel_j1_y1(x):
     return _pair(x, scipy.special.j1, scipy.special.y1)
 
 
+def _hankel(j, y):
+    """J + i Y, with J written into the real and Y into the imaginary part."""
+    h = np.empty(np.shape(j), dtype=complex)
+    h.real, h.imag = j, y
+    return complex(h) if np.isscalar(j) else h
+
+
 def hankel0_first_kind(x):
     """H0^(1)(x) = J0(x) + i Y0(x) for x > 0, elementwise."""
-    j, y = bessel_j0_y0(x)
-    return j + 1j * y
+    return _hankel(*bessel_j0_y0(x))
 
 
 def hankel1_first_kind(x):
     """H1^(1)(x) = J1(x) + i Y1(x) for x > 0, elementwise."""
-    j, y = bessel_j1_y1(x)
-    return j + 1j * y
+    return _hankel(*bessel_j1_y1(x))

@@ -157,6 +157,14 @@ def test_exit_code_flag_validation(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("kappa", ["nan", "inf"])
+def test_spectrum_non_finite_kappa_exits_2(kappa, capsys):
+    code = main(["spectrum", "--kernel", "helmholtz", "--kappa", kappa, "--grid-k", "8"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "kappa" in err and "log singularity" not in err
+
+
 def test_exit_code_flag_value_range(capsys):
     code, _ = run_cli(["admissibility", "--pts-per-box", "8"], capsys)
     assert code == 2  # outside the validated [16, 400] range

@@ -10,7 +10,9 @@ from fds.experiments import (
     spectrum_potential,
     weak_vs_strong_spectrum,
 )
+from fds.bie2d import laplace_fundamental
 from fds.linalg import complex_singular_values, range_finder
+from fds.special import hankel0_first_kind
 
 
 class TestSpectrumPotential:
@@ -31,7 +33,7 @@ class TestSpectrumPotential:
         A = rng.standard_normal((300, 200)) @ np.diag(2.0 ** -np.arange(200.0))
         A = A.astype(complex) + 1j * 0.5 * A
         s_exact = complex_singular_values(A)
-        s_rand = range_finder(A, 1e-14, seed=7, block=64)[2]
+        s_rand = range_finder(A, 1e-14, seed=7)[2]
         m = min(len(s_rand), int(np.sum(s_exact / s_exact[0] > 1e-15)))
         assert np.max(np.abs(s_rand[:m] - s_exact[:m])) < 1e-13 * s_exact[0]
 
@@ -48,6 +50,28 @@ class TestSpectrumPotential:
         assert len(res.sigmas) >= m
         assert np.max(np.abs(res.sigmas[:m] - s[:m])) < 1e-13
 
+    @pytest.mark.parametrize("grid_k", [5, 13, 33])
+    def test_kernel_matrix_entries(self, grid_k):
+        # rows from three target boxes; 13^2 = 169 nodes do not divide the
+        # row blocks. The whole-array formula is the reference, bitwise.
+        src, ws = _gl_box(grid_k, (0.0, 0.0))
+        boxes = [_gl_box(grid_k, c) for c in [(2.0, 0.0), (-2.0, 1.0), (0.0, -2.0)]]
+        trg = np.vstack([b[0] for b in boxes])
+        wt = np.concatenate([b[1] for b in boxes])
+        d = np.sqrt((trg[:, None, 0] - src[None, :, 0]) ** 2
+                    + (trg[:, None, 1] - src[None, :, 1]) ** 2)
+        scale = np.sqrt(wt)[:, None] * np.sqrt(ws)[None, :]
+        H = _kernel_matrix("helmholtz", 80.0, trg, wt, src, ws)
+        assert np.array_equal(H, scale * 0.25j * hankel0_first_kind(80.0 * d))
+        L = _kernel_matrix("laplace", None, trg, wt, src, ws)
+        assert L.dtype == float
+        assert np.array_equal(L, scale * laplace_fundamental(d))
+
+    def test_range_finder_branch_sample_count(self):
+        # rank@1e-14 is 39, so the kept sample stops at 64 columns
+        res = spectrum_potential("helmholtz", 33, "directional", kappa=80.0)
+        assert len(res.sigmas) == 64
+
     def test_normalization_and_monotonicity(self):
         res = spectrum_potential("laplace", 8, "directional")
         assert res.sigmas[0] == 1.0
@@ -61,6 +85,20 @@ class TestSpectrumPotential:
             spectrum_potential("helmholtz", 12, "directional")  # kappa missing
         with pytest.raises(ValueError):
             spectrum_potential("stokes", 12, "directional")
+
+    @pytest.mark.parametrize("kappa", [np.nan, np.inf, -np.inf, 0.0, -3.0])
+    def test_bad_kappa_named(self, kappa):
+        with pytest.raises(ValueError, match="kappa"):
+            spectrum_potential("helmholtz", 48, "directional", kappa=kappa)
+
+    @pytest.mark.parametrize("grid_k", [4.5, 12.0, "12", None])
+    def test_non_integer_grid_k_named(self, grid_k):
+        with pytest.raises(ValueError, match="grid_k"):
+            spectrum_potential("laplace", grid_k, "directional")
+
+    def test_numpy_integer_grid_k_accepted(self):
+        res = spectrum_potential("laplace", np.int64(12), "directional")
+        assert res.rank_at(1e-10) == 17
 
 
 class TestWeakVsStrong:

@@ -12,6 +12,7 @@ from fds.linalg import (
     eps_rank,
     interpolative_decomposition,
     low_rank_approx,
+    range_finder,
     recompress,
     truncated_svd,
 )
@@ -143,6 +144,62 @@ class TestLowRankApprox:
         _, s, _ = truncated_svd(A, tol)
         assert F.rank == len(s)
         assert np.linalg.norm(A - F.todense(), 2) <= 10 * tol * np.linalg.norm(A, 2)
+
+
+def known_spectrum(m, n, s, complex_, seed):
+    """U diag(s) V* with Haar-like orthonormal U (m x r) and V (n x r)."""
+    rng = np.random.default_rng(seed)
+
+    def orth(rows):
+        G = rng.standard_normal((rows, len(s)))
+        if complex_:
+            G = G + 1j * rng.standard_normal(G.shape)
+        return np.linalg.qr(G)[0]
+
+    return (orth(m) * s) @ orth(n).conj().T
+
+
+class TestRangeFinder:
+    @pytest.mark.parametrize("complex_", [False, True])
+    def test_rank_past_first_sample_matches_exact_svd(self, complex_):
+        # sigma_j = 10^(-j/4.2): 51 values above tol = 1e-12, past the
+        # 32-column first sample, none within a tenth of a decade of the cut
+        tol = 1e-12
+        A = known_spectrum(600, 500, 10.0 ** (-np.arange(120) / 4.2), complex_, 1)
+        Q, B, s = range_finder(A, tol)
+        exact = np.linalg.svd(A, compute_uv=False)
+        r = eps_rank(exact, tol)
+        assert r == 51 and Q.shape[1] > 32
+        assert eps_rank(s, tol) == r
+        assert np.max(np.abs(s[:r] - exact[:r])) <= 1e-13 * exact[0]
+        assert np.sum(s <= tol * s[0]) >= 10
+        assert np.linalg.norm(Q.conj().T @ Q - np.eye(Q.shape[1])) <= 1e-13
+        assert np.allclose(B, Q.conj().T @ A, rtol=0.0, atol=1e-14 * exact[0])
+
+    def test_exact_rank_inside_first_sample_keeps_basis_orthonormal(self):
+        # rank 28 leaves only 4 of 32 sampled values at the cut, so the
+        # sample grows with columns whose range A has already been captured
+        A = known_spectrum(500, 450, np.linspace(1.0, 0.5, 28), True, 2)
+        Q, _, s = range_finder(A, 1e-10)
+        assert Q.shape[1] == 64
+        assert np.linalg.norm(Q.conj().T @ Q - np.eye(64)) <= 1e-13
+        assert eps_rank(s, 1e-10) == 28
+        assert np.max(np.abs(s[:28] - np.linspace(1.0, 0.5, 28))) <= 1e-14
+
+    @pytest.mark.parametrize("complex_", [False, True])
+    def test_rank_one_block_takes_one_sample(self, complex_):
+        rng = np.random.default_rng(3)
+        u, v = rng.standard_normal(700), rng.standard_normal(600)
+        A = np.outer(u, v) * (1.0 + 1j if complex_ else 1.0)
+        Q, B, s = range_finder(A, 1e-10)
+        assert Q.shape == (700, 32) and B.shape == (32, 600) and s.shape == (32,)
+        assert eps_rank(s, 1e-10) == 1
+
+    def test_sample_stops_at_smaller_dimension(self):
+        A = np.random.default_rng(4).standard_normal((40, 600))
+        Q, B, s = range_finder(A, 1e-10)
+        assert Q.shape == (40, 40) and len(s) == 40
+        assert np.allclose(s, np.linalg.svd(A, compute_uv=False), rtol=1e-13)
 
 
 class TestInterpolativeDecomposition:
