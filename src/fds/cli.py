@@ -127,10 +127,13 @@ def _cmd_bie(args):
 
 
 def _cmd_nd(args):
+    helmholtz = args.kappa is not None
+    if helmholtz and not 0 < args.kappa < np.inf:
+        raise ValueError(f"--kappa must be a finite number > 0, got {args.kappa!r}")
     if args.schur:
         result = sparsend.schur_offdiag_spectrum(
             args.dim, args.n,
-            operator="helmholtz" if args.kappa else "laplace",
+            operator="helmholtz" if helmholtz else "laplace",
             kappa=args.kappa,
         )
         _write_csv(
@@ -140,7 +143,7 @@ def _cmd_nd(args):
             *_spectrum_csv(result),
         )
         return
-    m = -args.kappa**2 if args.kappa else None
+    m = -args.kappa**2 if helmholtz else None
     st = sparsend.assemble_stencil(args.dim, args.n, m)
     tree = sparsend.nd_partition(args.dim, args.n, leaf_cells=4)
     fac = sparsend.nd_factor(st, tree)

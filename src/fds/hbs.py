@@ -16,7 +16,10 @@ Inversion follows the one-level variation-of-Woodbury identity
 applied once per tree level, bottom-up; the root takes an empty basis,
 so its G is the inverse of its coupled block. The inverse is then a
 matrix in the same telescoping form as A, with F, E and G in place of
-V, U and the nodes' own blocks, and one sweep applies both.
+V, U and the nodes' own blocks. One sweep applies both: each level's
+blocks sit zero-padded in one stack (``_stacks.Telescope``), so it costs
+one batched product per level up and two down. The inverse keeps its
+stacks; ``hbs_matvec`` packs A's for each call.
 """
 
 import logging
@@ -25,6 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
+from ._stacks import Telescope
 from .linalg import (_BLOCKS_HINT, SingularMatrixError, interpolative_decomposition,
                      lu_factor_checked)
 from .tree import ClusterTree, sibling_pairs
@@ -32,16 +36,9 @@ from .tree import ClusterTree, sibling_pairs
 logger = logging.getLogger(__name__)
 
 __all__ = [
-    "woodbury_variant",
-    "BlockSeparableMatrix",
-    "compress_to_block_separable",
-    "block_separable_inverse_apply",
-    "HbsMatrix",
-    "compress_to_hbs",
-    "hbs_matvec",
-    "HbsInverse",
-    "hbs_invert",
-    "hbs_storage",
+    "woodbury_variant", "BlockSeparableMatrix", "compress_to_block_separable",
+    "block_separable_inverse_apply", "HbsMatrix", "compress_to_hbs", "hbs_matvec",
+    "HbsInverse", "hbs_invert", "hbs_storage",
 ]
 
 
@@ -62,17 +59,11 @@ def woodbury_variant(D, U, V, Atilde=None):
 def _woodbury_variant(D, U, V):
     """``woodbury_variant``'s blocks and the 1-norm condition number of D,
     ||D||_1 ||D^{-1}||_1 (1 if empty), read off the D^{-1} the blocks are built from."""
-    D = np.asarray(D)
-    U = np.asarray(U)
-    V = np.asarray(V)
-    n = D.shape[0]
-    K = U.shape[1]
+    D, U, V = np.asarray(D), np.asarray(U), np.asarray(V)
+    n, K = U.shape
     lu = lu_factor_checked(D, "D")
     Dinv = scipy.linalg.lu_solve(lu, np.eye(n, dtype=D.dtype))
     cond = float(np.linalg.norm(D, 1) * np.linalg.norm(Dinv, 1)) if n else 1.0
-    if K == 0:
-        empty = np.zeros((n, 0), dtype=D.dtype)
-        return (np.zeros((0, 0), dtype=D.dtype), empty, empty, Dinv), cond
     Z = scipy.linalg.lu_solve(lu, U)  # D^{-1} U
     M = V.conj().T @ Z  # V* D^{-1} U
     Dhat = scipy.linalg.lu_solve(lu_factor_checked(M, "V* D^-1 U"), np.eye(K))
@@ -114,10 +105,8 @@ def _union_skeleton(Brow, Bcol, tol):
     J = np.union1d(row_id.skeleton, col_id.skeleton).astype(int)
     k = len(J)
     rest = np.setdiff1d(np.arange(n), J)
-    U = np.zeros((n, k), dtype=dtype)
-    V = np.zeros((n, k), dtype=dtype)
-    U[J] = np.eye(k)
-    V[J] = np.eye(k)
+    U, V = np.zeros((n, k), dtype=dtype), np.zeros((n, k), dtype=dtype)
+    U[J] = V[J] = np.eye(k)
     if k and len(rest):
         # rows: Brow[rest] ~= X @ Brow[J]; columns analogously
         eps = np.finfo(dtype).eps
@@ -144,23 +133,11 @@ class BlockSeparableMatrix:
     D: list  # dense diagonal blocks
     skeleton: list  # global skeleton indices per block
 
-    def todense(self):
-        N = sum(len(i) for i in self.partition)
-        dtype = self.D[0].dtype
-        A = np.zeros((N, N), dtype=dtype)
-        for a, ia in enumerate(self.partition):
-            A[np.ix_(ia, ia)] = self.D[a]
-            for b, ib in enumerate(self.partition):
-                if a != b:
-                    A[np.ix_(ia, ib)] = self.U[a] @ self.Atilde[(a, b)] @ self.V[b].conj().T
-        return A
-
 
 def compress_to_block_separable(A, partition, tol) -> BlockSeparableMatrix:
     """Skeletonize a dense matrix over a flat partition of its indices."""
     A = np.asarray(A)
-    N = A.shape[0]
-    allidx = np.arange(N)
+    allidx = np.arange(A.shape[0])
     U, V, D, skel = [], [], [], []
     for ia in partition:
         comp = np.setdiff1d(allidx, ia)
@@ -169,16 +146,10 @@ def compress_to_block_separable(A, partition, tol) -> BlockSeparableMatrix:
         V.append(Va)
         D.append(A[np.ix_(ia, ia)].copy())
         skel.append(np.asarray(ia)[J])
-    Atilde = {
-        (a, b): A[np.ix_(skel[a], skel[b])].copy()
-        for a in range(len(partition))
-        for b in range(len(partition))
-        if a != b
-    }
-    return BlockSeparableMatrix(
-        partition=[np.asarray(i) for i in partition],
-        U=U, V=V, Atilde=Atilde, D=D, skeleton=skel,
-    )
+    Atilde = {(a, b): A[np.ix_(sa, sb)].copy()
+              for a, sa in enumerate(skel) for b, sb in enumerate(skel) if a != b}
+    return BlockSeparableMatrix(partition=[np.asarray(i) for i in partition],
+                                U=U, V=V, Atilde=Atilde, D=D, skeleton=skel)
 
 
 def block_separable_inverse_apply(B: BlockSeparableMatrix, u):
@@ -188,17 +159,11 @@ def block_separable_inverse_apply(B: BlockSeparableMatrix, u):
     as the reference pipeline against which the hierarchical inversion
     is checked.
     """
-    sizes = [len(i) for i in B.partition]
-    ks = [Ua.shape[1] for Ua in B.U]
     Dfull = scipy.linalg.block_diag(*B.D)
     Ufull = scipy.linalg.block_diag(*B.U)
     Vfull = scipy.linalg.block_diag(*B.V)
-    K = sum(ks)
-    dtype = Dfull.dtype
-    At = np.zeros((K, K), dtype=dtype)
-    offs = np.concatenate([[0], np.cumsum(ks)])
-    for (a, b), M in B.Atilde.items():
-        At[offs[a]:offs[a + 1], offs[b]:offs[b + 1]] = M
+    At = np.block([[B.Atilde.get((a, b), np.zeros((Ua.shape[1], Vb.shape[1]), Dfull.dtype))
+                    for b, Vb in enumerate(B.V)] for a, Ua in enumerate(B.U)])
     Dhat, E, F, G = woodbury_variant(Dfull, Ufull, Vfull, At)
     perm = np.concatenate(B.partition)
     up = np.asarray(u)[perm]
@@ -234,10 +199,8 @@ class HbsMatrix:
         return len(self.skeleton[tau])
 
     def per_level_ranks(self):
-        return {
-            ell: max(self.rank(t) for t in self.tree.nodes_at_level(ell))
-            for ell in range(1, self.tree.depth + 1)
-        }
+        return {ell: max(self.rank(t) for t in self.tree.nodes_at_level(ell))
+                for ell in range(1, self.tree.depth + 1)}
 
     def todense(self) -> np.ndarray:
         """Dense A as the matvec of the identity (test-scale only)."""
@@ -270,83 +233,49 @@ def compress_to_hbs(A, tree: ClusterTree, tol) -> HbsMatrix:
     for ell in range(t.depth, 0, -1):
         for tau in t.nodes_at_level(ell):
             own = t.index_range(tau)
-            rows = own if t.is_leaf(tau) else np.concatenate(
-                [skel[c] for c in t.children(tau)]
-            )
+            rows = own if t.is_leaf(tau) else np.concatenate([skel[c] for c in t.children(tau)])
             comp = np.setdiff1d(allidx, own)
             J, Ut, Vt = _union_skeleton(A[np.ix_(rows, comp)], A[np.ix_(comp, rows)], tol)
             U[tau], V[tau] = Ut, Vt
             skel[tau] = rows[J]
-    Atilde = {}
-    for a, b in sibling_pairs(t):
-        Atilde[(a, b)] = A[np.ix_(skel[a], skel[b])].copy()
-        Atilde[(b, a)] = A[np.ix_(skel[b], skel[a])].copy()
+    Atilde = {(a, b): A[np.ix_(skel[a], skel[b])].copy()
+              for pair in sibling_pairs(t) for a, b in (pair, pair[::-1])}
     D = {tau: A[np.ix_(t.index_range(tau), t.index_range(tau))].copy() for tau in t.leaves()}
     return HbsMatrix(tree=t, U=U, V=V, Atilde=Atilde, D=D, skeleton=skel, tol=tol)
 
 
-def _telescope(tree: ClusterTree, W, Z, B, x):
-    """M x for M in telescoping form: an HBS matrix or its inverse.
-
-    Upward, each node stacks its rows of x (leaf) or its children's
-    coefficients (parent) into v_tau and passes W_tau* v_tau up.
-    Downward, each node forms B(tau, v_tau) + Z_tau q_tau (no Z term at
-    the root) and splits it over its children, or writes it out at a leaf.
-    """
-    x = np.ascontiguousarray(x)  # leaf blocks of rows are then contiguous
-    if x.shape[0] != tree.N:
-        raise ValueError(f"vector length {x.shape[0]} != {tree.N}")
-    v, up = {}, {}
-    for ell in range(tree.depth, -1, -1):
-        for tau in tree.nodes_at_level(ell):
-            v[tau] = (x[slice(*tree.ranges[tau])] if tree.is_leaf(tau)
-                      else np.concatenate([up[c] for c in tree.children(tau)]))
-            if ell:
-                up[tau] = W[tau].conj().T @ v[tau]
-    q, y = {}, []
-    for ell in range(tree.depth + 1):
-        for tau in tree.nodes_at_level(ell):
-            out = B(tau, v[tau]) + Z[tau] @ q[tau] if ell else B(tau, v[tau])
-            if tree.is_leaf(tau):
-                y.append(out)
-            else:
-                a, b = tree.children(tau)
-                q[a], q[b] = out[:len(up[a])], out[len(up[a]):]
-    return np.concatenate(y)
-
-
 def hbs_matvec(H: HbsMatrix, x):
-    """y = A x by the telescoping sweep through V* and U. A leaf's own
-    block is D_tau; a parent's couples its children through the sibling
-    interactions, [Atilde_ab v_b; Atilde_ba v_a]."""
-    t = H.tree
-
-    def coupling(tau, v):
+    """y = A x by the telescoping sweep through V* and U, with the
+    blocks packed into level stacks for the call. A leaf's own block is
+    D_tau; a parent's couples its children through the sibling
+    interactions, [0, Atilde_ab; Atilde_ba, 0]."""
+    t, st = H.tree, Telescope.zeros(H.tree, H.rank, H.dtype)
+    for tau in range(1, t.nnodes + 1):
         if t.is_leaf(tau):
-            return H.D[tau] @ v
-        a, b = t.children(tau)
-        ka = len(H.skeleton[a])
-        return np.concatenate([H.Atilde[(a, b)] @ v[ka:], H.Atilde[(b, a)] @ v[:ka]])
-
-    return _telescope(t, H.V, H.U, coupling, x)
+            B = H.D[tau]
+        else:
+            a, b = t.children(tau)
+            B = np.block([[np.zeros((H.rank(a),) * 2), H.Atilde[(a, b)]],
+                          [H.Atilde[(b, a)], np.zeros((H.rank(b),) * 2)]])
+        st.put(tau, H.V.get(tau, B[:, :0]), H.U.get(tau, B[:, :0]), B)
+    return st.apply(x)
 
 
 @dataclass
 class HbsInverse:
     """A^{-1} in the telescoping form of A: F, E and G take the places of
-    V, U and the nodes' own blocks, and ``apply`` runs the sweep that
-    ``hbs_matvec`` runs. The root's G is the inverse of its Dtilde."""
+    V, U and the nodes' own blocks, held as one zero-padded ``Telescope``
+    stack per tree level, and ``apply`` runs the sweep that ``hbs_matvec``
+    runs. The root's G is the inverse of its Dtilde."""
 
     tree: ClusterTree
-    E: dict
-    F: dict
-    G: dict
+    stacks: Telescope
     # 1-norm condition estimates of every Dtilde block (the stability
     # bookkeeping used instead of a ULV-style factorization)
     cond_estimates: dict = field(default_factory=dict)
 
     def apply(self, u):
-        return _telescope(self.tree, self.F, self.E, lambda tau, v: self.G[tau] @ v, u)
+        return self.stacks.apply(u)
 
 
 def hbs_invert(H: HbsMatrix) -> HbsInverse:
@@ -361,8 +290,8 @@ def hbs_invert(H: HbsMatrix) -> HbsInverse:
     condition estimate of every block is recorded (ill conditioning is
     logged, not repaired).
     """
-    t = H.tree
-    E, F, G, Dhat, conds = {}, {}, {}, {}, {}
+    t, st = H.tree, Telescope.zeros(H.tree, H.rank, H.dtype)
+    Dhat, conds = {}, {}
     for ell in range(t.depth, -1, -1):
         for tau in t.nodes_at_level(ell):
             if t.is_leaf(tau):
@@ -372,26 +301,19 @@ def hbs_invert(H: HbsMatrix) -> HbsInverse:
                 Dt = np.block([[Dhat[a], H.Atilde[(a, b)]],
                                [H.Atilde[(b, a)], Dhat[b]]])
             try:
-                (Dhat[tau], E[tau], F[tau], G[tau]), conds[tau] = _woodbury_variant(
-                    Dt, H.U.get(tau, Dt[:, :0]), H.V.get(tau, Dt[:, :0])
-                )
+                (Dhat[tau], E, F, G), conds[tau] = _woodbury_variant(
+                    Dt, H.U.get(tau, Dt[:, :0]), H.V.get(tau, Dt[:, :0]))
             except SingularMatrixError as exc:
-                raise SingularMatrixError(
-                    f"singular intermediate at node {tau} (level {ell}): {exc}"
-                    f"{_BLOCKS_HINT}"
-                ) from exc
+                raise SingularMatrixError(f"singular intermediate at node {tau} (level {ell}): "
+                                          f"{exc}{_BLOCKS_HINT}") from exc
+            st.put(tau, F, E, G)
             if conds[tau] > 1e13:
-                logger.warning(
-                    "Dtilde at node %d (level %d) has condition estimate %.2e",
-                    tau, ell, conds[tau],
-                )
-    return HbsInverse(tree=t, E=E, F=F, G=G, cond_estimates=conds)
+                logger.warning("Dtilde at node %d (level %d) has condition estimate %.2e",
+                               tau, ell, conds[tau])
+    return HbsInverse(tree=t, stacks=st, cond_estimates=conds)
 
 
 def hbs_storage(H: HbsMatrix):
     """Exact stored-scalar count and the largest rank per level."""
-    scalars = sum(M.size for M in H.D.values())
-    scalars += sum(M.size for M in H.U.values())
-    scalars += sum(M.size for M in H.V.values())
-    scalars += sum(M.size for M in H.Atilde.values())
+    scalars = sum(M.size for blocks in (H.D, H.U, H.V, H.Atilde) for M in blocks.values())
     return {"stored_scalars": scalars, "per_level_ranks": H.per_level_ranks()}

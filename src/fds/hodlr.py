@@ -13,8 +13,6 @@ built. The blocks of each factor are kept as stacks of equal shape, so
 the apply is one batched product per stack: depth + 1 of them on a
 tree whose levels have one block size and rank, O(N (leaf + rank))
 flops in all.
-
-Blocks are addressed through slices of ``tree.ranges``, never gathered.
 """
 
 from dataclasses import dataclass
@@ -22,18 +20,14 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
+from ._stacks import _left_multiply, _stack
 from .linalg import (_BLOCKS_HINT, LowRankFactor, SingularMatrixError, low_rank_approx,
                      lu_factor_checked)
 from .tree import ClusterTree, sibling_pairs
 
 __all__ = [
-    "HodlrMatrix",
-    "HodlrInverseMultiplicative",
-    "compress_to_hodlr",
-    "hodlr_matvec",
-    "recompress_inverse",
-    "invert_multiplicative",
-    "storage_report",
+    "HodlrMatrix", "HodlrInverseMultiplicative", "compress_to_hodlr", "hodlr_matvec",
+    "recompress_inverse", "invert_multiplicative", "storage_report",
 ]
 
 
@@ -98,61 +92,6 @@ def hodlr_matvec(H: HodlrMatrix, x):
 
 
 @dataclass
-class _Stack:
-    """Same-shaped diagonal blocks of one factor B_ell, stacked on axis 0.
-
-    Block j acts on rows ``rows[j]`` of the vector. ``rows`` is None when
-    the stack is the whole level and its blocks tile range(N) in order:
-    the blocks are then a reshape view of the vector.
-    """
-
-    nodes: list  # node ids, one per block
-    rows: np.ndarray  # (g, n) row indices, or None
-    U: np.ndarray  # (g, n, n) leaf inverses, or (g, n, k) left factors
-    V: np.ndarray = None  # (g, n, k) right factors; the block is I + U V*
-
-    def blocks(self, y):
-        """The (g, n, r) blocks of y: a view, or a gathered copy."""
-        if self.rows is None:
-            return y.reshape(self.U.shape[:2] + y.shape[1:])
-        return y[self.rows]
-
-
-def _stack(t, nodes, arrays):
-    """One _Stack per distinct block shape among ``nodes``, in node order;
-    ``arrays(tau)`` gives the node's (U,) or (U, V) pair."""
-    shapes = {}
-    for tau in nodes:
-        shapes.setdefault(tuple(a.shape for a in arrays(tau)), []).append(tau)
-    out = []
-    for members in shapes.values():
-        rows = None
-        if len(shapes) > 1:
-            rows = np.array([np.arange(*t.ranges[tau]) for tau in members])
-        out.append(_Stack(members, rows, *(np.stack(s) for s in zip(*map(arrays, members)))))
-    return out
-
-
-def _left_multiply(stacks, y, x=None):
-    """y <- B y in place, for the (N, r) array y and the block-diagonal
-    factor B whose blocks ``stacks`` hold: blocks I + U V*, or dense
-    leaf blocks U, which write B x into y when x is given."""
-    for s in stacks:
-        if s.V is None:
-            xb = s.blocks(y if x is None else x)
-            if s.rows is None:
-                np.matmul(s.U, xb, out=s.blocks(y))
-            else:
-                y[s.rows] = s.U @ xb
-            continue
-        yb = s.blocks(y)
-        yb += s.U @ (np.swapaxes(s.V.conj(), 1, 2) @ yb)
-        if s.rows is not None:
-            y[s.rows] = yb
-    return y
-
-
-@dataclass
 class HodlrInverseMultiplicative:
     """A^{-1} = B_0 B_1 ... B_L, each factor block diagonal.
 
@@ -160,12 +99,8 @@ class HodlrInverseMultiplicative:
     size. Each coarser B_ell is ``level_stacks[ell]``: its
     identity-plus-low-rank blocks I + U V*, stacked by (block size,
     rank). ``apply`` takes (N,) or (N, r) right-hand sides and runs one
-    batched ``matmul`` per stack, leaves first: O(N (leaf + rank) r)
-    flops and depth + 1 batched products on a tree whose levels each
-    have one block size and rank (a stack covering its whole level
-    works on a reshape view of the vector; the others gather and
-    scatter their rows). ``leaf_inverses`` and ``level_blocks`` give
-    the per-node blocks as views into the stacks.
+    batched ``matmul`` per stack, leaves first. ``leaf_inverses`` and
+    ``level_blocks`` give the per-node blocks as views into the stacks.
     """
 
     tree: ClusterTree
@@ -263,8 +198,7 @@ def invert_multiplicative(H: HodlrMatrix) -> HodlrInverseMultiplicative:
         for P in panels.values():
             _left_multiply(level_stacks[ell], P)
 
-    return HodlrInverseMultiplicative(tree=t, leaf_stacks=leaf_stacks,
-                                      level_stacks=level_stacks)
+    return HodlrInverseMultiplicative(t, leaf_stacks, level_stacks)
 
 
 def recompress_inverse(inv: HodlrInverseMultiplicative, tol) -> HodlrMatrix:

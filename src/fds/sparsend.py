@@ -543,8 +543,8 @@ def schur_offdiag_spectrum(dim, n, operator="laplace", kappa=None, leaf_cells=8)
         m = None
         label = f"{dim}d laplace n={n}"
     elif operator == "helmholtz":
-        if kappa is None or kappa <= 0:
-            raise ValueError("helmholtz needs kappa > 0")
+        if kappa is None or not 0 < kappa < np.inf:
+            raise ValueError(f"helmholtz needs a finite kappa > 0, got {kappa!r}")
         m = -float(kappa) ** 2
         label = f"{dim}d helmholtz kappa={kappa:g} n={n}"
     else:

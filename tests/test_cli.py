@@ -165,6 +165,23 @@ def test_spectrum_non_finite_kappa_exits_2(kappa, capsys):
     assert "kappa" in err and "log singularity" not in err
 
 
+@pytest.mark.parametrize("schur", [False, True])
+@pytest.mark.parametrize("kappa", ["nan", "inf", "-inf", "0", "-3"])
+def test_nd_bad_kappa_exits_2_before_assembly(kappa, schur, monkeypatch, capsys):
+    # a non-finite kappa used to reach the stencil and fail there without
+    # naming kappa; kappa <= 0 silently ran Laplace
+    from fds import sparsend
+
+    def no_assembly(*args, **kwargs):
+        raise AssertionError("the stencil was assembled")
+
+    monkeypatch.setattr(sparsend, "assemble_stencil", no_assembly)
+    code = main(["nd", "--dim", "2", "--n", "8", f"--kappa={kappa}"] + ["--schur"] * schur)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "kappa" in err and "infs or NaNs" not in err
+
+
 def test_exit_code_flag_value_range(capsys):
     code, _ = run_cli(["admissibility", "--pts-per-box", "8"], capsys)
     assert code == 2  # outside the validated [16, 400] range

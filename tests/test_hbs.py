@@ -6,6 +6,7 @@ import logging
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import example, given, settings, strategies
 
 from fds.bie2d import assemble_bie, laplace_fundamental, make_curve
 from fds.bvp1d import green_1d
@@ -19,8 +20,9 @@ from fds.hbs import (
     woodbury_variant,
 )
 from fds.linalg import SingularMatrixError, dense_lu_solve
+from fds.solve import factor
 from fds.special import hankel0_first_kind
-from fds.tree import build_uniform_tree
+from fds.tree import build_uniform_tree, sibling_pairs
 
 RNG_SEED = 90210
 
@@ -35,6 +37,13 @@ def green_kernel_matrix(N):
 def ellipse_bie_matrix(N):
     curve = make_curve("ellipse", N, 2.0, 1.0)
     return assemble_bie(curve, np.zeros(N)).matrix
+
+
+def starfish_bie_matrix(N):
+    """The starfish double-layer matrix; an odd N keeps the leading block
+    of the next even size."""
+    M = N + N % 2
+    return assemble_bie(make_curve("starfish", M, 0.3, 5), np.zeros(M)).matrix[:N, :N]
 
 
 def helmholtz_starfish_matrix(N):
@@ -448,6 +457,107 @@ class TestApplyInverse:
             inv.apply(np.ones(63))
 
 
+def dense_from_blocks(H):
+    """A rebuilt node by node from H's dict blocks: the leaf blocks D_tau,
+    and U_a Atilde_ab V_b* for every sibling pair through long bases."""
+    t, A = H.tree, np.zeros((H.N, H.N), dtype=H.dtype)
+    long_u, long_v = {}, {}
+    for ell in range(t.depth, 0, -1):
+        for tau in t.nodes_at_level(ell):
+            if t.is_leaf(tau):
+                long_u[tau], long_v[tau] = H.U[tau], H.V[tau]
+                A[slice(*t.ranges[tau]), slice(*t.ranges[tau])] = H.D[tau]
+            else:
+                a, b = t.children(tau)
+                long_u[tau] = scipy.linalg.block_diag(long_u[a], long_u[b]) @ H.U[tau]
+                long_v[tau] = scipy.linalg.block_diag(long_v[a], long_v[b]) @ H.V[tau]
+    for pair in sibling_pairs(t):
+        for a, b in (pair, pair[::-1]):
+            A[slice(*t.ranges[a]), slice(*t.ranges[b])] = (
+                long_u[a] @ H.Atilde[(a, b)] @ long_v[b].conj().T)
+    return A
+
+
+class TestLevelStacks:
+    """The inverse as one zero-padded stack per level."""
+
+    @pytest.fixture(scope="class")
+    def helmholtz777(self):
+        # complex, leaves of 97 and 98, unequal ranks within each level
+        A = helmholtz_starfish_matrix(777)
+        H = compress_to_hbs(A, build_uniform_tree(777, 64), 1e-10)
+        return H, hbs_invert(H)
+
+    def test_mixed_ranks_one_padded_stack_per_level(self, helmholtz777):
+        H, inv = helmholtz777
+        t, st = H.tree, inv.stacks
+        assert len(st.B) == t.depth + 1 and st.leaf is not None
+        assert any(len({H.rank(tau) for tau in t.nodes_at_level(ell)}) > 1
+                   for ell in range(1, t.depth + 1))
+        # the Woodbury blocks rebuilt node by node, bottom-up
+        Dhat = {}
+        for ell in range(t.depth, -1, -1):
+            K = st.Wh[ell + 1].shape[1] if ell < t.depth else None
+            for j, tau in enumerate(t.nodes_at_level(ell)):
+                if t.is_leaf(tau):
+                    Dt, p = H.D[tau], np.arange(t.size(tau))
+                else:
+                    a, b = t.children(tau)
+                    Dt = np.block([[Dhat[a], H.Atilde[(a, b)]], [H.Atilde[(b, a)], Dhat[b]]])
+                    p = np.r_[0:H.rank(a), K:K + H.rank(b)]
+                r = H.rank(tau) if tau > 1 else 0
+                Dhat[tau], E, F, G = woodbury_variant(Dt, H.U.get(tau, Dt[:, :0]),
+                                                      H.V.get(tau, Dt[:, :0]))
+                Wh, Z, B = st.Wh[ell][j], st.Z[ell][j], st.B[ell][j]
+                assert np.array_equal(Wh[:r, p], F.conj().T)
+                assert np.array_equal(Z[p, :r], E)
+                assert np.array_equal(B[np.ix_(p, p)], G)
+                pad = np.ones(B.shape[0], bool)
+                pad[p] = False
+                assert not Wh[r:].any() and not Wh[:, pad].any()
+                assert not Z[:, r:].any() and not Z[pad].any()
+                assert not B[pad].any() and not B[:, pad].any()
+
+    def test_complex_keeps_imaginary_part(self, helmholtz777):
+        H, inv = helmholtz777
+        b = np.random.default_rng(RNG_SEED).standard_normal(H.N)
+        y = inv.apply(b)
+        y_ref = np.linalg.solve(H.todense(), b)
+        assert y.dtype == np.complex128
+        assert np.linalg.norm((y - y_ref).imag) <= 1e-12 * np.linalg.norm(y_ref.imag)
+
+    def test_uneven_leaves_match_dense_solve(self):
+        # real BIE matrix, N = 777: the leaf stack pads 97-row leaves to 98,
+        # solved against the dense matrix the HBS blocks represent
+        N = 777
+        H = compress_to_hbs(starfish_bie_matrix(N), build_uniform_tree(N, 64), 1e-10)
+        inv = hbs_invert(H)
+        assert inv.stacks.leaf.sum() == N and inv.stacks.leaf.shape == (8, 98)
+        rng = np.random.default_rng(RNG_SEED)
+        B = rng.standard_normal((N, 2)) + 1j * rng.standard_normal((N, 2))
+        Y, Y_ref = inv.apply(B), np.linalg.solve(H.todense(), B)
+        assert np.linalg.norm(Y - Y_ref) <= 1e-12 * np.linalg.norm(Y_ref)
+        # a real inverse applied to complex data keeps both parts (the
+        # stacks are cast to complex, so the sums round differently)
+        Y_imag = inv.apply(B.imag)
+        assert np.linalg.norm(Y.imag - Y_imag) <= 1e-14 * np.linalg.norm(Y_imag)
+
+    def test_depth_zero_is_one_dense_stack(self):
+        A = green_kernel_matrix(50) + np.eye(50)
+        inv = hbs_invert(compress_to_hbs(A, build_uniform_tree(50, 32), 1e-10))
+        st = inv.stacks
+        assert [M.shape for M in st.B] == [(1, 50, 50)] and st.leaf is None
+        assert st.Wh[0].shape == (1, 0, 50) and st.Z[0].shape == (1, 50, 0)
+        x = np.arange(50.0)
+        assert np.linalg.norm(A @ inv.apply(x) - x) <= 1e-13 * np.linalg.norm(x)
+
+    @pytest.mark.parametrize("N", [512, 777])
+    def test_matvec_of_identity_matches_blockwise_dense(self, N):
+        H = compress_to_hbs(starfish_bie_matrix(N), build_uniform_tree(N, 64), 1e-10)
+        ref = dense_from_blocks(H)
+        assert np.linalg.norm(hbs_matvec(H, np.eye(N)) - ref) <= 1e-14 * np.linalg.norm(ref)
+
+
 class TestStorage:
     def test_linear_growth_at_fixed_rank(self):
         s = {}
@@ -470,3 +580,43 @@ class TestStorage:
         ranks = hbs_storage(H)["per_level_ranks"]
         levels = sorted(ranks)
         assert all(ranks[a] <= ranks[b] for a, b in zip(levels, levels[1:]))
+
+
+@settings(max_examples=25, derandomize=True, deadline=None, database=None)
+@given(N=strategies.integers(3, 300), leaf=strategies.integers(2, 64),
+       log_tol=strategies.integers(-12, -4), is_complex=strategies.booleans(),
+       cut=strategies.booleans(), seed=strategies.integers(0, 2**32 - 1))
+# a depth-0 tree (N < 2 leaf), a depth-1 tree, and an odd N whose root
+# coupling is zeroed (rank 0)
+@example(N=100, leaf=64, log_tol=-12, is_complex=True, cut=False, seed=1)
+@example(N=150, leaf=64, log_tol=-8, is_complex=False, cut=False, seed=2)
+@example(N=299, leaf=16, log_tol=-4, is_complex=True, cut=True, seed=3)
+def test_factor_hbs_property(N, leaf, log_tol, is_complex, cut, seed):
+    """factor(A, "hbs") on real and complex matrices, any N and leaf,
+    tol 1e-12 .. 1e-4; ``cut`` zeroes both root coupling blocks."""
+    tol = 10.0 ** log_tol
+    rng = np.random.default_rng(seed)
+    x = np.sort(rng.uniform(0.0, 1.0, N))
+    A = 1.0 / (1.0 + 10.0 * np.abs(x[:, None] - x[None, :])) + 4.0 * np.eye(N)
+    if is_complex:
+        A = A * np.exp(3j * (x[:, None] - x[None, :]))
+    tree = build_uniform_tree(N, leaf)
+    if cut and tree.depth:
+        s2, s3 = slice(*tree.ranges[2]), slice(*tree.ranges[3])
+        A[s2, s3] = A[s3, s2] = 0.0
+    B = rng.standard_normal((N, 3))
+
+    H = compress_to_hbs(A, tree, tol)
+    if cut and tree.depth:
+        assert H.rank(2) == H.rank(3) == 0
+    fac = factor(A, "hbs", tree, tol)
+    assert fac.stored_scalars == hbs_storage(H)["stored_scalars"]
+    Y = fac.apply(B)
+    assert np.array_equal(Y, hbs_invert(H).apply(B)) and np.iscomplexobj(Y) == is_complex
+    # one block of right-hand sides against its columns: gemm and gemv sums
+    # may round differently
+    cols = np.column_stack([fac.apply(b) for b in B.T])
+    assert np.linalg.norm(Y - cols) <= 1e-12 * np.linalg.norm(Y)
+    Y_ref = np.linalg.solve(A, B)
+    bound = 2 * (tree.depth + 1) * tol * np.linalg.cond(A)
+    assert np.linalg.norm(Y - Y_ref) <= bound * np.linalg.norm(Y_ref)

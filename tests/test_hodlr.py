@@ -319,6 +319,24 @@ class TestBatchedApply:
         assert y.shape == x.shape and y.dtype == y_ref.dtype
         assert np.linalg.norm(y - y_ref) <= 1e-14 * np.linalg.norm(y_ref)
 
+    @pytest.mark.parametrize("nrhs", [1, 2])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_batched_products_are_per_block_products(self, case, nrhs):
+        # each stack's batched matmul is its blocks' products, to the bit
+        inv = invert_multiplicative(self.CASES[case]())
+        t, r = inv.tree, inv.tree.ranges
+        x = np.random.default_rng(RNG_SEED).standard_normal((t.N, nrhs))
+        y = np.zeros(x.shape, np.result_type(x, *(s.U for s in inv.leaf_stacks)))
+        for s in inv.leaf_stacks:
+            for j, tau in enumerate(s.nodes):
+                y[slice(*r[tau])] = s.U[j] @ x[slice(*r[tau])]
+        for ell in range(t.depth - 1, -1, -1):
+            for s in inv.level_stacks[ell]:
+                for j, tau in enumerate(s.nodes):
+                    yt = y[slice(*r[tau])]
+                    yt += s.U[j] @ (s.V[j].conj().T @ yt)
+        assert np.array_equal(inv.apply(x), y)
+
     def test_stack_layout(self):
         two = invert_multiplicative(self.CASES["two_sizes"]())
         assert [len(two.level_stacks[ell]) for ell in range(3)] == [1, 2, 2]

@@ -480,6 +480,11 @@ def test_nd_solve_matches_dense_solve(dim, data):
 
 
 class TestSchurSpectrum:
+    @pytest.mark.parametrize("kappa", [None, np.nan, np.inf, 0.0, -1.0])
+    def test_helmholtz_rejects_bad_kappa(self, kappa):
+        with pytest.raises(ValueError, match="kappa"):
+            schur_offdiag_spectrum(2, 16, operator="helmholtz", kappa=kappa)
+
     def test_2d_laplace_rank_growth_slow(self):
         r64 = schur_offdiag_spectrum(2, 64).rank_at(1e-10)
         r128 = schur_offdiag_spectrum(2, 128).rank_at(1e-10)
