@@ -13,6 +13,15 @@ parameterization. Under these conventions the double layer of the unit
 density equals -1 everywhere inside (the Gauss identity), which the
 tests pin down against an adaptive-quadrature oracle.
 
+The curves form one polar family, gamma(t) = (a r(t) cos t, b r(t) sin t)
+with r = 1 + amp cos(arms t), a, b > 0 and 0 <= amp < 1: circle(R) is
+(a, b, amp) = (R, R, 0), ellipse(a, b) is (a, b, 0) and starfish(amp,
+arms) is (1, 1, amp). No self-intersection check is needed:
+r > 0 makes every member star-shaped about the origin, and the sampled
+polygon is simple too, because consecutive nodes t_j < t_{j+1} satisfy
+gamma(t_j) x gamma(t_{j+1}) = a b r_j r_{j+1} sin(2 pi / N) > 0 (N >= 16),
+so the nodes wind once around the origin in strictly increasing angle.
+
 Also here: proxy-surface compression of far-field blocks of the Nystrom
 matrix, and the separated multipole expansion of the log kernel used to
 explain the observed ranks.
@@ -76,102 +85,52 @@ class Curve:
         return float(d.max())
 
 
-def _parameterization(kind, params):
-    if kind == "circle":
-        (r,) = params
-        if r <= 0:
-            raise ValueError("circle radius must be positive")
-        return (
-            lambda t: np.column_stack([r * np.cos(t), r * np.sin(t)]),
-            lambda t: np.column_stack([-r * np.sin(t), r * np.cos(t)]),
-            lambda t: np.column_stack([-r * np.cos(t), -r * np.sin(t)]),
-        )
-    if kind == "ellipse":
-        a, b = params
-        if a <= 0 or b <= 0:
-            raise ValueError("ellipse semi-axes must be positive")
-        return (
-            lambda t: np.column_stack([a * np.cos(t), b * np.sin(t)]),
-            lambda t: np.column_stack([-a * np.sin(t), b * np.cos(t)]),
-            lambda t: np.column_stack([-a * np.cos(t), -b * np.sin(t)]),
-        )
+def _polar_params(kind, params):
+    """The checked (a, b, amp, arms) of a named curve."""
+    names = {"circle": ("radius",), "ellipse": ("a", "b"), "starfish": ("amp", "arms")}.get(kind)
+    if names is None:
+        raise ValueError(f"unknown curve kind {kind!r}")
+    if len(params) != len(names):
+        raise ValueError(f"{kind} takes {len(names)} parameter(s) {', '.join(names)}; "
+                         f"got {len(params)}")
     if kind == "starfish":
         amp, arms = params
         if not 0 < amp < 1:
             raise ValueError("starfish amplitude must lie in (0, 1)")
-        arms = int(arms)
-
-        def gamma(t):
-            r = 1.0 + amp * np.cos(arms * t)
-            return np.column_stack([r * np.cos(t), r * np.sin(t)])
-
-        def dgamma(t):
-            r = 1.0 + amp * np.cos(arms * t)
-            dr = -amp * arms * np.sin(arms * t)
-            return np.column_stack(
-                [dr * np.cos(t) - r * np.sin(t), dr * np.sin(t) + r * np.cos(t)]
-            )
-
-        def ddgamma(t):
-            r = 1.0 + amp * np.cos(arms * t)
-            dr = -amp * arms * np.sin(arms * t)
-            ddr = -amp * arms * arms * np.cos(arms * t)
-            return np.column_stack(
-                [
-                    ddr * np.cos(t) - 2 * dr * np.sin(t) - r * np.cos(t),
-                    ddr * np.sin(t) + 2 * dr * np.cos(t) - r * np.sin(t),
-                ]
-            )
-
-        return gamma, dgamma, ddgamma
-    raise ValueError(f"unknown curve kind {kind!r}")
-
-
-def _coarse_intersection_scan(x):
-    """Reject self-intersecting polygons on a coarse node subsample."""
-    n = min(len(x), 128)
-    idx = np.linspace(0, len(x), n, endpoint=False).astype(int)
-    p = x[idx]
-    q = np.roll(p, -1, axis=0)
-    d = q - p
-    for i in range(n):
-        # segment i against all non-adjacent segments j > i + 1
-        j = np.arange(i + 2, n - (1 if i == 0 else 0))
-        if len(j) == 0:
-            continue
-        r = d[i]
-        s = d[j]
-        pq = p[j] - p[i]
-        denom = r[0] * s[:, 1] - r[1] * s[:, 0]
-        mask = np.abs(denom) > 1e-15
-        tt = (pq[:, 0] * s[:, 1] - pq[:, 1] * s[:, 0])[mask] / denom[mask]
-        uu = (pq[:, 0] * r[1] - pq[:, 1] * r[0])[mask] / denom[mask]
-        if np.any((tt > 0) & (tt < 1) & (uu > 0) & (uu < 1)):
-            return True
-    return False
+        if not (float(arms).is_integer() and arms >= 1):
+            raise ValueError(f"starfish arms must be a positive integer, got {arms!r}")
+        return 1.0, 1.0, amp, int(arms)
+    if not all(0 < p < np.inf for p in params):
+        raise ValueError(f"{kind} {' and '.join(names)} must be positive and finite")
+    a, b = params if kind == "ellipse" else params * 2
+    return a, b, 0.0, 0
 
 
 def make_curve(kind, N, *params) -> Curve:
-    """Sample a named analytic curve: circle(r), ellipse(a, b),
-    starfish(amp, arms).
+    """Sample a named member of the polar family: circle(radius),
+    ellipse(a, b) or starfish(amp, arms).
 
     Nodes are equispaced in parameter; weights carry the speed factor so
-    that sums approximate arclength integrals with spectral accuracy.
+    that sums approximate arclength integrals with spectral accuracy. A
+    wrong parameter count or a parameter out of range raises ValueError.
     """
     if N < 16 or N % 2:
         raise ValueError(f"need an even node count N >= 16, got {N}")
-    gamma, dgamma, ddgamma = _parameterization(kind, params)
+    a, b, amp, arms = _polar_params(kind, params)
     t = 2.0 * np.pi * np.arange(N) / N
-    x = gamma(t)
-    dx = dgamma(t)
-    ddx = ddgamma(t)
+    cos, sin = np.cos(t), np.sin(t)
+    r = 1.0 + amp * np.cos(arms * t)
+    dr = -amp * arms * np.sin(arms * t)
+    ddr = -amp * arms * arms * np.cos(arms * t)
+    x = np.column_stack([a * (r * cos), b * (r * sin)])
+    dx = np.column_stack([a * (dr * cos - r * sin), b * (dr * sin + r * cos)])
+    ddx = np.column_stack([a * (ddr * cos - 2 * dr * sin - r * cos),
+                           b * (ddr * sin + 2 * dr * cos - r * sin)])
     speed = np.linalg.norm(dx, axis=1)
     if np.any(speed <= 0):
         raise ValueError("degenerate parameterization (zero speed)")
     normal = np.column_stack([dx[:, 1], -dx[:, 0]]) / speed[:, None]
     curvature = (dx[:, 0] * ddx[:, 1] - dx[:, 1] * ddx[:, 0]) / speed**3
-    if _coarse_intersection_scan(x):
-        raise ValueError(f"{kind} curve self-intersects for parameters {params}")
     return Curve(
         kind=kind,
         t=t,

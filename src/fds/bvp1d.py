@@ -7,7 +7,11 @@ the problem through the Green's function of -d^2/dx^2 and discretizes
 with the trapezoidal rule, giving the dense but well-conditioned system
 (I + G M) u = G g whose matrix is diagonal-plus-semi-separable.
 On the shared grid the two discrete systems are mathematically
-equivalent: G is the exact inverse of the m = 0 stencil.
+equivalent: G is the exact inverse of the m = 0 stencil, so each of
+its strict triangles is rank 1.
+
+``condition_study`` compares the two routes' condition numbers and
+errors as N grows.
 """
 
 from dataclasses import dataclass
@@ -22,7 +26,6 @@ __all__ = [
     "TridiagonalMatrix",
     "assemble_fd",
     "solve_tridiag",
-    "semiseparable_check",
     "green_1d",
     "assemble_nystrom",
     "solve_bvp_ie",
@@ -90,12 +93,6 @@ class TridiagonalMatrix:
             + np.diag(self.sup, 1)
         )
 
-    def matvec(self, x):
-        y = self.diag * x
-        y[1:] += self.sub * x[:-1]
-        y[:-1] += self.sup * x[1:]
-        return y
-
 
 def assemble_fd(p: Bvp1dProblem):
     """Second-order stencil: h^{-2} (-1, 2, -1) plus m(x_i) on the diagonal.
@@ -135,37 +132,6 @@ def solve_tridiag(T: TridiagonalMatrix, rhs):
         return scipy.linalg.solve_banded((1, 1), ab, rhs)
     except np.linalg.LinAlgError as exc:
         raise SingularMatrixError(str(exc)) from exc
-
-
-def semiseparable_check(B):
-    """Largest normalized 2x2 minor fully inside either strict triangle.
-
-    A value below ~1e-12 certifies that each triangle of B extends to a
-    rank-1 matrix (the semi-separable structure of a tridiagonal
-    inverse). Minors are normalized by max|B|^2.
-    """
-    B = np.asarray(B, dtype=float)
-    n = B.shape[0]
-    if B.shape != (n, n):
-        raise ValueError("expected a square matrix")
-    scale = np.max(np.abs(B)) ** 2
-    if scale == 0.0:
-        return 0.0
-    worst = 0.0
-    for i1 in range(n):
-        for i2 in range(i1 + 1, n):
-            # a minor on rows (i1, i2) sits inside the strict lower
-            # triangle iff both columns are < i1, inside the strict
-            # upper triangle iff both are > i2
-            for c, d in (
-                (B[i1, :i1], B[i2, :i1]),
-                (B[i1, i2 + 1:], B[i2, i2 + 1:]),
-            ):
-                if len(c) < 2:
-                    continue
-                minors = c[:, None] * d[None, :] - c[None, :] * d[:, None]
-                worst = max(worst, float(np.max(np.abs(minors))))
-    return worst / scale
 
 
 def green_1d(x, y, a, b):

@@ -35,30 +35,17 @@ from .tree import ClusterTree, sibling_pairs
 
 logger = logging.getLogger(__name__)
 
-__all__ = [
-    "woodbury_variant", "BlockSeparableMatrix", "compress_to_block_separable",
-    "block_separable_inverse_apply", "HbsMatrix", "compress_to_hbs", "hbs_matvec",
-    "HbsInverse", "hbs_invert", "hbs_storage",
-]
-
-
-def woodbury_variant(D, U, V, Atilde=None):
-    """One-level inversion blocks (Dhat, E, F, G) for A = U Atilde V* + D.
-
-    All inputs are dense; D is typically block diagonal. The
-    interaction matrix ``Atilde`` never enters the returned blocks (it
-    couples only through the core solve (Atilde + Dhat)^{-1} in the
-    reconstruction A^{-1} = E (Atilde + Dhat)^{-1} F* + G), so it is
-    accepted for signature symmetry but may be omitted. Raises
-    SingularMatrixError identifying which of the two inverses failed.
-    With an empty low-rank part (K = 0), G = D^{-1} and E, F are empty.
-    """
-    return _woodbury_variant(D, U, V)[0]
+__all__ = ["HbsMatrix", "compress_to_hbs", "hbs_matvec", "HbsInverse", "hbs_invert",
+           "hbs_storage"]
 
 
 def _woodbury_variant(D, U, V):
-    """``woodbury_variant``'s blocks and the 1-norm condition number of D,
-    ||D||_1 ||D^{-1}||_1 (1 if empty), read off the D^{-1} the blocks are built from."""
+    """((Dhat, E, F, G), cond) for A = U Atilde V* + D: Dhat =
+    (V* D^{-1} U)^{-1}, E = D^{-1} U Dhat, F* = Dhat V* D^{-1} and
+    G = D^{-1} - E V* D^{-1}, so A^{-1} = E (Atilde + Dhat)^{-1} F* + G
+    for any Atilde; cond = ||D||_1 ||D^{-1}||_1 (1 if D is empty). With
+    K = 0, G = D^{-1} and E, F are empty. A singular D or V* D^{-1} U
+    raises SingularMatrixError naming which one."""
     D, U, V = np.asarray(D), np.asarray(U), np.asarray(V)
     n, K = U.shape
     lu = lu_factor_checked(D, "D")
@@ -117,61 +104,6 @@ def _union_skeleton(Brow, Bcol, tol):
                                 rcond=eps * max(Bcol.shape[0], k))
         V[rest] = Y.conj().T
     return J, U, V
-
-
-# -- flat (single level) block separable format --------------------------------
-
-
-@dataclass
-class BlockSeparableMatrix:
-    """Single-level format: A(I_a, I_b) = U_a Atilde[a,b] V_b* for a != b."""
-
-    partition: list  # list of global index arrays
-    U: list
-    V: list
-    Atilde: dict  # (a, b) -> dense k_a x k_b interaction
-    D: list  # dense diagonal blocks
-    skeleton: list  # global skeleton indices per block
-
-
-def compress_to_block_separable(A, partition, tol) -> BlockSeparableMatrix:
-    """Skeletonize a dense matrix over a flat partition of its indices."""
-    A = np.asarray(A)
-    allidx = np.arange(A.shape[0])
-    U, V, D, skel = [], [], [], []
-    for ia in partition:
-        comp = np.setdiff1d(allidx, ia)
-        J, Ua, Va = _union_skeleton(A[np.ix_(ia, comp)], A[np.ix_(comp, ia)], tol)
-        U.append(Ua)
-        V.append(Va)
-        D.append(A[np.ix_(ia, ia)].copy())
-        skel.append(np.asarray(ia)[J])
-    Atilde = {(a, b): A[np.ix_(sa, sb)].copy()
-              for a, sa in enumerate(skel) for b, sb in enumerate(skel) if a != b}
-    return BlockSeparableMatrix(partition=[np.asarray(i) for i in partition],
-                                U=U, V=V, Atilde=Atilde, D=D, skeleton=skel)
-
-
-def block_separable_inverse_apply(B: BlockSeparableMatrix, u):
-    """Apply A^{-1} u through the one-level Woodbury variation.
-
-    The block-diagonal pieces are assembled densely; this routine exists
-    as the reference pipeline against which the hierarchical inversion
-    is checked.
-    """
-    Dfull = scipy.linalg.block_diag(*B.D)
-    Ufull = scipy.linalg.block_diag(*B.U)
-    Vfull = scipy.linalg.block_diag(*B.V)
-    At = np.block([[B.Atilde.get((a, b), np.zeros((Ua.shape[1], Vb.shape[1]), Dfull.dtype))
-                    for b, Vb in enumerate(B.V)] for a, Ua in enumerate(B.U)])
-    Dhat, E, F, G = woodbury_variant(Dfull, Ufull, Vfull, At)
-    perm = np.concatenate(B.partition)
-    up = np.asarray(u)[perm]
-    core = np.linalg.solve(At + Dhat, F.conj().T @ up)
-    qp = E @ core + G @ up
-    q = np.empty_like(qp)
-    q[perm] = qp
-    return q
 
 
 # -- hierarchical format -------------------------------------------------------

@@ -27,7 +27,7 @@ from .tree import ClusterTree, sibling_pairs
 
 __all__ = [
     "HodlrMatrix", "HodlrInverseMultiplicative", "compress_to_hodlr", "hodlr_matvec",
-    "recompress_inverse", "invert_multiplicative", "storage_report",
+    "invert_multiplicative", "storage_report",
 ]
 
 
@@ -199,22 +199,6 @@ def invert_multiplicative(H: HodlrMatrix) -> HodlrInverseMultiplicative:
             _left_multiply(level_stacks[ell], P)
 
     return HodlrInverseMultiplicative(t, leaf_stacks, level_stacks)
-
-
-def recompress_inverse(inv: HodlrInverseMultiplicative, tol) -> HodlrMatrix:
-    """Optional post-hoc compression of the inverse into HODLR form.
-
-    The exact inverse of a rank-k HODLR matrix is not rank-k HODLR (its
-    off-diagonal ranks grow with the level count), so this step is a
-    controlled approximation: the inverse is applied to identity block
-    columns and the result compressed at ``tol``. Off by default
-    everywhere else in the package; the factored form stays exact.
-    """
-    N = inv.tree.N
-    # identity block columns; the result takes the inverse's dtype
-    dense = np.hstack([inv.apply(np.eye(N, min(64, N - start), -start))
-                       for start in range(0, N, 64)])
-    return compress_to_hodlr(dense, inv.tree, tol)
 
 
 def storage_report(obj):

@@ -1,14 +1,15 @@
-"""Bessel functions J0, Y0, J1, Y1 and the Hankel functions H0^(1), H1^(1).
+"""Bessel functions J0, Y0 and the Hankel function H0^(1) = J0 + i Y0,
+the zeroth-order pieces of the 2D Helmholtz kernel.
 
-Thin wrappers over the Cephes routines ``scipy.special.j0/y0/j1/y1``,
-with H_n^(1) = J_n + i Y_n. The domain is x > 0 (Y_n has a singularity
-at 0); scalars map to Python floats and arrays elementwise.
+Thin wrappers over the Cephes routines ``scipy.special.j0/y0``. The
+domain is x > 0 (Y0 has a log singularity at 0); scalars map to Python
+floats and arrays elementwise.
 """
 
 import numpy as np
 import scipy.special
 
-__all__ = ["bessel_j0_y0", "bessel_j1_y1", "hankel0_first_kind", "hankel1_first_kind"]
+__all__ = ["bessel_j0_y0", "hankel0_first_kind"]
 
 
 def _pair(x, jn, yn):
@@ -25,11 +26,6 @@ def bessel_j0_y0(x):
     return _pair(x, scipy.special.j0, scipy.special.y0)
 
 
-def bessel_j1_y1(x):
-    """J1(x) and Y1(x) for x > 0, elementwise."""
-    return _pair(x, scipy.special.j1, scipy.special.y1)
-
-
 def _hankel(j, y):
     """J + i Y, with J written into the real and Y into the imaginary part."""
     h = np.empty(np.shape(j), dtype=complex)
@@ -40,8 +36,3 @@ def _hankel(j, y):
 def hankel0_first_kind(x):
     """H0^(1)(x) = J0(x) + i Y0(x) for x > 0, elementwise."""
     return _hankel(*bessel_j0_y0(x))
-
-
-def hankel1_first_kind(x):
-    """H1^(1)(x) = J1(x) + i Y1(x) for x > 0, elementwise."""
-    return _hankel(*bessel_j1_y1(x))

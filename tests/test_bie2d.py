@@ -19,6 +19,8 @@ from fds.bie2d import (
 )
 from fds.linalg import eps_rank
 
+from oracles import _coarse_intersection_scan
+
 RNG_SEED = 60601
 CHARGE = np.array([3.0, 1.5])  # exterior to every test curve
 
@@ -77,6 +79,54 @@ class TestMakeCurve:
             make_curve("circle", 15, 1.0)
         with pytest.raises(ValueError):
             make_curve("blob", 64, 1.0)
+
+    @pytest.mark.parametrize("kind, params, match", [
+        ("starfish", (0.3, 5.7), "arms"),
+        ("starfish", (0.3, 0), "arms"),
+        ("starfish", (0.3, float("nan")), "arms"),
+        ("starfish", (0.3,), "starfish takes 2 parameter"),
+        ("starfish", (0.3, 5, 1.0), "starfish takes 2 parameter"),
+        ("circle", (1.0, 2.0), "circle takes 1 parameter"),
+        ("ellipse", (2.0,), "ellipse takes 2 parameter"),
+        ("circle", (-1.0,), "radius"),
+        ("circle", (float("nan"),), "radius"),
+        ("ellipse", (2.0, float("inf")), "a and b"),
+        ("ellipse", (0.0, 1.0), "a and b"),
+    ])
+    def test_names_the_bad_parameter(self, kind, params, match):
+        with pytest.raises(ValueError, match=match):
+            make_curve(kind, 64, *params)
+
+    def test_integral_float_arms_accepted(self):
+        c, c_int = make_curve("starfish", 64, 0.3, 5.0), make_curve("starfish", 64, 0.3, 5)
+        assert np.array_equal(c.x, c_int.x) and np.array_equal(c.curvature, c_int.curvature)
+
+    @pytest.mark.parametrize("a, b", [(1.0, 1.0), (2.5, 2.5), (2.0, 1.0), (1.0, 1e-9)])
+    def test_circle_and_ellipse_closed_forms(self, a, b):
+        # the polar family with amp = 0 reproduces the closed forms exactly
+        N = 1000
+        c = make_curve("circle", N, a) if a == b else make_curve("ellipse", N, a, b)
+        cos, sin = np.cos(c.t), np.sin(c.t)
+        speed = np.linalg.norm(np.column_stack([-a * sin, b * cos]), axis=1)
+        assert np.array_equal(c.t, 2.0 * np.pi * np.arange(N) / N)
+        assert np.array_equal(c.x, np.column_stack([a * cos, b * sin]))
+        assert np.array_equal(c.speed, speed)
+        assert np.array_equal(c.normal, np.column_stack([b * cos, a * sin]) / speed[:, None])
+        assert np.array_equal(c.curvature, (a * sin * (b * sin) + b * cos * (a * cos)) / speed**3)
+
+    def test_sampled_polygons_are_simple(self):
+        # every member of the polar family is star-shaped about the origin
+        # and N >= 16 nodes turn through less than pi each, so no sampled
+        # polygon self-intersects, down to aspect ratio 1e-12 and up to
+        # amp 0.999 with 200 arms
+        curves = [("circle", 1.0), ("circle", 2.5), ("ellipse", 2.0, 1.0),
+                  ("ellipse", 1.0, 1e-6), ("ellipse", 1.0, 1e-12), ("ellipse", 1e-12, 1.0),
+                  ("starfish", 0.3, 5), ("starfish", 0.999, 1), ("starfish", 0.999, 5),
+                  ("starfish", 0.5, 200), ("starfish", 0.999, 200)]
+        for kind, *params in curves:
+            for N in (16, 18, 64, 250, 1000, 2048):
+                assert not _coarse_intersection_scan(make_curve(kind, N, *params).x), (
+                    kind, params, N)
 
 
 class TestDlpKernel:

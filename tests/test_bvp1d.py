@@ -11,12 +11,13 @@ from fds.bvp1d import (
     assemble_nystrom,
     condition_study,
     green_1d,
-    semiseparable_check,
     solve_bvp_fd,
     solve_bvp_ie,
     solve_tridiag,
 )
 from fds.linalg import SingularMatrixError, dense_lu_solve
+
+from oracles import semiseparable_check
 
 RNG_SEED = 414243
 

@@ -10,19 +10,13 @@ from hypothesis import example, given, settings, strategies
 
 from fds.bie2d import assemble_bie, laplace_fundamental, make_curve
 from fds.bvp1d import green_1d
-from fds.hbs import (
-    block_separable_inverse_apply,
-    compress_to_block_separable,
-    compress_to_hbs,
-    hbs_invert,
-    hbs_matvec,
-    hbs_storage,
-    woodbury_variant,
-)
+from fds.hbs import compress_to_hbs, hbs_invert, hbs_matvec, hbs_storage
 from fds.linalg import SingularMatrixError, dense_lu_solve
 from fds.solve import factor
 from fds.special import hankel0_first_kind
 from fds.tree import build_uniform_tree, sibling_pairs
+
+from oracles import block_separable_inverse_apply, compress_to_block_separable, woodbury_variant
 
 RNG_SEED = 90210
 

@@ -13,12 +13,13 @@ from fds.hodlr import (
     compress_to_hodlr,
     hodlr_matvec,
     invert_multiplicative,
-    recompress_inverse,
     storage_report,
 )
 from fds.linalg import LowRankFactor, SingularMatrixError, dense_lu_solve
 from fds.solve import factor
 from fds.tree import build_uniform_tree
+
+from oracles import recompress_inverse
 
 RNG_SEED = 777
 
