@@ -1,8 +1,12 @@
 """Level stacks: the blocks of one tree level in one (g, n, k) array, so
 a structured apply is a few batched ``matmul`` calls per level, not one
-small product per node. ``_Stack`` groups the same-shaped diagonal
-blocks of a HODLR factor; ``Telescope`` holds a matrix in telescoping
-form (an HBS matrix or its inverse), zero-padded to one stack per level.
+small product per node.
+
+``Layout`` pads every leaf to the largest leaf size m. Node j of level
+ell then owns padded rows [j n, (j + 1) n), n = 2^(depth - ell) m, so a
+level's blocks, zero-padded to its largest rank, are one stack acting
+on a reshape view of the padded vector. The HODLR multiplicative
+inverse and ``Telescope`` (an HBS matrix or its inverse) both use it.
 """
 
 from dataclasses import dataclass
@@ -10,59 +14,39 @@ from dataclasses import dataclass
 import numpy as np
 
 
-@dataclass
-class _Stack:
-    """Same-shaped diagonal blocks of one factor B_ell, stacked on axis 0.
+@dataclass(frozen=True)
+class Layout:
+    """range(N) padded leaf by leaf to m rows, each leaf's rows first.
+    ``leaf`` (2^depth, m) marks the real rows; it is None when every leaf
+    has m rows, and padding is then a reshape view."""
 
-    Block j acts on rows ``rows[j]`` of the vector. ``rows`` is None when
-    the stack is the whole level and its blocks tile range(N) in order:
-    the blocks are then a reshape view of the vector.
-    """
+    N: int
+    m: int
+    leaf: np.ndarray
 
-    nodes: list  # node ids, one per block
-    rows: np.ndarray  # (g, n) row indices, or None
-    U: np.ndarray  # (g, n, n) leaf inverses, or (g, n, k) left factors
-    V: np.ndarray = None  # (g, n, k) right factors; the block is I + U V*
+    @classmethod
+    def of(cls, tree):
+        sizes = np.array([tree.size(tau) for tau in tree.leaves()])
+        m = int(sizes.max())
+        return cls(tree.N, m, None if sizes.min() == m else np.arange(m) < sizes[:, None])
 
-    def blocks(self, y):
-        """The (g, n, r) blocks of y: a view, or a gathered copy."""
-        if self.rows is None:
-            return y.reshape(self.U.shape[:2] + y.shape[1:])
-        return y[self.rows]
+    def pad(self, x):
+        """(N,) or (N, r) x as the (2^depth, m, r) padded leaf stack."""
+        if x.shape[0] != self.N:
+            raise ValueError(f"vector length {x.shape[0]} != {self.N}")
+        X = x.reshape(self.N, x[0].size)
+        if self.leaf is None:
+            return X.reshape(self.N // self.m, self.m, X.shape[1])
+        v = np.zeros(self.leaf.shape + X.shape[1:], X.dtype)
+        v[self.leaf] = X
+        return v
 
-
-def _stack(t, nodes, arrays):
-    """One _Stack per distinct block shape among ``nodes``, in node order;
-    ``arrays(tau)`` gives the node's (U,) or (U, V) pair."""
-    shapes = {}
-    for tau in nodes:
-        shapes.setdefault(tuple(a.shape for a in arrays(tau)), []).append(tau)
-    out = []
-    for members in shapes.values():
-        rows = None
-        if len(shapes) > 1:
-            rows = np.array([np.arange(*t.ranges[tau]) for tau in members])
-        out.append(_Stack(members, rows, *(np.stack(s) for s in zip(*map(arrays, members)))))
-    return out
-
-
-def _left_multiply(stacks, y, x=None):
-    """y <- B y in place, for the (N, r) array y and the block-diagonal
-    factor B whose blocks ``stacks`` hold: blocks I + U V*, or dense
-    leaf blocks U, which write B x into y when x is given."""
-    for s in stacks:
-        if s.V is None:
-            xb = s.blocks(y if x is None else x)
-            if s.rows is None:
-                np.matmul(s.U, xb, out=s.blocks(y))
-            else:
-                y[s.rows] = s.U @ xb
-            continue
-        yb = s.blocks(y)
-        yb += s.U @ (np.swapaxes(s.V.conj(), 1, 2) @ yb)
-        if s.rows is not None:
-            y[s.rows] = yb
-    return y
+    def unpad(self, v):
+        """The (N, r) real rows of a padded array whose last axis has r."""
+        r = v.shape[-1]
+        if self.leaf is None:
+            return v.reshape(self.N, r)
+        return v.reshape(self.leaf.shape + (r,))[self.leaf]
 
 
 @dataclass
@@ -80,31 +64,29 @@ class Telescope:
     m, k) and ``B[ell]`` (2^ell, m, m), with k the level's largest rank
     and m the largest leaf size (leaves) or twice the children's k: a
     child's coefficients fill the first of its k slots, and every
-    padding entry is zero, so padding never reaches a result. ``leaf``
-    marks the real rows of the leaf stack when leaf sizes differ.
+    padding entry is zero, so padding never reaches a result. The leaf
+    level's rows follow ``layout``.
     """
 
-    N: int
+    layout: Layout
     rank: list  # rank[tau]: columns of W_tau and Z_tau (0 at the root)
     Wh: list
     Z: list
     B: list
-    leaf: np.ndarray = None  # (2^depth, m) bool, or None for equal leaves
 
     @classmethod
     def zeros(cls, tree, rank, dtype):
         """All-zero stacks for ``tree``, with ``rank(tau)`` columns at
         every node below the root."""
+        layout = Layout.of(tree)
         rank = [0, 0] + [rank(tau) for tau in range(2, tree.nnodes + 1)]
         k = [max(rank[2**ell:2 ** (ell + 1)]) for ell in range(tree.depth + 1)]
-        sizes = np.array([tree.size(tau) for tau in tree.leaves()])
-        m = [2 * kk for kk in k[1:]] + [int(sizes.max())]
-        leaf = None if sizes.min() == sizes.max() else np.arange(m[-1]) < sizes[:, None]
+        m = [2 * kk for kk in k[1:]] + [layout.m]
         levels = [(2**ell, kk, mm) for ell, (kk, mm) in enumerate(zip(k, m))]
         Wh = [np.zeros((g, kk, mm), dtype) for g, kk, mm in levels]
         Z = [np.zeros((g, mm, kk), dtype) for g, kk, mm in levels]
         B = [np.zeros((g, mm, mm), dtype) for g, kk, mm in levels]
-        return cls(tree.N, rank, Wh, Z, B, leaf)
+        return cls(layout, rank, Wh, Z, B)
 
     def put(self, tau, W, Z, B):
         """Write node tau's unpadded blocks into its level's stacks."""
@@ -122,21 +104,12 @@ class Telescope:
     def apply(self, x):
         """M x for (N,) or (N, r) x: one batched product per level up,
         two per level down."""
-        x, N = np.asarray(x), self.N
-        if x.shape[0] != N:
-            raise ValueError(f"vector length {x.shape[0]} != {N}")
-        X = x.reshape(N, x[0].size)
-        r = X.shape[1]
-        if self.leaf is None:
-            v = X.reshape(self.B[-1].shape[:2] + (r,))
-        else:
-            v = np.zeros(self.leaf.shape + (r,), X.dtype)
-            v[self.leaf] = X
-        vs = [v]
+        x = np.asarray(x)
+        vs = [self.layout.pad(x)]
+        r = vs[0].shape[2]
         for Wh in self.Wh[:0:-1]:
             vs.append((Wh @ vs[-1]).reshape(len(Wh) // 2, 2 * Wh.shape[1], r))
         out = np.zeros((1, 0, r))
         for Z, B, v in zip(self.Z, self.B, reversed(vs)):
             out = B @ v + Z @ out.reshape(len(Z), Z.shape[2], r)
-        y = out.reshape(N, r) if self.leaf is None else out[self.leaf]
-        return y.reshape(x.shape)
+        return self.layout.unpad(out).reshape(x.shape)

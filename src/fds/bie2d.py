@@ -85,9 +85,12 @@ class Curve:
         return float(d.max())
 
 
+_PARAMS = {"circle": ("radius",), "ellipse": ("a", "b"), "starfish": ("amp", "arms")}
+
+
 def _polar_params(kind, params):
     """The checked (a, b, amp, arms) of a named curve."""
-    names = {"circle": ("radius",), "ellipse": ("a", "b"), "starfish": ("amp", "arms")}.get(kind)
+    names = _PARAMS.get(kind)
     if names is None:
         raise ValueError(f"unknown curve kind {kind!r}")
     if len(params) != len(names):
@@ -112,7 +115,8 @@ def make_curve(kind, N, *params) -> Curve:
 
     Nodes are equispaced in parameter; weights carry the speed factor so
     that sums approximate arclength integrals with spectral accuracy. A
-    wrong parameter count or a parameter out of range raises ValueError.
+    wrong parameter count, a parameter out of range, or sizes whose
+    speed or curvature leaves floating-point range raise ValueError.
     """
     if N < 16 or N % 2:
         raise ValueError(f"need an even node count N >= 16, got {N}")
@@ -126,11 +130,13 @@ def make_curve(kind, N, *params) -> Curve:
     dx = np.column_stack([a * (dr * cos - r * sin), b * (dr * sin + r * cos)])
     ddx = np.column_stack([a * (ddr * cos - 2 * dr * sin - r * cos),
                            b * (ddr * sin + 2 * dr * cos - r * sin)])
-    speed = np.linalg.norm(dx, axis=1)
-    if np.any(speed <= 0):
-        raise ValueError("degenerate parameterization (zero speed)")
+    with np.errstate(all="ignore"):  # out-of-range geometry is refused just below
+        speed = np.linalg.norm(dx, axis=1)
+        curvature = (dx[:, 0] * ddx[:, 1] - dx[:, 1] * ddx[:, 0]) / speed**3
+    if not (np.all((0 < speed) & (speed < np.inf)) and np.all(np.isfinite(curvature))):
+        raise ValueError(f"{kind} {' and '.join(_PARAMS[kind])} = {', '.join(map(str, params))}: "
+                         "speed must be finite and positive and curvature finite at every node")
     normal = np.column_stack([dx[:, 1], -dx[:, 0]]) / speed[:, None]
-    curvature = (dx[:, 0] * ddx[:, 1] - dx[:, 1] * ddx[:, 0]) / speed**3
     return Curve(
         kind=kind,
         t=t,

@@ -9,10 +9,10 @@ formula unrolled into the exact product A^{-1} = B_0 B_1 ... B_L: B_L
 holds the dense leaf inverses, and each coarser B_ell is block diagonal
 with one identity-plus-low-rank block per node of level ell, the
 node's Woodbury correction. Off-diagonal ranks never grow while it is
-built. The blocks of each factor are kept as stacks of equal shape, so
-the apply is one batched product per stack: depth + 1 of them on a
-tree whose levels have one block size and rank, O(N (leaf + rank))
-flops in all.
+built. Each factor is one stack in the zero-padded level layout of
+``_stacks.Layout`` (leaves padded to the largest leaf size, ranks to
+the level's largest), so the apply is depth + 1 batched products,
+O(N (leaf + rank)) flops in all.
 """
 
 from dataclasses import dataclass
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from ._stacks import _left_multiply, _stack
+from ._stacks import Layout
 from .linalg import (_BLOCKS_HINT, LowRankFactor, SingularMatrixError, low_rank_approx,
                      lu_factor_checked)
 from .tree import ClusterTree, sibling_pairs
@@ -93,19 +93,22 @@ def hodlr_matvec(H: HodlrMatrix, x):
 
 @dataclass
 class HodlrInverseMultiplicative:
-    """A^{-1} = B_0 B_1 ... B_L, each factor block diagonal.
+    """A^{-1} = B_0 B_1 ... B_L on zero-padded level stacks (``_stacks.Layout``).
 
-    B_L is ``leaf_stacks``: the dense leaf inverses, stacked by block
-    size. Each coarser B_ell is ``level_stacks[ell]``: its
-    identity-plus-low-rank blocks I + U V*, stacked by (block size,
-    rank). ``apply`` takes (N,) or (N, r) right-hand sides and runs one
-    batched ``matmul`` per stack, leaves first. ``leaf_inverses`` and
-    ``level_blocks`` give the per-node blocks as views into the stacks.
+    B_L is ``L``, the (2^depth, m, m) stack of leaf inverses. B_ell is
+    I + U V* blockwise, with (2^ell, 2^(depth - ell) m, k_ell) stacks
+    ``U[ell]`` and ``V[ell]``: node tau's factors fill its real rows and
+    first ``rank[tau]`` columns, zeros the rest. ``apply`` runs one
+    batched ``matmul`` per factor, leaves first; ``leaf_inverses`` and
+    ``level_blocks`` give the unpadded per-node blocks.
     """
 
     tree: ClusterTree
-    leaf_stacks: list  # _Stack of (g, n, n) leaf inverses
-    level_stacks: dict  # ell -> [_Stack of (U, V) factors]
+    layout: Layout
+    rank: list  # rank[tau]: columns of node tau's factors (0 at the leaves)
+    L: np.ndarray
+    U: list  # U[ell], ell = 0 .. depth - 1
+    V: list
 
     @property
     def nfactors(self) -> int:
@@ -113,26 +116,31 @@ class HodlrInverseMultiplicative:
 
     @property
     def leaf_inverses(self):
-        """Leaf tau -> dense inverse of its diagonal block."""
-        return {tau: s.U[j] for s in self.leaf_stacks for j, tau in enumerate(s.nodes)}
+        """Leaf tau -> dense inverse of its diagonal block (a view)."""
+        t = self.tree
+        return {tau: Lj[:t.size(tau), :t.size(tau)] for tau, Lj in zip(t.leaves(), self.L)}
 
     @property
     def level_blocks(self):
         """ell -> {tau: LowRankFactor}; B_ell's block at tau is I + U V*."""
-        return {ell: {tau: LowRankFactor(s.U[j], s.V[j])
-                      for s in stacks for j, tau in enumerate(s.nodes)}
-                for ell, stacks in self.level_stacks.items()}
+        t, r, k = self.tree, self.tree.ranges, self.rank
+        return {ell: {tau: LowRankFactor(U[slice(*r[tau]), :k[tau]], V[slice(*r[tau]), :k[tau]])
+                      for tau in t.nodes_at_level(ell)}
+                for ell, U, V in zip(range(t.depth), map(self.layout.unpad, self.U),
+                                     map(self.layout.unpad, self.V))}
 
     def apply(self, x):
-        x = np.asarray(x)
-        if x.shape[0] != self.tree.N:
-            raise ValueError(f"vector length {x.shape[0]} != {self.tree.N}")
-        stacks = self.leaf_stacks + [s for ss in self.level_stacks.values() for s in ss]
-        y = np.empty(x.shape, dtype=np.result_type(x.dtype, *(s.U.dtype for s in stacks)))
-        y2 = _left_multiply(self.leaf_stacks, y.reshape(len(y), -1), x.reshape(len(x), -1))
-        for ell in range(self.tree.depth - 1, -1, -1):
-            _left_multiply(self.level_stacks[ell], y2)
-        return y
+        return self._product(np.asarray(x), 0)
+
+    def _product(self, x, top):
+        """B_top ... B_L x, for (N,) or (N, r) x."""
+        v = self.layout.pad(x)
+        U, V = self.U[top:], self.V[top:]
+        y = np.matmul(self.L, v, out=np.empty(v.shape, np.result_type(v, self.L, *U)))
+        for Ul, Vl in zip(U[::-1], V[::-1]):
+            yb = y.reshape(Ul.shape[:2] + y.shape[-1:])
+            yb += Ul @ (np.swapaxes(Vl.conj(), 1, 2) @ yb)
+        return self.layout.unpad(y).reshape(x.shape)
 
 
 def invert_multiplicative(H: HodlrMatrix) -> HodlrInverseMultiplicative:
@@ -150,36 +158,37 @@ def invert_multiplicative(H: HodlrMatrix) -> HodlrInverseMultiplicative:
     dense leaf inverses as B_L. B_ell's block at tau is I + U Vc* with
     U = -Y S^{-1}, and Y is B_{ell+1} ... B_L applied to W.
 
-    So the build keeps, per level m, the left factors U_ab of its
-    sibling blocks as one N x k_max row panel (zero-padded columns stay
-    zero). Once B_L and then each coarser factor is stacked, every panel
-    still waiting for its level is left-multiplied by it with the
-    apply's own batched product. Only left factors change: the ranks
-    never grow. A singular leaf block or core S raises
-    SingularMatrixError naming the node.
+    So at level ell the build puts the left factors U_ab of level
+    ell + 1's sibling blocks into one N x k_max panel (zero-padded
+    columns stay zero) and multiplies it by B_{ell+1} ... B_L, the
+    factors built so far, with the apply's own batched products. Only
+    left factors change: the ranks never grow. A singular leaf block or
+    core S raises SingularMatrixError naming the node.
     """
-    t, r, dtype = H.tree, H.tree.ranges, H.dtype
-    leaf_inverses = {}
-    for tau in t.leaves():
+    t, r, dtype, layout = H.tree, H.tree.ranges, H.dtype, Layout.of(H.tree)
+    # Fortran-ordered slots, the order lu_solve returns: the batched
+    # products then round as the per-leaf products do
+    L = np.zeros((2**t.depth, layout.m, layout.m),
+                 np.result_type(float, *H.leaf_diag.values())).transpose(0, 2, 1)
+    for tau, Lj in zip(t.leaves(), L):
         try:
             lu = lu_factor_checked(H.leaf_diag[tau], f"leaf diagonal block {tau}")
         except SingularMatrixError as exc:
             raise SingularMatrixError(f"{exc}{_BLOCKS_HINT}") from exc
-        leaf_inverses[tau] = scipy.linalg.lu_solve(lu, np.eye(len(lu[1])))
-    leaf_stacks = _stack(t, t.leaves(), lambda tau: (leaf_inverses[tau],))
+        Lj[:len(lu[1]), :len(lu[1])] = scipy.linalg.lu_solve(lu, np.eye(len(lu[1])))
 
-    panels = {}  # level m -> B_L times the (N, k_max) left factors of its sibling blocks
-    for m in range(1, t.depth + 1):
-        Us = {a: H.offdiag[(a, a ^ 1)].U for a in t.nodes_at_level(m)}
+    rank = [0] * (t.nnodes + 1)
+    for a, b in sibling_pairs(t):
+        rank[a // 2] = H.offdiag[(a, b)].rank + H.offdiag[(b, a)].rank
+    inv = HodlrInverseMultiplicative(t, layout, rank, L, [None] * t.depth, [None] * t.depth)
+    for ell in range(t.depth - 1, -1, -1):
+        Us = {a: H.offdiag[(a, a ^ 1)].U for a in t.nodes_at_level(ell + 1)}
         P = np.zeros((t.N, max(U.shape[1] for U in Us.values())), dtype=dtype)
         for a, U in Us.items():
             P[slice(*r[a]), :U.shape[1]] = U
-        panels[m] = _left_multiply(leaf_stacks, np.empty_like(P), P)
-
-    level_stacks = {}
-    for ell in range(t.depth - 1, -1, -1):
-        Y = panels.pop(ell + 1)
-        pairs = {}
+        Y = inv._product(P, ell + 1)
+        Ul = np.zeros((t.N, max(rank[2**ell:2 ** (ell + 1)])), dtype)
+        Vl = np.zeros_like(Ul)
         for tau in t.nodes_at_level(ell):
             alpha, beta = t.children(tau)
             Vab, Vba = H.offdiag[(alpha, beta)].V, H.offdiag[(beta, alpha)].V
@@ -193,12 +202,11 @@ def invert_multiplicative(H: HodlrMatrix) -> HodlrInverseMultiplicative:
             Vc[:na, k1:] = Vba
             S = np.eye(k1 + k2, dtype=dtype) + Vc.conj().T @ Uc
             S_lu = lu_factor_checked(S, f"identity-plus-low-rank core at node {tau}")
-            pairs[tau] = (-scipy.linalg.lu_solve(S_lu, Uc.T, trans=1).T, Vc)  # -Y S^{-1}
-        level_stacks[ell] = _stack(t, t.nodes_at_level(ell), pairs.__getitem__)
-        for P in panels.values():
-            _left_multiply(level_stacks[ell], P)
-
-    return HodlrInverseMultiplicative(t, leaf_stacks, level_stacks)
+            Ul[slice(*r[tau]), :k1 + k2] = -scipy.linalg.lu_solve(S_lu, Uc.T, trans=1).T
+            Vl[slice(*r[tau]), :k1 + k2] = Vc
+        shape = (2**ell, len(L) * layout.m >> ell, Ul.shape[1])
+        inv.U[ell], inv.V[ell] = layout.pad(Ul).reshape(shape), layout.pad(Vl).reshape(shape)
+    return inv
 
 
 def storage_report(obj):
@@ -208,9 +216,8 @@ def storage_report(obj):
         scalars += sum(f.storage() for f in obj.offdiag.values())
         return {"stored_scalars": scalars, "max_rank": obj.max_rank()}
     if isinstance(obj, HodlrInverseMultiplicative):
-        levels = [s for stacks in obj.level_stacks.values() for s in stacks]
-        scalars = sum(s.U.size for s in obj.leaf_stacks)
-        scalars += sum(s.U.size + s.V.size for s in levels)
-        return {"stored_scalars": scalars,
-                "max_rank": max((s.U.shape[2] for s in levels), default=0)}
+        t = obj.tree
+        scalars = sum(t.size(tau) ** 2 for tau in t.leaves())
+        scalars += sum(2 * t.size(tau) * obj.rank[tau] for tau in range(1, 2**t.depth))
+        return {"stored_scalars": scalars, "max_rank": max(obj.rank)}
     raise TypeError(f"no storage report for {type(obj).__name__}")

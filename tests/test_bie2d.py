@@ -92,6 +92,9 @@ class TestMakeCurve:
         ("circle", (float("nan"),), "radius"),
         ("ellipse", (2.0, float("inf")), "a and b"),
         ("ellipse", (0.0, 1.0), "a and b"),
+        ("circle", (1e-110,), "circle radius"),  # speed**3 underflows: curvature inf
+        ("circle", (1e200,), "circle radius"),  # speed overflows to inf
+        ("circle", (1e-170,), "circle radius"),  # the norm squares 1e-170: speed 0
     ])
     def test_names_the_bad_parameter(self, kind, params, match):
         with pytest.raises(ValueError, match=match):

@@ -485,7 +485,7 @@ class TestLevelStacks:
     def test_mixed_ranks_one_padded_stack_per_level(self, helmholtz777):
         H, inv = helmholtz777
         t, st = H.tree, inv.stacks
-        assert len(st.B) == t.depth + 1 and st.leaf is not None
+        assert len(st.B) == t.depth + 1 and st.layout.leaf is not None
         assert any(len({H.rank(tau) for tau in t.nodes_at_level(ell)}) > 1
                    for ell in range(1, t.depth + 1))
         # the Woodbury blocks rebuilt node by node, bottom-up
@@ -526,7 +526,7 @@ class TestLevelStacks:
         N = 777
         H = compress_to_hbs(starfish_bie_matrix(N), build_uniform_tree(N, 64), 1e-10)
         inv = hbs_invert(H)
-        assert inv.stacks.leaf.sum() == N and inv.stacks.leaf.shape == (8, 98)
+        assert inv.stacks.layout.leaf.sum() == N and inv.stacks.layout.leaf.shape == (8, 98)
         rng = np.random.default_rng(RNG_SEED)
         B = rng.standard_normal((N, 2)) + 1j * rng.standard_normal((N, 2))
         Y, Y_ref = inv.apply(B), np.linalg.solve(H.todense(), B)
@@ -540,7 +540,7 @@ class TestLevelStacks:
         A = green_kernel_matrix(50) + np.eye(50)
         inv = hbs_invert(compress_to_hbs(A, build_uniform_tree(50, 32), 1e-10))
         st = inv.stacks
-        assert [M.shape for M in st.B] == [(1, 50, 50)] and st.leaf is None
+        assert [M.shape for M in st.B] == [(1, 50, 50)] and st.layout.leaf is None
         assert st.Wh[0].shape == (1, 0, 50) and st.Z[0].shape == (1, 50, 0)
         x = np.arange(50.0)
         assert np.linalg.norm(A @ inv.apply(x) - x) <= 1e-13 * np.linalg.norm(x)

@@ -8,6 +8,7 @@ import scipy.linalg
 from hypothesis import example, given, settings, strategies
 
 from fds.bvp1d import Bvp1dProblem, assemble_nystrom
+from fds._stacks import Telescope
 from fds.hodlr import (
     HodlrMatrix,
     compress_to_hodlr,
@@ -297,7 +298,7 @@ class TestBatchedApply:
     """The stacked apply against the per-node loop it replaced."""
 
     CASES = {
-        # N = 777, leaf 64: blocks of 97 and 98 rows, two stacks per level
+        # N = 777, leaf 64: blocks of 97 and 98 rows, padded to 98
         "two_sizes": lambda: compress_to_hodlr(ie_matrix(777)[0], build_uniform_tree(777, 64),
                                                1e-12),
         "complex": lambda: compress_to_hodlr(complex_kernel_matrix(300),
@@ -323,36 +324,60 @@ class TestBatchedApply:
     @pytest.mark.parametrize("nrhs", [1, 2])
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_batched_products_are_per_block_products(self, case, nrhs):
-        # each stack's batched matmul is its blocks' products, to the bit
+        # each factor's batched matmul is its padded blocks' products, to the bit
         inv = invert_multiplicative(self.CASES[case]())
-        t, r = inv.tree, inv.tree.ranges
-        x = np.random.default_rng(RNG_SEED).standard_normal((t.N, nrhs))
-        y = np.zeros(x.shape, np.result_type(x, *(s.U for s in inv.leaf_stacks)))
-        for s in inv.leaf_stacks:
-            for j, tau in enumerate(s.nodes):
-                y[slice(*r[tau])] = s.U[j] @ x[slice(*r[tau])]
-        for ell in range(t.depth - 1, -1, -1):
-            for s in inv.level_stacks[ell]:
-                for j, tau in enumerate(s.nodes):
-                    yt = y[slice(*r[tau])]
-                    yt += s.U[j] @ (s.V[j].conj().T @ yt)
-        assert np.array_equal(inv.apply(x), y)
+        x = np.random.default_rng(RNG_SEED).standard_normal((inv.tree.N, nrhs))
+        v = inv.layout.pad(x)
+        y = np.zeros(v.shape, np.result_type(x, inv.L, *inv.U))
+        for j in range(len(v)):
+            y[j] = inv.L[j] @ v[j]
+        for U, V in zip(inv.U[::-1], inv.V[::-1]):
+            yb = y.reshape(U.shape[:2] + (nrhs,))
+            for j in range(len(U)):
+                yb[j] += U[j] @ (V[j].conj().T @ yb[j])
+        assert np.array_equal(inv.apply(x), inv.layout.unpad(y))
 
     def test_stack_layout(self):
+        # one zero-padded stack per factor, on the rows of the HBS telescope
         two = invert_multiplicative(self.CASES["two_sizes"]())
-        assert [len(two.level_stacks[ell]) for ell in range(3)] == [1, 2, 2]
-        assert len(two.leaf_stacks) == 2 and two.level_stacks[0][0].rows is None
+        hbs_rows = Telescope.zeros(two.tree, lambda tau: 0, float).layout
+        assert two.layout.leaf.shape == (8, 98) and two.layout.leaf.sum() == 777
+        assert np.array_equal(two.layout.leaf, hbs_rows.leaf) and two.layout.m == hbs_rows.m
         mixed = invert_multiplicative(self.CASES["mixed_ranks"]())
-        ranks = {s.U.shape[2] for s in mixed.level_stacks[2]}
-        assert len(ranks) > 1  # unequal ranks in one level: one stack each
-        zero = invert_multiplicative(self.CASES["depth_zero"]())
-        assert zero.level_stacks == {} and zero.leaf_stacks[0].U.shape == (1, 100, 100)
+        assert any(len({mixed.rank[tau] for tau in mixed.tree.nodes_at_level(ell)}) > 1
+                   for ell in range(mixed.tree.depth))  # unequal ranks, padded in one stack
+        for case in sorted(self.CASES):
+            H = self.CASES[case]()
+            inv, t = invert_multiplicative(H), H.tree
+            m = inv.layout.m
+            real = np.ones((2**t.depth, m), bool) if inv.layout.leaf is None else inv.layout.leaf
+            assert inv.L.shape == (2**t.depth, m, m) and len(inv.U) == len(inv.V) == t.depth
+            for Lj, tau in zip(inv.L, t.leaves()):
+                n = t.size(tau)
+                ref = scipy.linalg.lu_solve(scipy.linalg.lu_factor(H.leaf_diag[tau]), np.eye(n))
+                assert Lj.flags.f_contiguous and np.array_equal(Lj[:n, :n], ref)
+                assert not Lj[n:].any() and not Lj[:, n:].any()
+            for ell, blocks in inv.level_blocks.items():
+                k = max(inv.rank[tau] for tau in blocks)
+                assert inv.U[ell].shape == inv.V[ell].shape == (2**ell, m << (t.depth - ell), k)
+                for j, (tau, f) in enumerate(blocks.items()):
+                    a, b = t.children(tau)
+                    Vab, Vba = H.offdiag[(a, b)].V, H.offdiag[(b, a)].V
+                    assert inv.rank[tau] == f.rank == Vab.shape[1] + Vba.shape[1]
+                    ref = np.zeros((t.size(tau), f.rank), H.dtype)
+                    ref[t.size(a):, :Vab.shape[1]] = Vab
+                    ref[:t.size(a), Vab.shape[1]:] = Vba
+                    assert np.array_equal(f.V, ref)
+                    rows = real.reshape(2**ell, -1)[j]
+                    for M, M_node in ((inv.U[ell][j], f.U), (inv.V[ell][j], f.V)):
+                        assert np.array_equal(M[rows, :f.rank], M_node)
+                        assert not M[~rows].any() and not M[:, f.rank:].any()
 
     def test_views_share_the_stacks(self):
         inv = invert_multiplicative(self.CASES["two_sizes"]())
-        for s in inv.leaf_stacks:
-            for j, tau in enumerate(s.nodes):
-                assert np.shares_memory(inv.leaf_inverses[tau], s.U[j])
+        for Lj, tau in zip(inv.L, inv.tree.leaves()):
+            assert np.shares_memory(inv.leaf_inverses[tau], Lj)
+            assert inv.leaf_inverses[tau].shape == (inv.tree.size(tau),) * 2
         assert sorted(inv.leaf_inverses) == list(inv.tree.leaves())
         for ell, blocks in inv.level_blocks.items():
             assert sorted(blocks) == list(inv.tree.nodes_at_level(ell))

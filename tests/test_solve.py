@@ -29,12 +29,13 @@ def rhs(N, dtype, r=None):
 
 @pytest.mark.parametrize("dtype", [float, complex])
 @pytest.mark.parametrize("backend", ["dense", "hodlr", "hbs"])
-@pytest.mark.parametrize("N, leaf", [(300, 32), (40, 64)])  # deep tree, depth 0
+# deep tree with unequal leaves, equal leaves, depth 0
+@pytest.mark.parametrize("N, leaf", [(300, 32), (256, 32), (40, 64)])
 def test_matches_dense_solve(backend, dtype, N, leaf):
     A = semiseparable_matrix(N, dtype)
     tree = build_uniform_tree(N, leaf)
     fac = factor(A, backend, tree, tol=1e-12)
-    for b in (rhs(N, dtype), rhs(N, dtype, 3)):
+    for b in (rhs(N, dtype), rhs(N, dtype, 3), rhs(N, dtype, 0)):
         x = fac.apply(b)
         x_ref = np.linalg.solve(A, b)
         assert x.shape == b.shape
