@@ -123,14 +123,14 @@ def make_curve(kind, N, *params) -> Curve:
     a, b, amp, arms = _polar_params(kind, params)
     t = 2.0 * np.pi * np.arange(N) / N
     cos, sin = np.cos(t), np.sin(t)
-    r = 1.0 + amp * np.cos(arms * t)
-    dr = -amp * arms * np.sin(arms * t)
-    ddr = -amp * arms * arms * np.cos(arms * t)
-    x = np.column_stack([a * (r * cos), b * (r * sin)])
-    dx = np.column_stack([a * (dr * cos - r * sin), b * (dr * sin + r * cos)])
-    ddx = np.column_stack([a * (ddr * cos - 2 * dr * sin - r * cos),
-                           b * (ddr * sin + 2 * dr * cos - r * sin)])
     with np.errstate(all="ignore"):  # out-of-range geometry is refused just below
+        r = 1.0 + amp * np.cos(arms * t)
+        dr = -amp * arms * np.sin(arms * t)
+        ddr = -amp * arms * arms * np.cos(arms * t)
+        x = np.column_stack([a * (r * cos), b * (r * sin)])
+        dx = np.column_stack([a * (dr * cos - r * sin), b * (dr * sin + r * cos)])
+        ddx = np.column_stack([a * (ddr * cos - 2 * dr * sin - r * cos),
+                               b * (ddr * sin + 2 * dr * cos - r * sin)])
         speed = np.linalg.norm(dx, axis=1)
         curvature = (dx[:, 0] * ddx[:, 1] - dx[:, 1] * ddx[:, 0]) / speed**3
     if not (np.all((0 < speed) & (speed < np.inf)) and np.all(np.isfinite(curvature))):

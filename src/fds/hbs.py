@@ -29,7 +29,7 @@ import numpy as np
 import scipy.linalg
 
 from ._stacks import Telescope
-from .linalg import (_BLOCKS_HINT, SingularMatrixError, interpolative_decomposition,
+from .linalg import (_BLOCKS_HINT, SingularMatrixError, _check_input, interpolative_decomposition,
                      lu_factor_checked)
 from .tree import ClusterTree, sibling_pairs
 
@@ -154,9 +154,10 @@ def compress_to_hbs(A, tree: ClusterTree, tol) -> HbsMatrix:
     build needs proxy surfaces in place of the full far field.
 
     A tree of depth 0 (N below twice the leaf size) stores A as its one
-    leaf block, and the inverse is a checked dense LU of it.
+    leaf block, and the inverse is a checked dense LU of it. A non-finite
+    entry anywhere in A raises ValueError before any node is compressed.
     """
-    A = np.asarray(A)
+    A = _check_input(A, tol)
     t = tree
     if A.shape != (t.N, t.N):
         raise ValueError(f"matrix shape {A.shape} does not match tree over {t.N}")

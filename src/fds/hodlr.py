@@ -21,8 +21,8 @@ import numpy as np
 import scipy.linalg
 
 from ._stacks import Layout
-from .linalg import (_BLOCKS_HINT, LowRankFactor, SingularMatrixError, low_rank_approx,
-                     lu_factor_checked)
+from .linalg import (_BLOCKS_HINT, LowRankFactor, SingularMatrixError, _check_input,
+                     low_rank_approx, lu_factor_checked)
 from .tree import ClusterTree, sibling_pairs
 
 __all__ = [
@@ -57,20 +57,28 @@ class HodlrMatrix:
 def compress_to_hodlr(A, tree: ClusterTree, tol) -> HodlrMatrix:
     """Compress a dense square matrix against the given cluster tree.
 
-    Every sibling block A(I_alpha, I_beta) is replaced by its truncated
-    SVD at the block-relative tolerance; leaf diagonal blocks are copied
-    verbatim.
+    Every sibling block A(I_alpha, I_beta) goes through
+    ``low_rank_approx``: cross approximation, certified by a Gaussian
+    sketch and recompressed to the truncated-SVD cut at the
+    block-relative tolerance, or the SVD / range finder when the sketch
+    refuses it. Leaf diagonal blocks are copied verbatim.
+
+    Every entry is checked for finiteness once, and a non-finite one
+    raises ValueError before any inverse is formed: leaf diagonal blocks
+    as they are copied, sibling blocks by ``low_rank_approx``, whose
+    certifying sketch reads every entry.
     """
     A = np.asarray(A)
     if A.shape != (tree.N, tree.N):
         raise ValueError(f"matrix shape {A.shape} does not match tree over {tree.N}")
     r = tree.ranges
+    leaf_diag = {tau: _check_input(A[slice(*r[tau]), slice(*r[tau])], tol).copy()
+                 for tau in tree.leaves()}
     offdiag = {}
     for alpha, beta in sibling_pairs(tree):
         sa, sb = slice(*r[alpha]), slice(*r[beta])
         offdiag[(alpha, beta)] = low_rank_approx(A[sa, sb], tol)
         offdiag[(beta, alpha)] = low_rank_approx(A[sb, sa], tol)
-    leaf_diag = {tau: A[slice(*r[tau]), slice(*r[tau])].copy() for tau in tree.leaves()}
     return HodlrMatrix(tree=tree, offdiag=offdiag, leaf_diag=leaf_diag, tol=tol)
 
 

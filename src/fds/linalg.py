@@ -4,9 +4,12 @@ All matrices are plain ``numpy.ndarray`` objects (real or complex,
 2-dimensional). Truncation is always block-relative: a factorization at
 tolerance ``tol`` keeps singular values (or pivots) above ``tol`` times
 the largest one of the block being compressed, which keeps compression
-scale-invariant. ``range_finder`` is the one seeded randomized sampler:
-``low_rank_approx`` uses it for large HODLR blocks and
-``experiments.spectrum_potential`` for large Helmholtz spectra.
+scale-invariant. ``low_rank_approx`` compresses a HODLR block by cross
+approximation, certified by a seeded Gaussian sketch and recompressed
+to the truncated-SVD cut; a block the sketch refuses falls back to the
+SVD, or above 512 wide to ``range_finder``. That is the one seeded
+randomized sampler, which ``experiments.spectrum_potential`` also uses
+for large Helmholtz spectra.
 """
 
 from dataclasses import dataclass
@@ -114,9 +117,14 @@ def _check_input(A, tol=None):
         raise ValueError(f"expected a nonempty matrix, got shape {A.shape}")
     if not np.all(np.isfinite(A)):
         raise ValueError("matrix contains non-finite entries")
-    if tol is not None and not (0.0 < tol < 1.0):
-        raise ValueError(f"relative tolerance must lie in (0,1), got {tol}")
+    if tol is not None:
+        _check_tol(tol)
     return A
+
+
+def _check_tol(tol):
+    if not (0.0 < tol < 1.0):
+        raise ValueError(f"relative tolerance must lie in (0,1), got {tol}")
 
 
 def _inexact(x):
@@ -180,6 +188,9 @@ _DENSE_SVD_LIMIT = 512
 _RANGE_FINDER_SEED = 0x5EED
 _RANGE_FINDER_START = 32  # columns in the first sample
 _RANGE_FINDER_TAIL = 10  # sampled singular values that must lie at or below the cut
+_ACA_REL_TOL = 1e-2  # cross approximation stops two orders below the compression tol
+_CERTIFY_SEED = 0xACA
+_CERTIFY_SAMPLES = 8  # Gaussian vectors in the certifying sketch: failure odds 1e-8
 
 
 def range_finder(A, tol, seed=_RANGE_FINDER_SEED):
@@ -230,13 +241,44 @@ def _orth_against(Q, Y):
 def low_rank_approx(A, tol) -> LowRankFactor:
     """Compress a dense block to a LowRankFactor at the truncated-SVD cut.
 
-    Small blocks go through the full SVD. Large ones go through
-    ``range_finder``, whose sample grows until its spectrum has passed
-    the cut, so the SVD of the projected block reproduces the leading
-    singular triplets to machine accuracy and the returned factors match
-    the dense path at the same tolerance.
+    Partially pivoted cross approximation (``_aca``) reads k rows and
+    columns of A and stops at a tolerance two orders below ``tol``. Its
+    untruncated approximant S is then certified: with 8 seeded Gaussian
+    vectors w_j (complex for complex A), 10 sqrt(2/pi) max_j ||w_j^T (A - S)||
+    <= tol * sigma_1(S) proves ||A - S|| <= tol * sigma_1(S) except with
+    probability 1e-8 (Halko, Martinsson & Tropp, SIAM Rev. 53 (2011),
+    Lemma 4.1, applied to (A - S)^T); the sketch is the one read of every
+    entry, and from the left it streams the rows of a C-ordered A. A
+    certified S is cut by ``recompress``; a refused one takes
+    ``_sampled_approx``. A non-finite entry raises ValueError, from
+    ``recompress`` or, since it always fails the sketch, from the
+    sampled path.
     """
+    _check_tol(tol)
     A = np.asarray(A)
+    rng = np.random.default_rng(_CERTIFY_SEED)
+    Om = rng.standard_normal((_CERTIFY_SAMPLES, A.shape[0]))
+    if np.iscomplexobj(A):
+        Om = Om + 1j * rng.standard_normal(Om.shape)
+    # a non-finite or overflowing value fails the test, and the sampled path handles it
+    with np.errstate(all="ignore"):
+        S = _aca(A, _ACA_REL_TOL * tol)
+        F = recompress(S, tol)
+        # the columns of F.U are orthogonal with norms sigma_j(S); recompress keeps sigma_1
+        sigma1 = np.linalg.norm(F.U[:, 0]) if F.rank else 0.0
+        R = Om @ A - (Om @ S.U) @ S.V.conj().T
+        certified = 10.0 * np.sqrt(2.0 / np.pi) * np.linalg.norm(R, axis=1).max() <= tol * sigma1
+    return F if certified else _sampled_approx(A, tol)
+
+
+def _sampled_approx(A, tol) -> LowRankFactor:
+    """The truncated SVD of A up to 512 wide, ``range_finder`` above.
+
+    The range finder's sample grows until its spectrum has passed the
+    cut, so the SVD of the projected block reproduces the leading
+    singular triplets to machine accuracy and the factors match the
+    dense path at the same tolerance.
+    """
     if min(A.shape) <= _DENSE_SVD_LIMIT:
         U, s, V = truncated_svd(A, tol)
         return LowRankFactor(U * s, V)
@@ -244,6 +286,40 @@ def low_rank_approx(A, tol) -> LowRankFactor:
     Ub, s, Vh = np.linalg.svd(B, full_matrices=False)
     r = eps_rank(s, tol)
     return LowRankFactor((Q @ Ub[:, :r]) * s[:r], Vh[:r].copy().conj().T)  # not a view of Vh
+
+
+def _aca(A, eps) -> LowRankFactor:
+    """Partially pivoted adaptive cross approximation (Bebendorf, Numer.
+    Math. 86 (2000)): A ~= S_k = sum_l u_l v_l*, built from k residual rows
+    and columns of A read by plain indexing.
+
+    Each step takes the residual of the pivot row, pivots on its largest
+    entry, and takes the residual of that column; the next pivot row is
+    the largest unused entry of the new column. It stops after the first
+    term with ||u_k|| ||v_k|| <= eps ||S_k||_F (the norm is updated in
+    O(k (m + n))), or at a zero or NaN pivot, or at min(m, n) terms.
+    """
+    m, n = A.shape
+    dtype = np.result_type(A, float)
+    Ut = np.empty((min(m, n), m), dtype)  # row l holds u_l
+    Vt = np.empty((min(m, n), n), dtype)  # row l holds conj(v_l)
+    free = np.ones(m, bool)
+    i, k, norm2 = 0, 0, 0.0
+    while k < min(m, n):
+        free[i] = False
+        row = A[i, :] - Ut[:k, i] @ Vt[:k]
+        j = np.argmax(np.abs(row))
+        if not np.abs(row[j]) > 0.0:  # a zero residual row, or a non-finite A
+            break
+        u = A[:, j] - Vt[:k, j] @ Ut[:k]
+        Ut[k], Vt[k] = u, row / row[j]
+        uu, vv = np.vdot(u, u).real, np.vdot(Vt[k], Vt[k]).real
+        norm2 += uu * vv + 2.0 * np.real(np.dot(Ut[:k].conj() @ u, Vt[:k].conj() @ Vt[k]))
+        k += 1
+        if uu * vv <= eps * eps * norm2:
+            break
+        i = np.argmax(np.where(free, np.abs(u), -1.0))
+    return LowRankFactor(Ut[:k].T.copy(), Vt[:k].conj().T.copy())
 
 
 def recompress(factor: LowRankFactor, tol) -> LowRankFactor:

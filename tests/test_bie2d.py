@@ -1,6 +1,8 @@
 """Interior Dirichlet Laplace BIE: geometry, kernel conventions, solver
 accuracy, proxy compression, and the multipole expansion."""
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.integrate
@@ -99,6 +101,13 @@ class TestMakeCurve:
     def test_names_the_bad_parameter(self, kind, params, match):
         with pytest.raises(ValueError, match=match):
             make_curve(kind, 64, *params)
+
+    def test_overflowing_arms_refused_without_warning(self):
+        # arms * arms overflows in the second derivative, before the check
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="starfish amp and arms"):
+                make_curve("starfish", 64, 0.3, 10**160)
 
     def test_integral_float_arms_accepted(self):
         c, c_int = make_curve("starfish", 64, 0.3, 5.0), make_curve("starfish", 64, 0.3, 5)

@@ -148,6 +148,14 @@ class TestCompress:
         with pytest.raises(ValueError, match="non-finite"):
             compress_to_hbs(A, build_uniform_tree(256, 32), 1e-10)
 
+    def test_nonfinite_leaf_block_entry_raises_at_compression(self):
+        # no far field reads A[5, 7]; it used to fail later, inside the
+        # inverse, with scipy's unnamed message
+        A = ellipse_bie_matrix(256)
+        A[5, 7] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            compress_to_hbs(A, build_uniform_tree(256, 32), 1e-10)
+
     def test_submatrix_property(self):
         # sibling interactions are literal submatrices, bit for bit
         A = ellipse_bie_matrix(256)

@@ -7,6 +7,8 @@ import pytest
 import scipy.linalg
 from hypothesis import example, given, settings, strategies
 
+from fds import linalg
+from fds.bie2d import assemble_bie, make_curve
 from fds.bvp1d import Bvp1dProblem, assemble_nystrom
 from fds._stacks import Telescope
 from fds.hodlr import (
@@ -67,6 +69,57 @@ class TestCompress:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             compress_to_hodlr(np.eye(10), build_uniform_tree(12, 4), 1e-8)
+
+    @pytest.mark.parametrize("where", [(5, 7), (5, 200)])
+    def test_nonfinite_entry_refused_by_name(self, where):
+        # (5, 7) lies in a leaf diagonal block, which no block compression
+        # reads; it used to fail later, in the inverse, with scipy's message
+        A, _ = ie_matrix(256)
+        A[where] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            compress_to_hodlr(A, build_uniform_tree(256, 32), 1e-10)
+
+
+def bie_matrix(kind, N, *params):
+    return assemble_bie(make_curve(kind, N, *params), np.zeros(N)).matrix
+
+
+class TestCrossApproximation:
+    """Sibling blocks go through certified cross approximation and land at
+    the ranks of the sampled path (SVD up to 512 wide, range finder above)."""
+
+    MATRICES = {
+        "bvp1d-1024": (lambda: ie_matrix(1024)[0], 1e-10),
+        "bvp1d-2048": (lambda: ie_matrix(2048)[0], 1e-10),
+        "bvp1d-4096": (lambda: ie_matrix(4096)[0], 1e-10),
+        "starfish-1024": (lambda: bie_matrix("starfish", 1024, 0.3, 5), 1e-10),
+        "starfish-2048": (lambda: bie_matrix("starfish", 2048, 0.3, 5), 1e-10),
+        "ellipse-1024": (lambda: bie_matrix("ellipse", 1024, 2.0, 1.0), 1e-10),
+        "ellipse-2048": (lambda: bie_matrix("ellipse", 2048, 2.0, 1.0), 1e-10),
+        "kernel-1e-6": (lambda: kernel_matrix(1024) + 8 * np.eye(1024), 1e-6),
+        "kernel-1e-12": (lambda: kernel_matrix(1024) + 8 * np.eye(1024), 1e-12),
+    }
+
+    @pytest.mark.parametrize("name", sorted(MATRICES))
+    def test_ranks_equal_sampled_path_ranks(self, name, sampled_path):
+        make, tol = self.MATRICES[name]
+        A = make()
+        tree = build_uniform_tree(A.shape[0], 64)
+        H = compress_to_hodlr(A, tree, tol)
+        assert sampled_path == []
+        r = tree.ranges
+        for (a, b), f in H.offdiag.items():
+            block = A[slice(*r[a]), slice(*r[b])]
+            assert f.rank == linalg._sampled_approx(block, tol).rank, (a, b)
+
+    def test_unequal_leaves(self, sampled_path):
+        # N = 777, leaf 64: sibling blocks of 97 and 98 rows and columns
+        A, _ = ie_matrix(777)
+        tree = build_uniform_tree(777, 64)
+        H = compress_to_hodlr(A, tree, 1e-12)
+        assert sampled_path == [] and H.max_rank() == 1
+        assert len({f.shape for f in H.offdiag.values()}) > tree.depth
+        assert np.linalg.norm(H.todense() - A) <= 1e-11 * np.linalg.norm(A)
 
 
 class TestMatvec:
@@ -453,8 +506,9 @@ class TestStorage:
         assert held <= 2 * storage_report(H)["stored_scalars"] * A.itemsize
 
     def test_range_finder_factors_hold_exactly_their_count(self):
-        # top blocks 1024 wide go through the range finder; V must not be a
-        # view of the sample-sized Vh
+        # top blocks are 1024 wide: certified cross approximations, whose
+        # factors must not be views of the cross buffers (or, on the range
+        # finder path, of the sample-sized Vh)
         A, _ = ie_matrix(2048)
         H = compress_to_hodlr(A, build_uniform_tree(2048, 64), 1e-10)
         assert max(f.U.shape[0] for f in H.offdiag.values()) > 512

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from fds import linalg
 from fds.linalg import (
     LowRankFactor,
     SingularMatrixError,
@@ -134,16 +135,84 @@ class TestTruncatedSvd:
 class TestLowRankApprox:
     @pytest.mark.parametrize("kind", ["real", "complex"])
     def test_range_finder_branch_vs_truncated_svd(self, kind):
-        # 600 x 560 is past the dense-SVD limit, so the range finder runs
+        # 600 x 560 is past the dense-SVD limit, so the sampled path runs
+        # the range finder; cross approximation lands at the same rank
         x = np.linspace(0.0, 1.0, 600)
         y = np.linspace(1.5, 2.5, 560)
         d = np.abs(x[:, None] - y[None, :])
         A = np.log(d) if kind == "real" else np.exp(10j * d) / d
         tol = 1e-10
+        _, s, _ = truncated_svd(A, tol)
+        for F in (linalg._sampled_approx(A, tol), low_rank_approx(A, tol)):
+            assert F.rank == len(s)
+            assert np.linalg.norm(A - F.todense(), 2) <= 10 * tol * np.linalg.norm(A, 2)
+
+    def test_unvisited_row_is_refused_by_the_sketch(self, sampled_path):
+        # row 0 is zero, so cross approximation stops at rank 0 without
+        # visiting row 17; the sketch sees the entry and the SVD keeps it
+        A = np.zeros((40, 30))
+        A[17, 11] = 1.0
+        assert linalg._aca(A, 1e-12).rank == 0
+        F = low_rank_approx(A, 1e-10)
+        assert sampled_path == [(40, 30)]
+        assert F.rank == 1 and np.array_equal(F.todense(), A)
+
+    @pytest.mark.parametrize("shape", [(50, 40), (1, 7), (600, 600)])
+    def test_zero_block_certified_at_rank_zero(self, sampled_path, shape):
+        F = low_rank_approx(np.zeros(shape), 1e-10)
+        assert sampled_path == []
+        assert F.U.shape == (shape[0], 0) and F.V.shape == (shape[1], 0)
+
+    @pytest.mark.parametrize("tol", [1e-6, 1e-12])
+    def test_complex_block_certified_at_svd_rank(self, sampled_path, tol):
+        x = np.linspace(0.0, 1.0, 200)
+        y = np.linspace(1.5, 2.5, 180)
+        d = np.abs(x[:, None] - y[None, :])
+        A = np.exp(10j * d) / d
         F = low_rank_approx(A, tol)
         _, s, _ = truncated_svd(A, tol)
-        assert F.rank == len(s)
-        assert np.linalg.norm(A - F.todense(), 2) <= 10 * tol * np.linalg.norm(A, 2)
+        assert sampled_path == []
+        assert np.iscomplexobj(F.U) and np.iscomplexobj(F.V) and F.rank == len(s)
+        assert np.linalg.norm(A - F.todense(), 2) <= 2 * tol * s[0]
+
+    def test_rejects_bad_tolerance(self):
+        with pytest.raises(ValueError, match="relative tolerance"):
+            low_rank_approx(np.eye(3), 2.0)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("row", [0, 3])
+    def test_nonfinite_block_refused(self, bad, row):
+        # in the first pivot row cross approximation stops at the bad entry,
+        # elsewhere it never reads it; the sketch refuses both, without a
+        # warning, and the sampled path names the entry
+        A = np.outer(np.arange(1.0, 701.0), np.ones(650))
+        A[row, 5] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            low_rank_approx(A, 1e-10)
+
+    def test_seeded_factors_are_byte_identical(self, sampled_path):
+        x = np.linspace(0.0, 1.0, 300)
+        A = np.log(np.abs(x[:, None] - x[None, ::-1] - 1.5))
+        F, G = low_rank_approx(A, 1e-10), low_rank_approx(A, 1e-10)
+        assert sampled_path == [] and F.rank > 1
+        assert F.U.tobytes() == G.U.tobytes() and F.V.tobytes() == G.V.tobytes()
+
+    def test_refused_wide_block_goes_through_range_finder(self, sampled_path, monkeypatch):
+        calls = []
+        real = linalg.range_finder
+        monkeypatch.setattr(linalg, "range_finder",
+                            lambda A, tol: calls.append(A.shape) or real(A, tol))
+        A = np.zeros((600, 560))
+        A[300, 200] = 2.0
+        F = low_rank_approx(A, 1e-10)
+        assert sampled_path == [(600, 560)] and calls == [(600, 560)]
+        assert F.rank == 1 and np.allclose(F.todense(), A, rtol=0.0, atol=1e-14)
+        for M in (F.U, F.V):  # neither factor is a view of the sample-sized arrays
+            owner = M
+            while owner.base is not None:
+                owner = owner.base
+            assert owner.nbytes == M.nbytes
 
 
 def known_spectrum(m, n, s, complex_, seed):
