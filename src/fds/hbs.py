@@ -29,8 +29,8 @@ import numpy as np
 import scipy.linalg
 
 from ._stacks import Telescope
-from .linalg import (_BLOCKS_HINT, SingularMatrixError, _check_input, interpolative_decomposition,
-                     lu_factor_checked)
+from .linalg import (_BLOCKS_HINT, SingularMatrixError, _check_input, _inexact,
+                     interpolative_decomposition, lu_factor_checked)
 from .tree import ClusterTree, sibling_pairs
 
 logger = logging.getLogger(__name__)
@@ -64,6 +64,27 @@ def _woodbury_variant(D, U, V):
 # -- shared skeleton construction ---------------------------------------------
 
 
+def _qr_r(B):
+    """R of the unpivoted QR B = Q R: the upper triangle of the first
+    min(m, n) rows of LAPACK ``geqrt``'s result (blocks of 32 columns).
+    A Fortran-ordered float64 or complex128 B is factored in place, so
+    its entries are lost; any other B is copied first."""
+    m, n = B.shape
+    if min(m, n) == 0:
+        return np.zeros((0, n), np.result_type(B, float))
+    geqrt, = scipy.linalg.get_lapack_funcs(("geqrt",), (B,))
+    QR, _, _ = geqrt(min(32, m, n), B, overwrite_a=1)
+    return np.triu(QR[:min(m, n)])
+
+
+def _far_field(A, rows, s0, s1):
+    """A[rows] without the columns [s0, s1), as a new C-ordered array."""
+    B = np.empty((len(rows), A.shape[1] - (s1 - s0)), A.dtype)
+    B[:, :s0] = A[rows, :s0]
+    B[:, s0:] = A[rows, s1:]
+    return B
+
+
 def _union_skeleton(Brow, Bcol, tol):
     """Shared row/column skeleton with interpolation bases.
 
@@ -73,20 +94,24 @@ def _union_skeleton(Brow, Bcol, tol):
     unpivoted QR keeps, so each tall block is first reduced by one
     BLAS-3 QR, Brow* = Q R_r and Bcol = Q' R_c, and the rest runs on the
     factors of at most n x n (Cheng, Gimbutas, Martinsson & Rokhlin,
-    SISC 26 (2005)). The row-ID of Brow (the column ID of R_r) and the
-    column ID of Bcol (of R_c) are unioned; both bases are then
-    re-solved against the union by least squares on R_r and R_c, with
-    the cutoff eps * max(M, k) of the tall problem, so each contains an
-    identity on the skeleton. Returns (positions J, U, V) with
-    Brow ~= U @ Brow[J] and Bcol ~= Bcol[:, J] @ V.conj().T.
+    SISC 26 (2005)). R_r is the conjugate of the R of Brow^T, so a
+    C-ordered Brow and a Fortran-ordered Bcol go to LAPACK without a
+    copy, and are overwritten: callers pass blocks they no longer need.
+    The row-ID of Brow (the column ID of R_r) and the column ID of Bcol
+    (of R_c) are unioned; both bases are then re-solved against the
+    union by least squares on R_r and R_c, with the cutoff
+    eps * max(M, k) of the tall problem, so each contains an identity
+    on the skeleton. Returns (positions J, U, V) with
+    Brow ~= U @ Brow[J] and Bcol ~= Bcol[:, J] @ V.conj().T for the
+    blocks as they were passed in.
     """
-    n = Brow.shape[0]
+    n, M = Brow.shape
     dtype = np.result_type(Brow.dtype, Bcol.dtype)
     if Brow.size == 0 or Bcol.size == 0:
         empty = np.zeros((n, 0), dtype=dtype)
         return np.empty(0, dtype=int), empty, empty.copy()
-    Rrow = np.linalg.qr(Brow.conj().T, mode="r")
-    Rcol = np.linalg.qr(Bcol, mode="r")
+    Rrow = _qr_r(Brow.T).conj()
+    Rcol = _qr_r(Bcol)
     row_id = interpolative_decomposition(Rrow, tol)
     col_id = interpolative_decomposition(Rcol, tol)
     J = np.union1d(row_id.skeleton, col_id.skeleton).astype(int)
@@ -96,12 +121,10 @@ def _union_skeleton(Brow, Bcol, tol):
     U[J] = V[J] = np.eye(k)
     if k and len(rest):
         # rows: Brow[rest] ~= X @ Brow[J]; columns analogously
-        eps = np.finfo(dtype).eps
-        X, *_ = np.linalg.lstsq(Rrow[:, J], Rrow[:, rest],
-                                rcond=eps * max(Brow.shape[1], k))
+        rcond = np.finfo(dtype).eps * max(M, k)
+        X, *_ = np.linalg.lstsq(Rrow[:, J], Rrow[:, rest], rcond=rcond)
         U[rest] = X.conj().T
-        Y, *_ = np.linalg.lstsq(Rcol[:, J], Rcol[:, rest],
-                                rcond=eps * max(Bcol.shape[0], k))
+        Y, *_ = np.linalg.lstsq(Rcol[:, J], Rcol[:, rest], rcond=rcond)
         V[rest] = Y.conj().T
     return J, U, V
 
@@ -147,33 +170,41 @@ def compress_to_hbs(A, tree: ClusterTree, tol) -> HbsMatrix:
     process on the stacked child skeletons, producing small transfer
     matrices. Sibling interactions are read off the source matrix.
 
-    Cost: each node reads its whole far field once, through one
-    unpivoted QR of its n x (N - |tau|) block row and one of its block
-    column; the IDs and least-squares fits then run on n x n triangles.
-    That is O(N^2 k) over the tree, so the method stays O(N^2); an O(N)
-    build needs proxy surfaces in place of the full far field.
+    Cost: a node owns the contiguous range [s0, s1), so its far field is
+    the columns left of s0 and right of s1. Its block row is gathered
+    from A into one C-ordered n x (N - |tau|) buffer, and its block
+    column from a C-ordered copy of A^T, made at entry and held only
+    during compression (N^2 scalars, the size of A). Each buffer's
+    transpose is Fortran-ordered, so LAPACK ``geqrt`` factors it in
+    place, with no further copy; the IDs and least-squares fits then run
+    on the n x n triangles. That is O(N^2 k) over the tree, so the
+    method stays O(N^2); an O(N) build needs proxy surfaces in place of
+    the full far field. Integer input is promoted to float64, and A is
+    never written.
 
     A tree of depth 0 (N below twice the leaf size) stores A as its one
     leaf block, and the inverse is a checked dense LU of it. A non-finite
     entry anywhere in A raises ValueError before any node is compressed.
     """
-    A = _check_input(A, tol)
+    A = _inexact(_check_input(A, tol))
     t = tree
     if A.shape != (t.N, t.N):
         raise ValueError(f"matrix shape {A.shape} does not match tree over {t.N}")
-    allidx = np.arange(t.N)
+    At = np.empty(A.shape, A.dtype)  # block columns become row gathers
+    for i in range(0, t.N, 64):  # by strips: a whole-matrix transpose misses cache
+        At[:, i:i + 64] = A[i:i + 64].T
     U, V, skel = {}, {}, {}
     for ell in range(t.depth, 0, -1):
         for tau in t.nodes_at_level(ell):
-            own = t.index_range(tau)
-            rows = own if t.is_leaf(tau) else np.concatenate([skel[c] for c in t.children(tau)])
-            comp = np.setdiff1d(allidx, own)
-            J, Ut, Vt = _union_skeleton(A[np.ix_(rows, comp)], A[np.ix_(comp, rows)], tol)
-            U[tau], V[tau] = Ut, Vt
+            s0, s1 = t.ranges[tau]
+            rows = t.index_range(tau) if t.is_leaf(tau) else np.concatenate(
+                [skel[c] for c in t.children(tau)])
+            J, U[tau], V[tau] = _union_skeleton(_far_field(A, rows, s0, s1),
+                                                _far_field(At, rows, s0, s1).T, tol)
             skel[tau] = rows[J]
-    Atilde = {(a, b): A[np.ix_(skel[a], skel[b])].copy()
+    Atilde = {(a, b): A[np.ix_(skel[a], skel[b])]
               for pair in sibling_pairs(t) for a, b in (pair, pair[::-1])}
-    D = {tau: A[np.ix_(t.index_range(tau), t.index_range(tau))].copy() for tau in t.leaves()}
+    D = {tau: A[np.ix_(t.index_range(tau), t.index_range(tau))] for tau in t.leaves()}
     return HbsMatrix(tree=t, U=U, V=V, Atilde=Atilde, D=D, skeleton=skel, tol=tol)
 
 

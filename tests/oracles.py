@@ -14,7 +14,9 @@ compares against:
 * ``bessel_j1_y1`` and ``hankel1_first_kind``, the first-order Bessel
   and Hankel functions;
 * ``_coarse_intersection_scan``, a segment-against-segment
-  self-intersection test of a sampled curve.
+  self-intersection test of a sampled curve;
+* ``assemble_bie_matrix``, the Nystrom matrix formed in one shot from
+  full N x N kernel temporaries.
 """
 
 from dataclasses import dataclass
@@ -23,6 +25,7 @@ import numpy as np
 import scipy.linalg
 import scipy.special
 
+from fds.bie2d import _dlp
 from fds.hbs import _union_skeleton, _woodbury_variant
 from fds.hodlr import HodlrInverseMultiplicative, HodlrMatrix, compress_to_hodlr
 from fds.special import _hankel, _pair
@@ -188,3 +191,12 @@ def _coarse_intersection_scan(x):
         if np.any((tt > 0) & (tt < 1) & (uu > 0) & (uu < 1)):
             return True
     return False
+
+
+def assemble_bie_matrix(curve):
+    """-1/2 I + K on the curve nodes, with the curvature limit on the diagonal."""
+    K, _ = _dlp(curve.x[:, None, :], curve.x[None, :, :], curve.normal[None, :, :])
+    np.fill_diagonal(K, -curve.curvature / (4.0 * np.pi))
+    A = K * curve.weights[None, :]
+    A[np.diag_indices_from(A)] -= 0.5
+    return A

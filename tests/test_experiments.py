@@ -154,7 +154,11 @@ class TestScalingBench:
         ("hodlr-inv", [256, 512], [17408, 35840]),
         ("hbs-inv", [256, 512], [17174, 34650]),
         ("nd-factor", [16, 32], [10452, 51976]),  # LU, inverse, X and F_BS per front
-        ("bie-solve", [128, 256], [21632, 32736]),
+        # N = 128 is the depth-1 ellipse, whose point-symmetric halves make
+        # the row and column blocks tie: the two IDs pick the same 27 of 64
+        # pivots, so the union skeleton is 27 (test_hbs.py checks every
+        # node's ID error against tol)
+        ("bie-solve", [128, 256], [16562, 32736]),
     ])
     def test_pinned_storage(self, target, sizes, stored):
         rows = scaling_bench(target, sizes, tol=1e-10)

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies
 
 from fds.bie2d import assemble_bie, laplace_fundamental, make_curve
 from fds.bvp1d import green_1d
-from fds.hbs import compress_to_hbs, hbs_invert, hbs_matvec, hbs_storage
+from fds.hbs import _qr_r, compress_to_hbs, hbs_invert, hbs_matvec, hbs_storage
 from fds.linalg import SingularMatrixError, dense_lu_solve
 from fds.solve import factor
 from fds.special import hankel0_first_kind
@@ -189,6 +189,65 @@ class TestCompress:
             block = A[np.ix_(own, comp)]
             proj = long_u[tau] @ A[np.ix_(H.skeleton[tau], comp)]
             assert np.linalg.norm(block - proj) <= 100 * tol * np.linalg.norm(A)
+
+    @pytest.mark.parametrize("shape", [(300, 40), (40, 40), (20, 50), (0, 5), (5, 0)])
+    @pytest.mark.parametrize("is_complex", [False, True])
+    def test_geqrt_r_matches_numpy_qr(self, shape, is_complex):
+        # tall, square, wide (M < n) and empty; equal up to a unimodular
+        # scaling of each row of R
+        rng = np.random.default_rng(RNG_SEED)
+        B = rng.standard_normal(shape)
+        if is_complex:
+            B = B + 1j * rng.standard_normal(shape)
+        R_ref = np.linalg.qr(B, mode="r")
+        R = _qr_r(np.asfortranarray(B))
+        assert R.shape == R_ref.shape and R.dtype == B.dtype
+        if R.size:
+            d = np.diag(R_ref) / np.diag(R)
+            assert np.allclose(np.abs(d), 1.0, rtol=0, atol=1e-13)
+            assert np.linalg.norm(d[:, None] * R - R_ref) <= 1e-13 * np.linalg.norm(R_ref)
+
+    @pytest.mark.parametrize("case", ["starfish1024", "ellipse128", "helmholtz777"])
+    def test_every_node_id_error_within_tol(self, case):
+        # each node's row and column ID against its whole far field, with
+        # the rows it skeletonizes: its own at a leaf, its children's
+        # skeletons at a parent
+        A = {"starfish1024": lambda: starfish_bie_matrix(1024),
+             "ellipse128": lambda: ellipse_bie_matrix(128),
+             "helmholtz777": lambda: helmholtz_starfish_matrix(777)}[case]()
+        tol = 1e-10
+        t = build_uniform_tree(len(A), 64)
+        H = compress_to_hbs(A, t, tol)
+        for tau in range(2, t.nnodes + 1):
+            s0, s1 = t.ranges[tau]
+            comp = np.r_[0:s0, s1:t.N]
+            rows = (np.arange(s0, s1) if t.is_leaf(tau)
+                    else np.concatenate([H.skeleton[c] for c in t.children(tau)]))
+            Brow, Bcol = A[np.ix_(rows, comp)], A[np.ix_(comp, rows)]
+            sk = H.skeleton[tau]
+            row_err = np.linalg.norm(Brow - H.U[tau] @ A[np.ix_(sk, comp)], 2)
+            col_err = np.linalg.norm(Bcol - A[np.ix_(comp, sk)] @ H.V[tau].conj().T, 2)
+            assert row_err <= 10 * tol * np.linalg.norm(Brow, 2), tau
+            assert col_err <= 10 * tol * np.linalg.norm(Bcol, 2), tau
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_input_left_unchanged(self, order):
+        A = np.asarray(starfish_bie_matrix(512), order=order)
+        before = A.tobytes(order="A")
+        compress_to_hbs(A, build_uniform_tree(512, 64), 1e-10)
+        assert A.tobytes(order="A") == before and A.flags[f"{order}_CONTIGUOUS"]
+
+    def test_integer_matrix_same_as_its_float_copy(self):
+        # min(i, j) + N I: rank-1 sibling blocks, exact in int64 and float64
+        N = 128
+        i = np.arange(N)
+        A = np.minimum.outer(i, i) + N * np.eye(N, dtype=np.int64)
+        tree, b = build_uniform_tree(N, 16), np.arange(N) % 7 - 3.0
+        fac_int, fac_float = factor(A, "hbs", tree), factor(A.astype(float), "hbs", tree)
+        assert fac_int.stored_scalars == fac_float.stored_scalars
+        x = fac_int.apply(b)
+        assert x.tobytes() == fac_float.apply(b).tobytes()
+        assert np.linalg.norm(A @ x - b) <= 1e-12 * np.linalg.norm(b)
 
 
 class TestMatvec:
@@ -426,6 +485,17 @@ class TestApplyInverse:
         assert Y.shape == X.shape
         assert np.linalg.norm(Y - X) <= 1e-12 * np.linalg.norm(X)
 
+    @pytest.mark.parametrize("shape", [(512,), (512, 3)])
+    def test_complex_on_real_stacks_is_re_plus_i_im(self, shape):
+        # real stacks take complex data as real and imaginary columns
+        H = compress_to_hbs(starfish_bie_matrix(512), build_uniform_tree(512, 64), 1e-10)
+        rng = np.random.default_rng(RNG_SEED)
+        x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        for apply in (lambda x: hbs_matvec(H, x), hbs_invert(H).apply):
+            y, ref = apply(x), apply(x.real) + 1j * apply(x.imag)
+            assert y.shape == shape and y.dtype == np.complex128
+            assert np.linalg.norm(y - ref) <= 1e-14 * np.linalg.norm(ref)
+
     def test_identity_inverse(self):
         tree = build_uniform_tree(64, 8)
         H = compress_to_hbs(np.eye(64), tree, 1e-12)
@@ -539,8 +609,9 @@ class TestLevelStacks:
         B = rng.standard_normal((N, 2)) + 1j * rng.standard_normal((N, 2))
         Y, Y_ref = inv.apply(B), np.linalg.solve(H.todense(), B)
         assert np.linalg.norm(Y - Y_ref) <= 1e-12 * np.linalg.norm(Y_ref)
-        # a real inverse applied to complex data keeps both parts (the
-        # stacks are cast to complex, so the sums round differently)
+        # a real inverse applied to complex data keeps both parts (the real
+        # and imaginary parts go through together, so the sums round
+        # differently from an apply of the imaginary part alone)
         Y_imag = inv.apply(B.imag)
         assert np.linalg.norm(Y.imag - Y_imag) <= 1e-14 * np.linalg.norm(Y_imag)
 
