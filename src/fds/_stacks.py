@@ -103,14 +103,8 @@ class Telescope:
 
     def apply(self, x):
         """M x for (N,) or (N, r) x: one batched product per level up,
-        two per level down. Complex x on real stacks goes through as its
-        real and imaginary parts, 2r real columns, since a mixed product
-        would cast every stack to complex."""
+        two per level down."""
         x = np.asarray(x)
-        if np.iscomplexobj(x) and not np.iscomplexobj(self.B[0]):
-            X = x.reshape(len(x), -1)
-            Y = self.apply(np.hstack([X.real, X.imag]))
-            return (Y[:, :X.shape[1]] + 1j * Y[:, X.shape[1]:]).reshape(x.shape)
         vs = [self.layout.pad(x)]
         r = vs[0].shape[2]
         for Wh in self.Wh[:0:-1]:

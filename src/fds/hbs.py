@@ -70,8 +70,6 @@ def _qr_r(B):
     A Fortran-ordered float64 or complex128 B is factored in place, so
     its entries are lost; any other B is copied first."""
     m, n = B.shape
-    if min(m, n) == 0:
-        return np.zeros((0, n), np.result_type(B, float))
     geqrt, = scipy.linalg.get_lapack_funcs(("geqrt",), (B,))
     QR, _, _ = geqrt(min(32, m, n), B, overwrite_a=1)
     return np.triu(QR[:min(m, n)])
@@ -174,13 +172,16 @@ def compress_to_hbs(A, tree: ClusterTree, tol) -> HbsMatrix:
     the columns left of s0 and right of s1. Its block row is gathered
     from A into one C-ordered n x (N - |tau|) buffer, and its block
     column from a C-ordered copy of A^T, made at entry and held only
-    during compression (N^2 scalars, the size of A). Each buffer's
-    transpose is Fortran-ordered, so LAPACK ``geqrt`` factors it in
-    place, with no further copy; the IDs and least-squares fits then run
-    on the n x n triangles. That is O(N^2 k) over the tree, so the
-    method stays O(N^2); an O(N) build needs proxy surfaces in place of
-    the full far field. Integer input is promoted to float64, and A is
-    never written.
+    during compression (N^2 scalars, the size of A; none at depth 0).
+    Gathering each block column straight out of A into a Fortran-ordered
+    buffer needs no copy but reads A across its rows: bie-starfish setup
+    at N = 2048 took about 10 % longer that way (2-CPU machine, one BLAS
+    thread). Each buffer's transpose is Fortran-ordered, so LAPACK
+    ``geqrt`` factors it in place, with no further copy; the IDs and
+    least-squares fits then run on the n x n triangles. That is
+    O(N^2 k) over the tree, so the method stays O(N^2); an O(N) build
+    needs proxy surfaces in place of the full far field. Integer input
+    is promoted to float64, and A is never written.
 
     A tree of depth 0 (N below twice the leaf size) stores A as its one
     leaf block, and the inverse is a checked dense LU of it. A non-finite
@@ -190,9 +191,10 @@ def compress_to_hbs(A, tree: ClusterTree, tol) -> HbsMatrix:
     t = tree
     if A.shape != (t.N, t.N):
         raise ValueError(f"matrix shape {A.shape} does not match tree over {t.N}")
-    At = np.empty(A.shape, A.dtype)  # block columns become row gathers
-    for i in range(0, t.N, 64):  # by strips: a whole-matrix transpose misses cache
-        At[:, i:i + 64] = A[i:i + 64].T
+    if t.depth:  # block columns become row gathers of a C-ordered A^T
+        At = np.empty(A.shape, A.dtype)
+        for i in range(0, t.N, 64):  # by strips: a whole-matrix transpose misses cache
+            At[:, i:i + 64] = A[i:i + 64].T
     U, V, skel = {}, {}, {}
     for ell in range(t.depth, 0, -1):
         for tau in t.nodes_at_level(ell):

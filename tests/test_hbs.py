@@ -190,11 +190,12 @@ class TestCompress:
             proj = long_u[tau] @ A[np.ix_(H.skeleton[tau], comp)]
             assert np.linalg.norm(block - proj) <= 100 * tol * np.linalg.norm(A)
 
-    @pytest.mark.parametrize("shape", [(300, 40), (40, 40), (20, 50), (0, 5), (5, 0)])
+    @pytest.mark.parametrize("shape", [(300, 40), (40, 40), (20, 50)])
     @pytest.mark.parametrize("is_complex", [False, True])
     def test_geqrt_r_matches_numpy_qr(self, shape, is_complex):
-        # tall, square, wide (M < n) and empty; equal up to a unimodular
-        # scaling of each row of R
+        # tall, square and wide (M < n); equal up to a unimodular scaling
+        # of each row of R (empty blocks never reach it: _union_skeleton
+        # returns early)
         rng = np.random.default_rng(RNG_SEED)
         B = rng.standard_normal(shape)
         if is_complex:
@@ -202,10 +203,9 @@ class TestCompress:
         R_ref = np.linalg.qr(B, mode="r")
         R = _qr_r(np.asfortranarray(B))
         assert R.shape == R_ref.shape and R.dtype == B.dtype
-        if R.size:
-            d = np.diag(R_ref) / np.diag(R)
-            assert np.allclose(np.abs(d), 1.0, rtol=0, atol=1e-13)
-            assert np.linalg.norm(d[:, None] * R - R_ref) <= 1e-13 * np.linalg.norm(R_ref)
+        d = np.diag(R_ref) / np.diag(R)
+        assert np.allclose(np.abs(d), 1.0, rtol=0, atol=1e-13)
+        assert np.linalg.norm(d[:, None] * R - R_ref) <= 1e-13 * np.linalg.norm(R_ref)
 
     @pytest.mark.parametrize("case", ["starfish1024", "ellipse128", "helmholtz777"])
     def test_every_node_id_error_within_tol(self, case):
@@ -487,7 +487,7 @@ class TestApplyInverse:
 
     @pytest.mark.parametrize("shape", [(512,), (512, 3)])
     def test_complex_on_real_stacks_is_re_plus_i_im(self, shape):
-        # real stacks take complex data as real and imaginary columns
+        # a real matrix is linear over the complex numbers
         H = compress_to_hbs(starfish_bie_matrix(512), build_uniform_tree(512, 64), 1e-10)
         rng = np.random.default_rng(RNG_SEED)
         x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
@@ -609,9 +609,8 @@ class TestLevelStacks:
         B = rng.standard_normal((N, 2)) + 1j * rng.standard_normal((N, 2))
         Y, Y_ref = inv.apply(B), np.linalg.solve(H.todense(), B)
         assert np.linalg.norm(Y - Y_ref) <= 1e-12 * np.linalg.norm(Y_ref)
-        # a real inverse applied to complex data keeps both parts (the real
-        # and imaginary parts go through together, so the sums round
-        # differently from an apply of the imaginary part alone)
+        # a real inverse applied to complex data keeps both parts (the
+        # stacks are cast to complex, so the sums round differently)
         Y_imag = inv.apply(B.imag)
         assert np.linalg.norm(Y.imag - Y_imag) <= 1e-14 * np.linalg.norm(Y_imag)
 
