@@ -42,8 +42,9 @@ H = compress_to_hbs(A, tree, 1e-12)
 
 alpha, beta = sibling_pairs(tree)[1]
 sub = A[np.ix_(H.skeleton[alpha], H.skeleton[beta])]
+own = H.stacks.get(alpha // 2)[2]  # the parent's [0, Atilde_ab; Atilde_ba, 0]
 print("skeletonization keeps interactions as literal submatrices:",
-      np.array_equal(H.Atilde[(alpha, beta)], sub))
+      np.array_equal(own[:H.rank(alpha), H.rank(alpha):], sub))
 print("per-level ranks (level -> max skeleton size):", H.per_level_ranks())
 
 inv = hbs_invert(H)

@@ -2,7 +2,8 @@
 
 Dense kernels (``linalg``, ``quadrature``, ``special``), the binary
 index ``tree``, the HODLR and HBS structured formats with their
-inversion algorithms, the 1D two-point boundary value solvers
+inversion algorithms (an HBS matrix and its inverse each held in one
+zero-padded stack per tree level), the 1D two-point boundary value solvers
 (``bvp1d``), the 2D Laplace boundary integral solver (``bie2d``),
 nested-dissection multifrontal LU (``sparsend``), the one solver
 pipeline ``solve.factor`` over the dense, HODLR, HBS and
@@ -14,11 +15,9 @@ from . import (
     bie2d, bvp1d, experiments, hbs, hodlr, linalg, quadrature, solve, sparsend, special, tree,
 )
 from .linalg import (
-    InterpolativeFactor,
     LowRankFactor,
     SingularMatrixError,
     complex_singular_values,
-    cpqr,
     dense_lu_solve,
     eps_rank,
     interpolative_decomposition,

@@ -88,18 +88,30 @@ class Telescope:
         B = [np.zeros((g, mm, mm), dtype) for g, kk, mm in levels]
         return cls(layout, rank, Wh, Z, B)
 
-    def put(self, tau, W, Z, B):
-        """Write node tau's unpadded blocks into its level's stacks."""
+    def _slots(self, tau):
+        """Node tau's (W*, Z, B) padded blocks, its rank r and the rows p
+        of those blocks that hold its unpadded ones: its children's
+        coefficient slots at a parent, its real rows at a leaf."""
         ell = int(tau).bit_length() - 1
-        if ell + 1 < len(self.B):  # a parent: its children's coefficient slots
+        j = tau - 2**ell
+        if ell + 1 < len(self.B):
             k, ka = self.Wh[ell + 1].shape[1], self.rank[2 * tau]
             p = np.r_[0:ka, k:k + self.rank[2 * tau + 1]]
         else:
-            p = np.arange(len(B))
-        j, r = tau - 2**ell, self.rank[tau]
-        self.Wh[ell][j][:r, p] = W.conj().T
-        self.Z[ell][j][p, :r] = Z
-        self.B[ell][j][np.ix_(p, p)] = B
+            p = np.arange(self.layout.m if self.layout.leaf is None else self.layout.leaf[j].sum())
+        return self.Wh[ell][j], self.Z[ell][j], self.B[ell][j], self.rank[tau], p
+
+    def put(self, tau, W, Z, B):
+        """Write node tau's unpadded blocks into its level's stacks."""
+        Wh, Zs, Bs, r, p = self._slots(tau)
+        Wh[:r, p] = W.conj().T
+        Zs[p, :r] = Z
+        Bs[np.ix_(p, p)] = B
+
+    def get(self, tau):
+        """Node tau's unpadded (W, Z, B) as ``put`` wrote them, copied out."""
+        Wh, Z, B, r, p = self._slots(tau)
+        return Wh[:r, p].conj().T, Z[p, :r], B[np.ix_(p, p)]
 
     def apply(self, x):
         """M x for (N,) or (N, r) x: one batched product per level up,

@@ -292,13 +292,13 @@ def proxy_compress_block(curve: Curve, source_idx, far_idx, center, radius, n_pr
         proxy[:, None, :], curve.x[source_idx][None, :, :],
         curve.normal[source_idx][None, :, :],
     ) * curve.weights[source_idx][None, :]
-    cid = interpolative_decomposition(B, tol)
+    skel, X = interpolative_decomposition(B, tol)
     Ufar = dlp_kernel(
         curve.x[far_idx][:, None, :],
-        curve.x[source_idx[cid.skeleton]][None, :, :],
-        curve.normal[source_idx[cid.skeleton]][None, :, :],
-    ) * curve.weights[source_idx[cid.skeleton]][None, :]
-    return recompress(LowRankFactor(Ufar, cid.interp_full().conj().T), tol)
+        curve.x[source_idx[skel]][None, :, :],
+        curve.normal[source_idx[skel]][None, :, :],
+    ) * curve.weights[source_idx[skel]][None, :]
+    return recompress(LowRankFactor(Ufar, X.conj().T), tol)
 
 
 # -- multipole expansion of the log kernel --------------------------------------

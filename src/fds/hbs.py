@@ -18,8 +18,10 @@ so its G is the inverse of its coupled block. The inverse is then a
 matrix in the same telescoping form as A, with F, E and G in place of
 V, U and the nodes' own blocks. One sweep applies both: each level's
 blocks sit zero-padded in one stack (``_stacks.Telescope``), so it costs
-one batched product per level up and two down. The inverse keeps its
-stacks; ``hbs_matvec`` packs A's for each call.
+one batched product per level up and two down. A and its inverse each
+hold their stacks, written once when they are built; a parent's own
+block in A is [0, Atilde_ab; Atilde_ba, 0], where the inverse puts the
+children's Dhat on the diagonal to form its Dtilde.
 """
 
 import logging
@@ -30,8 +32,8 @@ import scipy.linalg
 
 from ._stacks import Telescope
 from .linalg import (_BLOCKS_HINT, SingularMatrixError, _check_input, _inexact,
-                     interpolative_decomposition, lu_factor_checked)
-from .tree import ClusterTree, sibling_pairs
+                     _pivoted_qr, lu_factor_checked)
+from .tree import ClusterTree
 
 logger = logging.getLogger(__name__)
 
@@ -95,11 +97,11 @@ def _union_skeleton(Brow, Bcol, tol):
     SISC 26 (2005)). R_r is the conjugate of the R of Brow^T, so a
     C-ordered Brow and a Fortran-ordered Bcol go to LAPACK without a
     copy, and are overwritten: callers pass blocks they no longer need.
-    The row-ID of Brow (the column ID of R_r) and the column ID of Bcol
-    (of R_c) are unioned; both bases are then re-solved against the
-    union by least squares on R_r and R_c, with the cutoff
-    eps * max(M, k) of the tall problem, so each contains an identity
-    on the skeleton. Returns (positions J, U, V) with
+    The row skeleton of Brow (the pivots of R_r's column-pivoted QR) and
+    the column skeleton of Bcol (of R_c's) are unioned; both bases are
+    then re-solved against the union by least squares on R_r and R_c,
+    with the cutoff eps * max(M, k) of the tall problem, so each
+    contains an identity on the skeleton. Returns (positions J, U, V) with
     Brow ~= U @ Brow[J] and Bcol ~= Bcol[:, J] @ V.conj().T for the
     blocks as they were passed in.
     """
@@ -110,9 +112,8 @@ def _union_skeleton(Brow, Bcol, tol):
         return np.empty(0, dtype=int), empty, empty.copy()
     Rrow = _qr_r(Brow.T).conj()
     Rcol = _qr_r(Bcol)
-    row_id = interpolative_decomposition(Rrow, tol)
-    col_id = interpolative_decomposition(Rcol, tol)
-    J = np.union1d(row_id.skeleton, col_id.skeleton).astype(int)
+    (_, prow, krow), (_, pcol, kcol) = _pivoted_qr(Rrow, tol), _pivoted_qr(Rcol, tol)
+    J = np.union1d(prow[:krow], pcol[:kcol]).astype(int)
     k = len(J)
     rest = np.setdiff1d(np.arange(n), J)
     U, V = np.zeros((n, k), dtype=dtype), np.zeros((n, k), dtype=dtype)
@@ -132,12 +133,13 @@ def _union_skeleton(Brow, Bcol, tol):
 
 @dataclass
 class HbsMatrix:
+    """A in telescoping form: ``stacks.get(tau)`` is (V_tau, U_tau, B_tau)
+    with B_tau = D_tau at a leaf and [0, Atilde_ab; Atilde_ba, 0] at a
+    parent of a and b; V and U are empty at the root."""
+
     tree: ClusterTree
-    U: dict  # non-root tau -> basis / transfer matrix
-    V: dict
-    Atilde: dict  # ordered sibling pair -> dense interaction
-    D: dict  # leaf tau -> dense diagonal block
-    skeleton: dict  # tau -> retained global indices
+    stacks: Telescope
+    skeleton: dict  # non-root tau -> retained global indices
     tol: float
 
     @property
@@ -146,7 +148,7 @@ class HbsMatrix:
 
     @property
     def dtype(self):
-        return next(iter(self.D.values())).dtype
+        return self.stacks.B[0].dtype
 
     def rank(self, tau) -> int:
         return len(self.skeleton[tau])
@@ -166,7 +168,8 @@ def compress_to_hbs(A, tree: ClusterTree, tol) -> HbsMatrix:
     Bottom-up: each leaf interpolates its block row/column against the
     rest of the index set onto a shared skeleton; parents repeat the
     process on the stacked child skeletons, producing small transfer
-    matrices. Sibling interactions are read off the source matrix.
+    matrices. Sibling interactions are read off the source matrix, and
+    every block is written once into the level stacks.
 
     Cost: a node owns the contiguous range [s0, s1), so its far field is
     the columns left of s0 and right of s1. Its block row is gathered
@@ -177,8 +180,8 @@ def compress_to_hbs(A, tree: ClusterTree, tol) -> HbsMatrix:
     buffer needs no copy but reads A across its rows: bie-starfish setup
     at N = 2048 took about 10 % longer that way (2-CPU machine, one BLAS
     thread). Each buffer's transpose is Fortran-ordered, so LAPACK
-    ``geqrt`` factors it in place, with no further copy; the IDs and
-    least-squares fits then run on the n x n triangles. That is
+    ``geqrt`` factors it in place, with no further copy; the skeleton
+    choice and least-squares fits then run on the n x n triangles. That is
     O(N^2 k) over the tree, so the method stays O(N^2); an O(N) build
     needs proxy surfaces in place of the full far field. Integer input
     is promoted to float64, and A is never written.
@@ -204,27 +207,23 @@ def compress_to_hbs(A, tree: ClusterTree, tol) -> HbsMatrix:
             J, U[tau], V[tau] = _union_skeleton(_far_field(A, rows, s0, s1),
                                                 _far_field(At, rows, s0, s1).T, tol)
             skel[tau] = rows[J]
-    Atilde = {(a, b): A[np.ix_(skel[a], skel[b])]
-              for pair in sibling_pairs(t) for a, b in (pair, pair[::-1])}
-    D = {tau: A[np.ix_(t.index_range(tau), t.index_range(tau))] for tau in t.leaves()}
-    return HbsMatrix(tree=t, U=U, V=V, Atilde=Atilde, D=D, skeleton=skel, tol=tol)
+    st = Telescope.zeros(t, lambda tau: len(skel[tau]), A.dtype)
+    for tau in range(1, t.nnodes + 1):
+        s0, s1 = t.ranges[tau]
+        if t.is_leaf(tau):
+            B = A[s0:s1, s0:s1]
+        else:  # A(J, J) over the children's skeletons, their own blocks zeroed
+            ka = len(skel[2 * tau])
+            J = np.concatenate([skel[2 * tau], skel[2 * tau + 1]])
+            B = A[np.ix_(J, J)]
+            B[:ka, :ka] = B[ka:, ka:] = 0.0
+        st.put(tau, V.get(tau, B[:, :0]), U.get(tau, B[:, :0]), B)
+    return HbsMatrix(tree=t, stacks=st, skeleton=skel, tol=tol)
 
 
 def hbs_matvec(H: HbsMatrix, x):
-    """y = A x by the telescoping sweep through V* and U, with the
-    blocks packed into level stacks for the call. A leaf's own block is
-    D_tau; a parent's couples its children through the sibling
-    interactions, [0, Atilde_ab; Atilde_ba, 0]."""
-    t, st = H.tree, Telescope.zeros(H.tree, H.rank, H.dtype)
-    for tau in range(1, t.nnodes + 1):
-        if t.is_leaf(tau):
-            B = H.D[tau]
-        else:
-            a, b = t.children(tau)
-            B = np.block([[np.zeros((H.rank(a),) * 2), H.Atilde[(a, b)]],
-                          [H.Atilde[(b, a)], np.zeros((H.rank(b),) * 2)]])
-        st.put(tau, H.V.get(tau, B[:, :0]), H.U.get(tau, B[:, :0]), B)
-    return st.apply(x)
+    """y = A x by the telescoping sweep through V* and U."""
+    return H.stacks.apply(x)
 
 
 @dataclass
@@ -247,10 +246,11 @@ class HbsInverse:
 def hbs_invert(H: HbsMatrix) -> HbsInverse:
     """The inverse in telescoping form: blocks (E, F, G) of every node.
 
-    Leaves take Dtilde = D_tau; a parent's Dtilde couples its children's
-    Dhat blocks through their sibling interaction. Each Dtilde goes
-    through the Woodbury variation with the node's bases, the root's
-    with an empty one, so its G is Dtilde^{-1} (A itself at depth 0).
+    Leaves take Dtilde = D_tau; a parent's Dtilde is its own block in A
+    with its children's Dhat written on the diagonal, [Dhat_a, Atilde_ab;
+    Atilde_ba, Dhat_b]. Each Dtilde goes through the Woodbury variation
+    with the node's bases, the root's with an empty one, so its G is
+    Dtilde^{-1} (A itself at depth 0).
     Every intermediate inverse is a dense partially pivoted LU; a
     singular one raises with the node id and level, and a 1-norm
     condition estimate of every block is recorded (ill conditioning is
@@ -260,15 +260,12 @@ def hbs_invert(H: HbsMatrix) -> HbsInverse:
     Dhat, conds = {}, {}
     for ell in range(t.depth, -1, -1):
         for tau in t.nodes_at_level(ell):
-            if t.is_leaf(tau):
-                Dt = H.D[tau]
-            else:
-                a, b = t.children(tau)
-                Dt = np.block([[Dhat[a], H.Atilde[(a, b)]],
-                               [H.Atilde[(b, a)], Dhat[b]]])
+            V, U, Dt = H.stacks.get(tau)
+            if not t.is_leaf(tau):
+                ka = H.rank(2 * tau)
+                Dt[:ka, :ka], Dt[ka:, ka:] = Dhat.pop(2 * tau), Dhat.pop(2 * tau + 1)
             try:
-                (Dhat[tau], E, F, G), conds[tau] = _woodbury_variant(
-                    Dt, H.U.get(tau, Dt[:, :0]), H.V.get(tau, Dt[:, :0]))
+                (Dhat[tau], E, F, G), conds[tau] = _woodbury_variant(Dt, U, V)
             except SingularMatrixError as exc:
                 raise SingularMatrixError(f"singular intermediate at node {tau} (level {ell}): "
                                           f"{exc}{_BLOCKS_HINT}") from exc
@@ -280,6 +277,18 @@ def hbs_invert(H: HbsMatrix) -> HbsInverse:
 
 
 def hbs_storage(H: HbsMatrix):
-    """Exact stored-scalar count and the largest rank per level."""
-    scalars = sum(M.size for blocks in (H.D, H.U, H.V, H.Atilde) for M in blocks.values())
+    """Exact stored-scalar count of the unpadded blocks, and the largest
+    rank per level. Node tau's U and V are n x k_tau, where n is its leaf
+    size or its children's k_a + k_b; its own block is D_tau at a leaf,
+    and at a parent the two sibling interactions, 2 k_a k_b scalars."""
+    t, k = H.tree, H.stacks.rank
+    scalars = 0
+    for tau in range(1, t.nnodes + 1):
+        if t.is_leaf(tau):
+            n = t.size(tau)
+            scalars += n * n
+        else:
+            n = k[2 * tau] + k[2 * tau + 1]
+            scalars += 2 * k[2 * tau] * k[2 * tau + 1]
+        scalars += 2 * n * k[tau]
     return {"stored_scalars": scalars, "per_level_ranks": H.per_level_ranks()}

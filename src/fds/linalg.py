@@ -4,7 +4,10 @@ All matrices are plain ``numpy.ndarray`` objects (real or complex,
 2-dimensional). Truncation is always block-relative: a factorization at
 tolerance ``tol`` keeps singular values (or pivots) above ``tol`` times
 the largest one of the block being compressed, which keeps compression
-scale-invariant. ``low_rank_approx`` compresses a HODLR block by cross
+scale-invariant. The pivots come from LAPACK's column-pivoted QR,
+which ``_pivoted_qr`` runs without forming Q; the HBS skeletons take its
+pivots alone, and ``interpolative_decomposition`` adds the interpolation
+matrix. ``low_rank_approx`` compresses a HODLR block by cross
 approximation, certified by a seeded Gaussian sketch and recompressed
 to the truncated-SVD cut; a block the sketch refuses falls back to the
 SVD, or above 512 wide to ``range_finder``. That is the one seeded
@@ -19,10 +22,8 @@ import scipy.linalg
 
 __all__ = [
     "LowRankFactor",
-    "InterpolativeFactor",
     "SingularMatrixError",
     "SeparationError",
-    "cpqr",
     "truncated_svd",
     "range_finder",
     "low_rank_approx",
@@ -82,35 +83,6 @@ class LowRankFactor:
         return self.U.size + self.V.size
 
 
-@dataclass(frozen=True)
-class InterpolativeFactor:
-    """Column interpolative decomposition A ~= A[:, skeleton] @ interp_full().
-
-    ``skeleton`` indexes k columns of the source matrix; ``interp`` holds
-    the k-by-(n-k) coefficients expressing the remaining columns;
-    ``perm`` is the pivot order so that columns perm[:k] are the skeleton
-    and perm[k:] the interpolated ones.
-    """
-
-    skeleton: np.ndarray
-    interp: np.ndarray
-    perm: np.ndarray
-
-    @property
-    def rank(self) -> int:
-        return len(self.skeleton)
-
-    def interp_full(self) -> np.ndarray:
-        """The k-by-n matrix X with X[:, perm] = [I | interp]."""
-        k = self.rank
-        n = len(self.perm)
-        X = np.zeros((k, n), dtype=self.interp.dtype if self.interp.size else float)
-        X[:, self.perm[:k]] = np.eye(k)
-        if n > k:
-            X[:, self.perm[k:]] = self.interp
-        return X
-
-
 def _check_input(A, tol=None):
     A = np.asarray(A)
     if A.ndim != 2 or A.size == 0:
@@ -133,35 +105,15 @@ def _inexact(x):
     return x.astype(np.result_type(x, float), copy=False)
 
 
-def cpqr(A, tol):
-    """Column-pivoted QR truncated at a relative pivot threshold.
-
-    Parameters
-    ----------
-    A : ndarray, shape (m, n)
-    tol : float
-        Relative stopping criterion in (0, 1).
-
-    Returns
-    -------
-    Q : ndarray, shape (m, k)
-        Orthonormal columns.
-    R : ndarray, shape (k, n)
-        Upper trapezoidal, so that A[:, perm] ~= Q @ R.
-    perm : ndarray of int, shape (n,)
-        Pivot order.
-    rank : int
-        Smallest k with |R[k, k]| <= tol * |R[0, 0]| (0 for a zero matrix).
-    """
-    A = _check_input(A, tol)
-    Q, R, perm = scipy.linalg.qr(A, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(R))
-    if diag.size == 0 or diag[0] == 0.0:
-        rank = 0
-    else:
-        below = np.nonzero(diag <= tol * diag[0])[0]
-        rank = int(below[0]) if below.size else diag.size
-    return Q[:, :rank], R[:rank, :], perm, rank
+def _pivoted_qr(A, tol):
+    """(R, perm, k): the R of the column-pivoted QR A[:, perm] = Q R,
+    without forming Q, and its cut k, the first j with |R_jj| <= tol |R_00|
+    (0 for a zero matrix, min(m, n) when no pivot is that small)."""
+    R, perm = scipy.linalg.qr(_check_input(A, tol), mode="r", pivoting=True,
+                              check_finite=False)
+    d = np.abs(np.diag(R))
+    below = np.flatnonzero(d <= tol * d[0])
+    return R, perm, int(below[0]) if below.size else d.size
 
 
 def truncated_svd(A, tol=None, max_rank=None):
@@ -174,11 +126,7 @@ def truncated_svd(A, tol=None, max_rank=None):
     if tol is None and max_rank is None:
         raise ValueError("need a tolerance or a rank cap")
     U, s, Vh = np.linalg.svd(A, full_matrices=False)
-    k = s.size
-    if s.size == 0 or s[0] == 0.0:
-        k = 0
-    elif tol is not None:
-        k = int(np.sum(s > tol * s[0]))
+    k = eps_rank(s, 0.0 if tol is None else tol)
     if max_rank is not None:
         k = min(k, max_rank)
     return U[:, :k], s[:k], Vh[:k].copy().conj().T  # a view would keep all of Vh alive
@@ -337,37 +285,31 @@ def recompress(factor: LowRankFactor, tol) -> LowRankFactor:
     return LowRankFactor((Qu @ Uc) * s, Qv @ Vc)
 
 
-def interpolative_decomposition(A, tol) -> InterpolativeFactor:
+def interpolative_decomposition(A, tol):
     """Column ID: a skeleton of A's own columns plus interpolation weights.
 
-    Built from the column-pivoted QR: with A P = Q [R11 R12], the
-    skeleton is the first k pivots and interp = R11^{-1} R12, so
-    A ~= A[:, skeleton] @ [I | interp] P^T up to c * tol * ||A||.
+    Returns (skeleton, X) with A ~= A[:, skeleton] @ X up to c * tol * ||A||.
+    From the column-pivoted QR A P = Q [R11 R12] cut at rank k, the
+    skeleton is the first k pivots and X[:, perm] = [I | R11^{-1} R12]
+    (Cheng, Gimbutas, Martinsson & Rokhlin, SISC 26 (2005)).
     """
-    A = _check_input(A, tol)
-    _, R, perm, rank = cpqr(A, tol)
-    if rank == 0:
-        return InterpolativeFactor(
-            skeleton=np.empty(0, dtype=int),
-            interp=np.empty((0, A.shape[1]), dtype=A.dtype),
-            perm=np.asarray(perm),
-        )
-    n = A.shape[1]
-    if rank < n:
-        interp = scipy.linalg.solve_triangular(R[:, :rank], R[:, rank:])
-    else:
-        interp = np.empty((rank, 0), dtype=R.dtype)
-    return InterpolativeFactor(
-        skeleton=np.asarray(perm[:rank]), interp=interp, perm=np.asarray(perm)
-    )
+    R, perm, k = _pivoted_qr(A, tol)
+    X = np.zeros((k, len(perm)), R.dtype)
+    X[:, perm[:k]] = np.eye(k)
+    if 0 < k < len(perm):
+        X[:, perm[k:]] = scipy.linalg.solve_triangular(R[:k, :k], R[:k, k:])
+    return perm[:k], X
 
 
 def lu_factor_checked(A, where):
     """Partially pivoted LU of a square matrix as ``(lu, piv)`` for ``lu_solve``.
 
-    Raises SingularMatrixError naming ``where`` (a node, level or box)
-    when a pivot underflows to zero.
+    Raises ValueError naming ``where`` when A is not square, and
+    SingularMatrixError naming it (a node, level or box) when a pivot
+    underflows to zero.
     """
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise ValueError(f"{where} must be square, got shape {A.shape}")
     lu, piv = scipy.linalg.lu_factor(A)
     small = np.nonzero(np.abs(np.diag(lu)) < 1e-300)[0]
     if small.size:

@@ -8,6 +8,7 @@ import pytest
 import scipy.linalg
 from hypothesis import example, given, settings, strategies
 
+from fds._stacks import Telescope
 from fds.bie2d import assemble_bie, laplace_fundamental, make_curve
 from fds.bvp1d import green_1d
 from fds.hbs import _qr_r, compress_to_hbs, hbs_invert, hbs_matvec, hbs_storage
@@ -125,7 +126,7 @@ class TestCompress:
         H = compress_to_hbs(np.eye(64), tree, 1e-10)
         assert all(len(s) == 0 for s in H.skeleton.values())
         for tau in tree.leaves():
-            assert np.allclose(H.D[tau], np.eye(tree.size(tau)))
+            assert np.allclose(H.stacks.get(tau)[2], np.eye(tree.size(tau)))
 
     def test_green_kernel_tiny_ranks(self):
         A = green_kernel_matrix(512)
@@ -157,16 +158,16 @@ class TestCompress:
             compress_to_hbs(A, build_uniform_tree(256, 32), 1e-10)
 
     def test_submatrix_property(self):
-        # sibling interactions are literal submatrices, bit for bit
+        # sibling interactions are literal submatrices, bit for bit: a
+        # parent's own block is [0, Atilde_ab; Atilde_ba, 0]
         A = ellipse_bie_matrix(256)
         tree = build_uniform_tree(256, 32)
         H = compress_to_hbs(A, tree, 1e-10)
-        from fds.tree import sibling_pairs
-
         for a, b in sibling_pairs(tree):
-            assert np.array_equal(
-                H.Atilde[(a, b)], A[np.ix_(H.skeleton[a], H.skeleton[b])]
-            )
+            B, ka = H.stacks.get(a // 2)[2], H.rank(a)
+            assert np.array_equal(B[:ka, ka:], A[np.ix_(H.skeleton[a], H.skeleton[b])])
+            assert np.array_equal(B[ka:, :ka], A[np.ix_(H.skeleton[b], H.skeleton[a])])
+            assert not B[:ka, :ka].any() and not B[ka:, ka:].any()
 
     def test_nested_basis_spans_block_row(self):
         A = green_kernel_matrix(256)
@@ -177,11 +178,12 @@ class TestCompress:
         long_u = {}
         for ell in range(tree.depth, 0, -1):
             for tau in tree.nodes_at_level(ell):
+                U = H.stacks.get(tau)[1]
                 if tree.is_leaf(tau):
-                    long_u[tau] = H.U[tau]
+                    long_u[tau] = U
                 else:
                     a, b = tree.children(tau)
-                    long_u[tau] = scipy.linalg.block_diag(long_u[a], long_u[b]) @ H.U[tau]
+                    long_u[tau] = scipy.linalg.block_diag(long_u[a], long_u[b]) @ U
         allidx = np.arange(256)
         for tau in list(tree.nodes_at_level(1)) + list(tree.nodes_at_level(2)):
             own = tree.index_range(tau)
@@ -224,9 +226,9 @@ class TestCompress:
             rows = (np.arange(s0, s1) if t.is_leaf(tau)
                     else np.concatenate([H.skeleton[c] for c in t.children(tau)]))
             Brow, Bcol = A[np.ix_(rows, comp)], A[np.ix_(comp, rows)]
-            sk = H.skeleton[tau]
-            row_err = np.linalg.norm(Brow - H.U[tau] @ A[np.ix_(sk, comp)], 2)
-            col_err = np.linalg.norm(Bcol - A[np.ix_(comp, sk)] @ H.V[tau].conj().T, 2)
+            sk, (V, U, _) = H.skeleton[tau], H.stacks.get(tau)
+            row_err = np.linalg.norm(Brow - U @ A[np.ix_(sk, comp)], 2)
+            col_err = np.linalg.norm(Bcol - A[np.ix_(comp, sk)] @ V.conj().T, 2)
             assert row_err <= 10 * tol * np.linalg.norm(Brow, 2), tau
             assert col_err <= 10 * tol * np.linalg.norm(Bcol, 2), tau
 
@@ -344,14 +346,11 @@ class TestInvert:
         Dhat, ref = {}, {}
         for ell in range(tree.depth, -1, -1):
             for tau in tree.nodes_at_level(ell):
-                if tree.is_leaf(tau):
-                    Dt = H.D[tau]
-                else:
-                    a, b = tree.children(tau)
-                    Dt = np.block([[Dhat[a], H.Atilde[(a, b)]], [H.Atilde[(b, a)], Dhat[b]]])
+                Dt = dtilde(H, tau, Dhat)
                 ref[tau] = np.linalg.cond(Dt, 1)
                 if tau > 1:
-                    Dhat[tau] = woodbury_variant(Dt, H.U[tau], H.V[tau])[0]
+                    V, U, _ = H.stacks.get(tau)
+                    Dhat[tau] = woodbury_variant(Dt, U, V)[0]
         assert sorted(inv.cond_estimates) == sorted(ref)
         for tau, c in ref.items():
             assert c / 3 <= inv.cond_estimates[tau] <= 3 * c
@@ -361,7 +360,8 @@ class TestInvert:
         tree = build_uniform_tree(128, 32)
         H = compress_to_hbs(A, tree, 1e-12)
         leaf = next(iter(tree.leaves()))
-        H.D[leaf] = np.diag(np.logspace(0, -15, tree.size(leaf)))
+        V, U, _ = H.stacks.get(leaf)
+        H.stacks.put(leaf, V, U, np.diag(np.logspace(0, -15, tree.size(leaf))))
         with caplog.at_level(logging.WARNING, logger="fds.hbs"):
             inv = hbs_invert(H)
         assert inv.cond_estimates[leaf] > 1e13
@@ -386,7 +386,8 @@ class TestInvert:
         tree = build_uniform_tree(64, 8)
         H = compress_to_hbs(A, tree, 1e-12)
         leaf = next(iter(tree.leaves()))
-        H.D[leaf] = np.zeros_like(H.D[leaf])
+        V, U, D = H.stacks.get(leaf)
+        H.stacks.put(leaf, V, U, np.zeros_like(D))
         with pytest.raises(SingularMatrixError, match=f"node {leaf}"):
             hbs_invert(H)
 
@@ -529,24 +530,38 @@ class TestApplyInverse:
             inv.apply(np.ones(63))
 
 
+def dtilde(H, tau, Dhat):
+    """Node tau's Dtilde: D_tau at a leaf; at a parent its own block
+    [0, Atilde_ab; Atilde_ba, 0] with the children's Dhat on the diagonal,
+    assembled by ``np.block``."""
+    B = H.stacks.get(tau)[2]
+    if H.tree.is_leaf(tau):
+        return B
+    a, b = H.tree.children(tau)
+    ka = H.rank(a)
+    return np.block([[Dhat[a], B[:ka, ka:]], [B[ka:, :ka], Dhat[b]]])
+
+
 def dense_from_blocks(H):
-    """A rebuilt node by node from H's dict blocks: the leaf blocks D_tau,
-    and U_a Atilde_ab V_b* for every sibling pair through long bases."""
+    """A rebuilt node by node from H's unpadded blocks: the leaf blocks
+    D_tau, and U_a Atilde_ab V_b* for every sibling pair through long
+    bases."""
     t, A = H.tree, np.zeros((H.N, H.N), dtype=H.dtype)
     long_u, long_v = {}, {}
     for ell in range(t.depth, 0, -1):
         for tau in t.nodes_at_level(ell):
+            V, U, B = H.stacks.get(tau)
             if t.is_leaf(tau):
-                long_u[tau], long_v[tau] = H.U[tau], H.V[tau]
-                A[slice(*t.ranges[tau]), slice(*t.ranges[tau])] = H.D[tau]
+                long_u[tau], long_v[tau] = U, V
+                A[slice(*t.ranges[tau]), slice(*t.ranges[tau])] = B
             else:
                 a, b = t.children(tau)
-                long_u[tau] = scipy.linalg.block_diag(long_u[a], long_u[b]) @ H.U[tau]
-                long_v[tau] = scipy.linalg.block_diag(long_v[a], long_v[b]) @ H.V[tau]
-    for pair in sibling_pairs(t):
-        for a, b in (pair, pair[::-1]):
-            A[slice(*t.ranges[a]), slice(*t.ranges[b])] = (
-                long_u[a] @ H.Atilde[(a, b)] @ long_v[b].conj().T)
+                long_u[tau] = scipy.linalg.block_diag(long_u[a], long_u[b]) @ U
+                long_v[tau] = scipy.linalg.block_diag(long_v[a], long_v[b]) @ V
+    for a, b in sibling_pairs(t):
+        B, ka = H.stacks.get(a // 2)[2], H.rank(a)
+        for (r, c), At in (((a, b), B[:ka, ka:]), ((b, a), B[ka:, :ka])):
+            A[slice(*t.ranges[r]), slice(*t.ranges[c])] = long_u[r] @ At @ long_v[c].conj().T
     return A
 
 
@@ -571,15 +586,14 @@ class TestLevelStacks:
         for ell in range(t.depth, -1, -1):
             K = st.Wh[ell + 1].shape[1] if ell < t.depth else None
             for j, tau in enumerate(t.nodes_at_level(ell)):
+                Dt = dtilde(H, tau, Dhat)
                 if t.is_leaf(tau):
-                    Dt, p = H.D[tau], np.arange(t.size(tau))
+                    p = np.arange(t.size(tau))
                 else:
-                    a, b = t.children(tau)
-                    Dt = np.block([[Dhat[a], H.Atilde[(a, b)]], [H.Atilde[(b, a)], Dhat[b]]])
-                    p = np.r_[0:H.rank(a), K:K + H.rank(b)]
+                    p = np.r_[0:H.rank(2 * tau), K:K + H.rank(2 * tau + 1)]
                 r = H.rank(tau) if tau > 1 else 0
-                Dhat[tau], E, F, G = woodbury_variant(Dt, H.U.get(tau, Dt[:, :0]),
-                                                      H.V.get(tau, Dt[:, :0]))
+                V, U, _ = H.stacks.get(tau)
+                Dhat[tau], E, F, G = woodbury_variant(Dt, U, V)
                 Wh, Z, B = st.Wh[ell][j], st.Z[ell][j], st.B[ell][j]
                 assert np.array_equal(Wh[:r, p], F.conj().T)
                 assert np.array_equal(Z[p, :r], E)
@@ -628,6 +642,41 @@ class TestLevelStacks:
         H = compress_to_hbs(starfish_bie_matrix(N), build_uniform_tree(N, 64), 1e-10)
         ref = dense_from_blocks(H)
         assert np.linalg.norm(hbs_matvec(H, np.eye(N)) - ref) <= 1e-14 * np.linalg.norm(ref)
+
+
+class TestTelescopeGet:
+    """``Telescope.get`` returns exactly what ``put`` wrote."""
+
+    @pytest.mark.parametrize("N, leaf, is_complex", [
+        (777, 64, True),  # leaves of 97 and 98 rows, depth 3
+        (256, 32, False),  # even leaves
+        (100, 32, True),  # depth 1
+        (50, 32, False),  # depth 0: the root is the one leaf
+    ])
+    def test_round_trip_is_bitwise(self, N, leaf, is_complex):
+        t = build_uniform_tree(N, leaf)
+        rng = np.random.default_rng(RNG_SEED)
+        # ranks 0 .. 4 mixed within every level, none at the root
+        rank = {tau: (3 * tau) % 5 for tau in range(2, t.nnodes + 1)}
+        def draw(*shape):
+            x = rng.standard_normal(shape)
+            return x + 1j * rng.standard_normal(shape) if is_complex else x
+
+        st = Telescope.zeros(t, rank.get, complex if is_complex else float)
+        wrote = {}
+        for tau in range(1, t.nnodes + 1):
+            n = t.size(tau) if t.is_leaf(tau) else rank[2 * tau] + rank[2 * tau + 1]
+            r = rank.get(tau, 0)
+            wrote[tau] = (draw(n, r), draw(n, r), draw(n, n))
+            st.put(tau, *wrote[tau])
+        for tau, blocks in wrote.items():
+            got = st.get(tau)
+            for g, w in zip(got, blocks):
+                assert g.shape == w.shape and g.dtype == w.dtype
+                assert g.tobytes() == w.tobytes()
+            for g in got:  # copies: writing into them leaves the stacks as they were
+                g[...] = 7.0
+            assert all(g.tobytes() == w.tobytes() for g, w in zip(st.get(tau), blocks))
 
 
 class TestStorage:

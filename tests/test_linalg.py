@@ -8,7 +8,6 @@ from fds.linalg import (
     LowRankFactor,
     SingularMatrixError,
     complex_singular_values,
-    cpqr,
     dense_lu_solve,
     eps_rank,
     interpolative_decomposition,
@@ -28,19 +27,19 @@ def svd_rank_oracle(A, tol):
 
 
 class TestCpqr:
+    """The column-pivoted QR behind the ID: its cut and A ~= A[:, J] X."""
+
     def test_identity(self):
-        Q, R, perm, rank = cpqr(np.eye(5), 1e-10)
-        assert rank == 5
-        recon = np.zeros((5, 5))
-        recon[:, perm] = Q @ R
-        assert np.allclose(recon, np.eye(5), atol=1e-14)
+        J, X = interpolative_decomposition(np.eye(5), 1e-10)
+        assert len(J) == 5
+        assert np.allclose(np.eye(5)[:, J] @ X, np.eye(5), atol=1e-14)
 
     def test_rank_one_outer_product(self):
         rng = np.random.default_rng(RNG_SEED)
         u = rng.standard_normal(12) + 0.1
         v = rng.standard_normal(9) + 0.1
-        _, _, _, rank = cpqr(np.outer(u, v), 1e-10)
-        assert rank == 1
+        J, _ = interpolative_decomposition(np.outer(u, v), 1e-10)
+        assert len(J) == 1
 
     def test_rank_vs_svd_oracle_geometric_spectrum(self):
         # 30x20 with singular values 2^-j; oracle computed first
@@ -50,20 +49,20 @@ class TestCpqr:
         s = 2.0 ** -np.arange(1, 21)
         A = (U * s) @ V.T
         oracle = svd_rank_oracle(A, 1e-6)
-        _, _, _, rank = cpqr(A, 1e-6)
-        assert abs(rank - oracle) <= 1
+        J, _ = interpolative_decomposition(A, 1e-6)
+        assert abs(len(J) - oracle) <= 1
 
     def test_zero_matrix(self):
-        Q, R, perm, rank = cpqr(np.zeros((4, 6)), 1e-10)
-        assert rank == 0 and Q.shape == (4, 0)
+        J, X = interpolative_decomposition(np.zeros((4, 6)), 1e-10)
+        assert len(J) == 0 and X.shape == (0, 6)
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
-            cpqr(np.empty((0, 3)), 1e-10)
+            interpolative_decomposition(np.empty((0, 3)), 1e-10)
         with pytest.raises(ValueError):
-            cpqr(np.array([[np.nan, 1.0]]), 1e-10)
+            interpolative_decomposition(np.array([[np.nan, 1.0]]), 1e-10)
         with pytest.raises(ValueError):
-            cpqr(np.eye(3), 2.0)
+            interpolative_decomposition(np.eye(3), 2.0)
 
     def test_reconstruction_on_random_matrices(self):
         # 100 random low-rank-plus-noise matrices per shape class
@@ -73,10 +72,10 @@ class TestCpqr:
                 k = rng.integers(1, min(shape) // 2)
                 A = rng.standard_normal((shape[0], k)) @ rng.standard_normal((k, shape[1]))
                 A += 1e-10 * rng.standard_normal(shape)
-                Q, R, perm, rank = cpqr(A, 1e-6)
-                err = np.linalg.norm(A[:, perm] - Q @ R)
+                J, X = interpolative_decomposition(A, 1e-6)
+                err = np.linalg.norm(A - A[:, J] @ X)
                 assert err <= 10 * 1e-6 * np.linalg.norm(A)
-                assert abs(rank - svd_rank_oracle(A, 1e-6)) <= 1
+                assert abs(len(J) - svd_rank_oracle(A, 1e-6)) <= 1
 
 
 class TestTruncatedSvd:
@@ -276,24 +275,22 @@ class TestInterpolativeDecomposition:
         rng = np.random.default_rng(RNG_SEED)
         A = rng.standard_normal((8, 5))
         A[:, 2] = 2.0 * A[:, 0]
-        fac = interpolative_decomposition(A, 1e-12)
-        assert fac.rank == 4
-        assert (2 in fac.skeleton) != (0 in fac.skeleton) or not (
-            2 in fac.skeleton and 0 in fac.skeleton
-        )
+        J, _ = interpolative_decomposition(A, 1e-12)
+        assert len(J) == 4
+        assert (2 in J) != (0 in J) or not (2 in J and 0 in J)
 
     def test_identity(self):
-        fac = interpolative_decomposition(np.eye(6), 1e-12)
-        assert fac.rank == 6 and fac.interp.shape == (6, 0)
-        assert sorted(fac.skeleton) == list(range(6))
+        J, X = interpolative_decomposition(np.eye(6), 1e-12)
+        assert len(J) == 6 and np.array_equal(X[:, J], np.eye(6))
+        assert sorted(J) == list(range(6))
 
     def test_low_rank_plus_noise_vs_svd_oracle(self):
         rng = np.random.default_rng(RNG_SEED)
         A = rng.standard_normal((40, 5)) @ rng.standard_normal((5, 40))
         A += 1e-12 * rng.standard_normal((40, 40))
-        fac = interpolative_decomposition(A, 1e-8)
-        assert fac.rank == 5 == svd_rank_oracle(A, 1e-8)
-        recon = A[:, fac.skeleton] @ fac.interp_full()
+        J, X = interpolative_decomposition(A, 1e-8)
+        assert len(J) == 5 == svd_rank_oracle(A, 1e-8)
+        recon = A[:, J] @ X
         _, s_or, _ = truncated_svd(A, 1e-8)
         assert np.linalg.norm(A - recon, 2) <= 1e-7 * np.linalg.norm(A, 2)
 
@@ -302,9 +299,8 @@ class TestInterpolativeDecomposition:
         rng = np.random.default_rng(RNG_SEED + 2)
         for _ in range(20):
             A = rng.standard_normal((30, 8)) @ rng.standard_normal((8, 30))
-            fac = interpolative_decomposition(A, 1e-10)
-            if fac.interp.size:
-                assert np.max(np.abs(fac.interp)) <= 2.0
+            J, X = interpolative_decomposition(A, 1e-10)
+            assert np.max(np.abs(X)) <= 2.0
 
 
 class TestDenseLuSolve:
@@ -326,6 +322,11 @@ class TestDenseLuSolve:
         for M in (A, np.diag([1.0, 1e-305])):
             with pytest.raises(SingularMatrixError, match="pivot 1"):
                 dense_lu_solve(M, np.ones(M.shape[0]))
+
+    def test_non_square_raises_value_error(self):
+        # it used to pass the LU and fail in lu_solve with scipy's untyped error
+        with pytest.raises(ValueError, match=r"matrix must be square, got shape \(8, 6\)"):
+            dense_lu_solve(np.random.default_rng(RNG_SEED).standard_normal((8, 6)), np.ones(8))
 
 
 class TestComplexSingularValues:

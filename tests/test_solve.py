@@ -93,6 +93,13 @@ def test_singular_dense_matrix():
         factor(np.array([[1.0, 2.0], [2.0, 4.0]]), "dense")
 
 
+def test_non_square_dense_matrix_refused_at_factor():
+    # it used to return a Factorization storing 48 scalars that failed only
+    # at apply, with scipy's untyped error, which is no ValueError
+    with pytest.raises(ValueError, match=r"matrix must be square, got shape \(8, 6\)"):
+        factor(np.random.default_rng(0).standard_normal((8, 6)), "dense")
+
+
 def test_stored_scalars():
     A = semiseparable_matrix(300, float)
     tree = build_uniform_tree(300, 32)
