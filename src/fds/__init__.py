@@ -2,8 +2,8 @@
 
 Dense kernels (``linalg``, ``quadrature``, ``special``), the binary
 index ``tree``, the HODLR and HBS structured formats with their
-inversion algorithms (an HBS matrix and its inverse each held in one
-zero-padded stack per tree level), the 1D two-point boundary value solvers
+inversion algorithms (each matrix and its inverse held in zero-padded
+stacks, one per tree level), the 1D two-point boundary value solvers
 (``bvp1d``), the 2D Laplace boundary integral solver (``bie2d``),
 nested-dissection multifrontal LU (``sparsend``), the one solver
 pipeline ``solve.factor`` over the dense, HODLR, HBS and

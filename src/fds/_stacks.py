@@ -5,8 +5,8 @@ small product per node.
 ``Layout`` pads every leaf to the largest leaf size m. Node j of level
 ell then owns padded rows [j n, (j + 1) n), n = 2^(depth - ell) m, so a
 level's blocks, zero-padded to its largest rank, are one stack acting
-on a reshape view of the padded vector. The HODLR multiplicative
-inverse and ``Telescope`` (an HBS matrix or its inverse) both use it.
+on a reshape view of the padded vector. A HODLR matrix, its inverse
+and ``Telescope`` (an HBS matrix or its inverse) all use it.
 """
 
 from dataclasses import dataclass

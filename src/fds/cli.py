@@ -69,9 +69,12 @@ def _cmd_spectrum(args):
     result = experiments.spectrum_potential(
         args.kernel, args.grid_k, args.geometry, kappa=args.kappa, seed=args.seed
     )
+    sampled = result.metadata["svd"] == "range_finder"
     _write_csv(
         args.out,
-        [f"fds spectrum {result.label} seed={args.seed}"],
+        [f"fds spectrum {result.label} seed={args.seed}",
+         "values: seeded range finder, so the row count is its sample size and rows below"
+         " about 1e-13 vary with --seed" if sampled else "values: dense SVD"],
         ["j", "sigma_rel"],
         *_spectrum_csv(result),
     )
@@ -145,7 +148,7 @@ def _cmd_nd(args):
         return
     m = -args.kappa**2 if helmholtz else None
     st = sparsend.assemble_stencil(args.dim, args.n, m)
-    tree = sparsend.nd_partition(args.dim, args.n, leaf_cells=4)
+    tree = sparsend.nd_partition(args.dim, args.n, leaf_cells=min(4, args.n))
     fac = sparsend.nd_factor(st, tree)
     rng = np.random.default_rng(args.seed)
     b = rng.standard_normal(st.N)

@@ -78,7 +78,8 @@ def spectrum_potential(kernel, grid_k, geometry, kappa=None, seed=0) -> Spectrum
     with the 16 well-separated boxes of the 5x5 unit tiling (one ring of
     touching boxes is excluded). Both boxes carry grid_k x grid_k
     tensor-product Gauss-Legendre nodes. ``seed`` feeds the range
-    finder, which only Helmholtz grids with grid_k > 32 use.
+    finder, which only Helmholtz grids with grid_k > 32 use; metadata
+    ``svd`` says which one produced the values, "range_finder" or "dense".
     """
     if not (isinstance(grid_k, numbers.Integral) and 4 <= grid_k <= 80):
         raise ValueError(f"grid_k must be an integer in [4, 80], got {grid_k!r}")
@@ -102,16 +103,14 @@ def spectrum_potential(kernel, grid_k, geometry, kappa=None, seed=0) -> Spectrum
     trg = np.vstack([b[0] for b in boxes])
     wt = np.concatenate([b[1] for b in boxes])
     V = _kernel_matrix(kernel, kappa, trg, wt, src, ws)
-    if kernel == "helmholtz" and src.shape[0] > _EXACT_SVD_LIMIT:
-        sig = range_finder(V, 1e-14, seed)[2]
-    else:
-        sig = complex_singular_values(V)
+    sampled = kernel == "helmholtz" and src.shape[0] > _EXACT_SVD_LIMIT
+    sig = range_finder(V, 1e-14, seed)[2] if sampled else complex_singular_values(V)
     return SpectrumResult(
         label=f"{kernel} {geometry} k={grid_k}"
         + (f" kappa={kappa:g}" if kernel == "helmholtz" else ""),
         sigmas=sig,
         metadata={"kernel": kernel, "kappa": kappa, "grid_k": grid_k,
-                  "geometry": geometry},
+                  "geometry": geometry, "svd": "range_finder" if sampled else "dense"},
     )
 
 
@@ -173,7 +172,7 @@ def _bench_problem(target, size, rng):
     """(A, b, backend, tree) of one ``scaling_bench`` row."""
     if target == "nd-factor":
         st = sparsend.assemble_stencil(2, size)
-        tree = sparsend.nd_partition(2, size, leaf_cells=4)
+        tree = sparsend.nd_partition(2, size, leaf_cells=min(4, size))
         return st.A, rng.standard_normal(st.N), "nd", tree
     if target in ("hodlr-inv", "hbs-inv"):
         p = bvp1d.Bvp1dProblem.from_functions(0.0, 1.0, size, bvp1d._fig2_m, bvp1d._fig2_g)

@@ -1,18 +1,17 @@
 """HODLR format: hierarchically off-diagonal low rank matrices.
 
-A matrix is stored as one low-rank factor per off-diagonal sibling
-block of a binary cluster tree (both orders kept independently) plus
-dense leaf diagonal blocks.
+A matrix is stored once, in zero-padded level stacks (``_stacks.Layout``):
+its dense leaf blocks, and per level the left and right factors of its
+sibling blocks, laid out as its inverse's Woodbury corrections read
+them. The matvec is one batched product per level.
 
 Its inverse, ``invert_multiplicative``, is the recursive Woodbury
 formula unrolled into the exact product A^{-1} = B_0 B_1 ... B_L: B_L
 holds the dense leaf inverses, and each coarser B_ell is block diagonal
 with one identity-plus-low-rank block per node of level ell, the
-node's Woodbury correction. Off-diagonal ranks never grow while it is
-built. Each factor is one stack in the zero-padded level layout of
-``_stacks.Layout`` (leaves padded to the largest leaf size, ranks to
-the level's largest), so the apply is depth + 1 batched products,
-O(N (leaf + rank)) flops in all.
+node's Woodbury correction, whose right factor is the matrix's own.
+Off-diagonal ranks never grow while it is built, and its apply is
+depth + 1 batched products, O(N (leaf + rank)) flops in all.
 """
 
 from dataclasses import dataclass
@@ -23,7 +22,7 @@ import scipy.linalg
 from ._stacks import Layout
 from .linalg import (_BLOCKS_HINT, LowRankFactor, SingularMatrixError, _check_input,
                      low_rank_approx, lu_factor_checked)
-from .tree import ClusterTree, sibling_pairs
+from .tree import ClusterTree
 
 __all__ = [
     "HodlrMatrix", "HodlrInverseMultiplicative", "compress_to_hodlr", "hodlr_matvec",
@@ -33,9 +32,22 @@ __all__ = [
 
 @dataclass
 class HodlrMatrix:
+    """A HODLR matrix in zero-padded level stacks on ``layout``.
+
+    ``rank[a]`` is the rank of A(I_a, I_sibling) (0 at the root), and
+    ``D`` (2^depth, m, m) holds the leaf blocks. At level ell, node tau
+    with children alpha, beta owns its rows of the (2^ell,
+    2^(depth - ell) m, k_ell) stacks: blockdiag(U_ab, U_ba) in ``U[ell]``
+    and [0, V_ba; V_ab, 0] in ``V[ell]``, A(I_alpha, I_beta) = U_ab V_ab*,
+    the left child's columns first and zeros elsewhere.
+    """
+
     tree: ClusterTree
-    offdiag: dict  # (alpha, beta) -> LowRankFactor, both orders per sibling pair
-    leaf_diag: dict  # leaf tau -> dense block
+    layout: Layout
+    rank: list
+    D: np.ndarray
+    U: list  # U[ell], ell = 0 .. depth - 1
+    V: list
     tol: float
 
     @property
@@ -44,11 +56,10 @@ class HodlrMatrix:
 
     @property
     def dtype(self):
-        return np.result_type(*{M.dtype for M in self.leaf_diag.values()},
-                              *{M.dtype for f in self.offdiag.values() for M in (f.U, f.V)})
+        return self.D.dtype
 
     def max_rank(self) -> int:
-        return max((f.rank for f in self.offdiag.values()), default=0)
+        return max(self.rank)
 
     def todense(self) -> np.ndarray:
         return hodlr_matvec(self, np.eye(self.N, dtype=self.dtype))
@@ -61,7 +72,8 @@ def compress_to_hodlr(A, tree: ClusterTree, tol) -> HodlrMatrix:
     ``low_rank_approx``: cross approximation, certified by a Gaussian
     sketch and recompressed to the truncated-SVD cut at the
     block-relative tolerance, or the SVD / range finder when the sketch
-    refuses it. Leaf diagonal blocks are copied verbatim.
+    refuses it. Leaf diagonal blocks are copied verbatim. Each level's
+    factors are written once, into its stacks.
 
     Every entry is checked for finiteness once, and a non-finite one
     raises ValueError before any inverse is formed: leaf diagonal blocks
@@ -71,29 +83,39 @@ def compress_to_hodlr(A, tree: ClusterTree, tol) -> HodlrMatrix:
     A = np.asarray(A)
     if A.shape != (tree.N, tree.N):
         raise ValueError(f"matrix shape {A.shape} does not match tree over {tree.N}")
-    r = tree.ranges
-    leaf_diag = {tau: _check_input(A[slice(*r[tau]), slice(*r[tau])], tol).copy()
-                 for tau in tree.leaves()}
-    offdiag = {}
-    for alpha, beta in sibling_pairs(tree):
-        sa, sb = slice(*r[alpha]), slice(*r[beta])
-        offdiag[(alpha, beta)] = low_rank_approx(A[sa, sb], tol)
-        offdiag[(beta, alpha)] = low_rank_approx(A[sb, sa], tol)
-    return HodlrMatrix(tree=tree, offdiag=offdiag, leaf_diag=leaf_diag, tol=tol)
+    t, r, layout = tree, tree.ranges, Layout.of(tree)
+    dtype = np.result_type(A, float)
+    D = np.zeros((2**t.depth, layout.m, layout.m), dtype)
+    for tau, Dj in zip(t.leaves(), D):
+        Dj[:t.size(tau), :t.size(tau)] = _check_input(A[slice(*r[tau]), slice(*r[tau])], tol)
+    rank, U, V = [0] * (t.nnodes + 1), [], []
+    for ell in range(t.depth):
+        kids = t.nodes_at_level(ell + 1)
+        F = {a: low_rank_approx(A[slice(*r[a]), slice(*r[a ^ 1])], tol) for a in kids}
+        rank[kids.start:kids.stop] = [F[a].rank for a in kids]
+        Ul = np.zeros((t.N, max(rank[a] + rank[a ^ 1] for a in kids)), dtype)
+        Vl = np.zeros_like(Ul)
+        for a in kids:  # the left child's columns first
+            c = rank[a - 1] if a % 2 else 0
+            Ul[slice(*r[a]), c:c + rank[a]] = F[a].U
+            Vl[slice(*r[a ^ 1]), c:c + rank[a]] = F[a].V
+        shape = (2**ell, len(D) * layout.m >> ell, Ul.shape[1])
+        U.append(layout.pad(Ul).reshape(shape))
+        V.append(layout.pad(Vl).reshape(shape))
+    return HodlrMatrix(tree=t, layout=layout, rank=rank, D=D, U=U, V=V, tol=tol)
 
 
 def hodlr_matvec(H: HodlrMatrix, x):
-    """y = A x touching only the stored factors."""
+    """y = A x for (N,) or (N, r) x: the leaf blocks, then one batched
+    U (V* x) per level."""
     x = np.asarray(x)
-    if x.shape[0] != H.N:
-        raise ValueError(f"vector length {x.shape[0]} != {H.N}")
-    y = np.zeros(x.shape, dtype=np.result_type(H.dtype, x.dtype))
-    r = H.tree.ranges
-    for tau in H.tree.leaves():
-        y[slice(*r[tau])] = H.leaf_diag[tau] @ x[slice(*r[tau])]
-    for (a, b), f in H.offdiag.items():
-        y[slice(*r[a])] += f.matvec(x[slice(*r[b])])
-    return y
+    v = H.layout.pad(x)
+    y = H.D @ v
+    for U, V in zip(H.U, H.V):
+        shape = U.shape[:2] + v.shape[-1:]
+        yb = y.reshape(shape)
+        yb += U @ (np.swapaxes(V.conj(), 1, 2) @ v.reshape(shape))
+    return H.layout.unpad(y).reshape(x.shape)
 
 
 # -- multiplicative inverse ---------------------------------------------------
@@ -106,7 +128,8 @@ class HodlrInverseMultiplicative:
     B_L is ``L``, the (2^depth, m, m) stack of leaf inverses. B_ell is
     I + U V* blockwise, with (2^ell, 2^(depth - ell) m, k_ell) stacks
     ``U[ell]`` and ``V[ell]``: node tau's factors fill its real rows and
-    first ``rank[tau]`` columns, zeros the rest. ``apply`` runs one
+    first ``rank[tau]`` columns, zeros the rest; ``V`` is the HODLR
+    matrix's own, shared. ``apply`` runs one
     batched ``matmul`` per factor, leaves first; ``leaf_inverses`` and
     ``level_blocks`` give the unpadded per-node blocks.
     """
@@ -138,17 +161,17 @@ class HodlrInverseMultiplicative:
                                      map(self.layout.unpad, self.V))}
 
     def apply(self, x):
-        return self._product(np.asarray(x), 0)
+        x = np.asarray(x)
+        return self.layout.unpad(self._product(self.layout.pad(x), 0)).reshape(x.shape)
 
-    def _product(self, x, top):
-        """B_top ... B_L x, for (N,) or (N, r) x."""
-        v = self.layout.pad(x)
+    def _product(self, v, top):
+        """B_top ... B_L v for a padded (2^depth, m, r) leaf stack v."""
         U, V = self.U[top:], self.V[top:]
         y = np.matmul(self.L, v, out=np.empty(v.shape, np.result_type(v, self.L, *U)))
         for Ul, Vl in zip(U[::-1], V[::-1]):
             yb = y.reshape(Ul.shape[:2] + y.shape[-1:])
             yb += Ul @ (np.swapaxes(Vl.conj(), 1, 2) @ yb)
-        return self.layout.unpad(y).reshape(x.shape)
+        return y
 
 
 def invert_multiplicative(H: HodlrMatrix) -> HodlrInverseMultiplicative:
@@ -156,8 +179,8 @@ def invert_multiplicative(H: HodlrMatrix) -> HodlrInverseMultiplicative:
 
     At a node tau of level ell with children alpha, beta, write the
     diagonal block A_tau = D + W Vc* with D = blockdiag(A_alpha, A_beta),
-    W = blockdiag(U_ab, U_ba) and Vc holding V_ab in rows I_beta and
-    V_ba in rows I_alpha. The Woodbury formula gives
+    W = blockdiag(U_ab, U_ba) and Vc = [0, V_ba; V_ab, 0], node tau's
+    blocks of ``H.U[ell]`` and ``H.V[ell]``. The Woodbury formula gives
 
         A_tau^{-1} = (I - Y S^{-1} Vc*) D^{-1},  Y = D^{-1} W,  S = I + Vc* Y,
 
@@ -166,66 +189,49 @@ def invert_multiplicative(H: HodlrMatrix) -> HodlrInverseMultiplicative:
     dense leaf inverses as B_L. B_ell's block at tau is I + U Vc* with
     U = -Y S^{-1}, and Y is B_{ell+1} ... B_L applied to W.
 
-    So at level ell the build puts the left factors U_ab of level
-    ell + 1's sibling blocks into one N x k_max panel (zero-padded
-    columns stay zero) and multiplies it by B_{ell+1} ... B_L, the
-    factors built so far, with the apply's own batched products. Only
-    left factors change: the ranks never grow. A singular leaf block or
-    core S raises SingularMatrixError naming the node.
+    So at level ell the build applies the factors built so far to the
+    stack ``H.U[ell]`` with the apply's own batched products, forms every
+    core S in one more, and LU-factors each node's unpadded S. Only left
+    factors are new: the inverse's V is ``H.V``, shared, H is left as it
+    was, and the ranks never grow. A singular leaf block or core S raises
+    SingularMatrixError naming the node.
     """
-    t, r, dtype, layout = H.tree, H.tree.ranges, H.dtype, Layout.of(H.tree)
+    t = H.tree
     # Fortran-ordered slots, the order lu_solve returns: the batched
     # products then round as the per-leaf products do
-    L = np.zeros((2**t.depth, layout.m, layout.m),
-                 np.result_type(float, *H.leaf_diag.values())).transpose(0, 2, 1)
-    for tau, Lj in zip(t.leaves(), L):
+    L = np.zeros(H.D.shape, np.result_type(float, H.D)).transpose(0, 2, 1)
+    for tau, Dj, Lj in zip(t.leaves(), H.D, L):
         try:
-            lu = lu_factor_checked(H.leaf_diag[tau], f"leaf diagonal block {tau}")
+            lu = lu_factor_checked(Dj[:t.size(tau), :t.size(tau)], f"leaf diagonal block {tau}")
         except SingularMatrixError as exc:
             raise SingularMatrixError(f"{exc}{_BLOCKS_HINT}") from exc
         Lj[:len(lu[1]), :len(lu[1])] = scipy.linalg.lu_solve(lu, np.eye(len(lu[1])))
 
     rank = [0] * (t.nnodes + 1)
-    for a, b in sibling_pairs(t):
-        rank[a // 2] = H.offdiag[(a, b)].rank + H.offdiag[(b, a)].rank
-    inv = HodlrInverseMultiplicative(t, layout, rank, L, [None] * t.depth, [None] * t.depth)
+    rank[1:2**t.depth] = [sum(H.rank[2 * tau:2 * tau + 2]) for tau in range(1, 2**t.depth)]
+    inv = HodlrInverseMultiplicative(t, H.layout, rank, L, [None] * t.depth, list(H.V))
     for ell in range(t.depth - 1, -1, -1):
-        Us = {a: H.offdiag[(a, a ^ 1)].U for a in t.nodes_at_level(ell + 1)}
-        P = np.zeros((t.N, max(U.shape[1] for U in Us.values())), dtype=dtype)
-        for a, U in Us.items():
-            P[slice(*r[a]), :U.shape[1]] = U
-        Y = inv._product(P, ell + 1)
-        Ul = np.zeros((t.N, max(rank[2**ell:2 ** (ell + 1)])), dtype)
-        Vl = np.zeros_like(Ul)
-        for tau in t.nodes_at_level(ell):
-            alpha, beta = t.children(tau)
-            Vab, Vba = H.offdiag[(alpha, beta)].V, H.offdiag[(beta, alpha)].V
-            na, n = t.size(alpha), t.size(tau)
-            k1, k2 = Vab.shape[1], Vba.shape[1]
-            Uc = np.zeros((n, k1 + k2), dtype=dtype)
-            Uc[:na, :k1] = Y[slice(*r[alpha]), :k1]
-            Uc[na:, k1:] = Y[slice(*r[beta]), :k2]
-            Vc = np.zeros((n, k1 + k2), dtype=dtype)
-            Vc[na:, :k1] = Vab
-            Vc[:na, k1:] = Vba
-            S = np.eye(k1 + k2, dtype=dtype) + Vc.conj().T @ Uc
-            S_lu = lu_factor_checked(S, f"identity-plus-low-rank core at node {tau}")
-            Ul[slice(*r[tau]), :k1 + k2] = -scipy.linalg.lu_solve(S_lu, Uc.T, trans=1).T
-            Vl[slice(*r[tau]), :k1 + k2] = Vc
-        shape = (2**ell, len(L) * layout.m >> ell, Ul.shape[1])
-        inv.U[ell], inv.V[ell] = layout.pad(Ul).reshape(shape), layout.pad(Vl).reshape(shape)
+        W = H.U[ell]
+        Y = inv._product(W.reshape(L.shape[:2] + W.shape[2:]), ell + 1).reshape(W.shape)
+        S = np.swapaxes(H.V[ell].conj(), 1, 2) @ Y
+        S += np.eye(S.shape[1])
+        inv.U[ell] = Ul = np.zeros(Y.shape, Y.dtype)
+        for tau, Sj, Yj, Uj in zip(t.nodes_at_level(ell), S, Y, Ul):
+            k = rank[tau]
+            S_lu = lu_factor_checked(Sj[:k, :k], f"identity-plus-low-rank core at node {tau}")
+            Uj[:, :k] = -scipy.linalg.lu_solve(S_lu, Yj[:, :k].T, trans=1).T
     return inv
 
 
 def storage_report(obj):
-    """Exact stored-scalar count and maximum factor rank of a built object."""
+    """Exact stored-scalar count and maximum factor rank of a built object,
+    counted from its ranks: the unpadded blocks, not the stacks."""
+    if not isinstance(obj, (HodlrMatrix, HodlrInverseMultiplicative)):
+        raise TypeError(f"no storage report for {type(obj).__name__}")
+    t, k = obj.tree, obj.rank
+    scalars = sum(t.size(tau) ** 2 for tau in t.leaves())
     if isinstance(obj, HodlrMatrix):
-        scalars = sum(D.size for D in obj.leaf_diag.values())
-        scalars += sum(f.storage() for f in obj.offdiag.values())
-        return {"stored_scalars": scalars, "max_rank": obj.max_rank()}
-    if isinstance(obj, HodlrInverseMultiplicative):
-        t = obj.tree
-        scalars = sum(t.size(tau) ** 2 for tau in t.leaves())
-        scalars += sum(2 * t.size(tau) * obj.rank[tau] for tau in range(1, 2**t.depth))
-        return {"stored_scalars": scalars, "max_rank": max(obj.rank)}
-    raise TypeError(f"no storage report for {type(obj).__name__}")
+        scalars += sum(k[a] * (t.size(a) + t.size(a ^ 1)) for a in range(2, t.nnodes + 1))
+    else:
+        scalars += sum(2 * t.size(tau) * k[tau] for tau in range(1, 2**t.depth))
+    return {"stored_scalars": scalars, "max_rank": max(k)}

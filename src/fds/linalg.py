@@ -69,18 +69,8 @@ class LowRankFactor:
     def rank(self) -> int:
         return self.U.shape[1]
 
-    @property
-    def shape(self):
-        return (self.U.shape[0], self.V.shape[0])
-
     def todense(self) -> np.ndarray:
         return self.U @ self.V.conj().T
-
-    def matvec(self, x):
-        return self.U @ (self.V.conj().T @ x)
-
-    def storage(self) -> int:
-        return self.U.size + self.V.size
 
 
 def _check_input(A, tol=None):

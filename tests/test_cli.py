@@ -44,6 +44,23 @@ def test_spectrum_byte_identical_reruns(capsys):
     assert out1 == out2
 
 
+@pytest.mark.parametrize("grid_k, note, nrows", [
+    ("32", "# values: dense SVD\n", 1024),
+    ("33", "# values: seeded range finder, so the row count is its sample size and rows"
+           " below about 1e-13 vary with --seed\n", 64),
+], ids=["dense", "sampled"])
+def test_spectrum_says_which_svd(grid_k, note, nrows, capsys):
+    # 32^2 = 1024 nodes is the last grid of the dense SVD; 33^2 is sampled
+    code, out = run_cli(["spectrum", "--kernel", "helmholtz", "--kappa", "80",
+                         "--grid-k", grid_k], capsys)
+    assert code == 0
+    comments = [l + "\n" for l in out.splitlines() if l.startswith("#")]
+    assert comments[1:] == [note]
+    header, rows = parse_csv(out)
+    assert header == ["j", "sigma_rel"]
+    assert len([r for r in rows if not r[0].startswith("rank@")]) == nrows
+
+
 def test_round_trip_precision(capsys):
     _, out = run_cli(
         ["spectrum", "--kernel", "laplace", "--grid-k", "6",
@@ -126,6 +143,23 @@ def test_nd_subcommand_metrics_and_schur(capsys):
     assert code == 0
     header, rows = parse_csv(out)
     assert header == ["j", "sigma_rel"]
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_nd_smallest_grid(dim, capsys):
+    # n = 3, the smallest grid assemble_stencil takes, is one front of 3^dim cells
+    code, out = run_cli(["nd", "--dim", str(dim), "--n", "3"], capsys)
+    assert code == 0
+    metrics = {r[0]: float(r[1]) for r in parse_csv(out)[1]}
+    assert metrics["N"] == 3**dim and metrics["residual"] < 1e-14
+
+
+def test_bench_nd_factor_smallest_grid(capsys):
+    code, out = run_cli(["bench", "--target", "nd-factor", "--sizes", "3,4"], capsys)
+    assert code == 0
+    rows = parse_csv(out)[1]
+    assert [r[0] for r in rows] == ["9", "16"]
+    assert all(float(r[4]) < 1e-14 for r in rows)
 
 
 def test_bench_subcommand(capsys):

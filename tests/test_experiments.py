@@ -26,7 +26,7 @@ class TestSpectrumPotential:
 
     def test_helmholtz_small_grid_exact_path(self):
         res = spectrum_potential("helmholtz", 24, "directional", kappa=20.0)
-        assert res.rank_at(1e-10) == 19
+        assert res.rank_at(1e-10) == 19 and res.metadata["svd"] == "dense"
 
     def test_randomized_matches_exact(self):
         rng = np.random.default_rng(3)
@@ -70,7 +70,7 @@ class TestSpectrumPotential:
     def test_range_finder_branch_sample_count(self):
         # rank@1e-14 is 39, so the kept sample stops at 64 columns
         res = spectrum_potential("helmholtz", 33, "directional", kappa=80.0)
-        assert len(res.sigmas) == 64
+        assert len(res.sigmas) == 64 and res.metadata["svd"] == "range_finder"
 
     def test_normalization_and_monotonicity(self):
         res = spectrum_potential("laplace", 8, "directional")

@@ -12,13 +12,12 @@ from fds.bie2d import assemble_bie, make_curve
 from fds.bvp1d import Bvp1dProblem, assemble_nystrom
 from fds._stacks import Telescope
 from fds.hodlr import (
-    HodlrMatrix,
     compress_to_hodlr,
     hodlr_matvec,
     invert_multiplicative,
     storage_report,
 )
-from fds.linalg import LowRankFactor, SingularMatrixError, dense_lu_solve
+from fds.linalg import SingularMatrixError, dense_lu_solve
 from fds.solve import factor
 from fds.tree import build_uniform_tree
 
@@ -47,8 +46,9 @@ class TestCompress:
         tree = build_uniform_tree(64, 8)
         H = compress_to_hodlr(np.eye(64), tree, 1e-10)
         assert H.max_rank() == 0
-        for tau in tree.leaves():
-            assert np.allclose(H.leaf_diag[tau], np.eye(tree.size(tau)))
+        for tau, Dj in zip(tree.leaves(), H.D):
+            n = tree.size(tau)
+            assert np.allclose(Dj[:n, :n], np.eye(n))
 
     def test_smooth_kernel_reconstruction(self):
         A = kernel_matrix(256)
@@ -108,9 +108,9 @@ class TestCrossApproximation:
         H = compress_to_hodlr(A, tree, tol)
         assert sampled_path == []
         r = tree.ranges
-        for (a, b), f in H.offdiag.items():
-            block = A[slice(*r[a]), slice(*r[b])]
-            assert f.rank == linalg._sampled_approx(block, tol).rank, (a, b)
+        for a in range(2, tree.nnodes + 1):
+            block = A[slice(*r[a]), slice(*r[a ^ 1])]
+            assert H.rank[a] == linalg._sampled_approx(block, tol).rank, a
 
     def test_unequal_leaves(self, sampled_path):
         # N = 777, leaf 64: sibling blocks of 97 and 98 rows and columns
@@ -118,7 +118,8 @@ class TestCrossApproximation:
         tree = build_uniform_tree(777, 64)
         H = compress_to_hodlr(A, tree, 1e-12)
         assert sampled_path == [] and H.max_rank() == 1
-        assert len({f.shape for f in H.offdiag.values()}) > tree.depth
+        assert len({(tree.size(a), tree.size(a ^ 1))
+                    for a in range(2, tree.nnodes + 1)}) > tree.depth
         assert np.linalg.norm(H.todense() - A) <= 1e-11 * np.linalg.norm(A)
 
 
@@ -205,7 +206,7 @@ class TestWoodburyInverse:
         A = kernel_matrix(32) + 10 * np.eye(32)
         H = compress_to_hodlr(A, tree, 1e-12)
         first_leaf = next(iter(tree.leaves()))
-        H.leaf_diag[first_leaf] = np.zeros((tree.size(first_leaf),) * 2)
+        H.D[0] = 0.0
         with pytest.raises(SingularMatrixError,
                            match=f"leaf diagonal block {first_leaf} is singular"):
             invert_multiplicative(H)
@@ -249,10 +250,9 @@ class TestMultiplicativeInverse:
         A, _ = ie_matrix(256)
         tree = build_uniform_tree(256, 16)
         H = compress_to_hodlr(A, tree, 1e-12)
-        ranks_before = {k: f.rank for k, f in H.offdiag.items()}
+        ranks_before = list(H.rank)
         inv = invert_multiplicative(H)
-        ranks_after = {k: f.rank for k, f in H.offdiag.items()}
-        assert ranks_before == ranks_after
+        assert H.rank == ranks_before
         k_max = H.max_rank()
         for blocks in inv.level_blocks.values():
             for f in blocks.values():
@@ -269,15 +269,20 @@ class TestMultiplicativeInverse:
 
     def test_complex_right_factors_kept(self):
         # real leaves and left factors, complex right factors: a working
-        # dtype taken from the left factors drops V's imaginary parts
+        # dtype taken from the left factors or leaves drops the imaginary parts
         rng = np.random.default_rng(RNG_SEED)
         tree = build_uniform_tree(64, 16)
-        offdiag = {(a, a ^ 1): LowRankFactor(rng.standard_normal((tree.size(a), 2)) / 8,
-                                             rng.standard_normal((tree.size(a ^ 1), 2))
-                                             + 1j * rng.standard_normal((tree.size(a ^ 1), 2)))
-                   for a in range(2, 2 ** (tree.depth + 1))}
-        leaf_diag = {t: rng.standard_normal((16, 16)) + 16 * np.eye(16) for t in tree.leaves()}
-        H = HodlrMatrix(tree=tree, offdiag=offdiag, leaf_diag=leaf_diag, tol=0.0)
+        r = tree.ranges
+        A = np.zeros((64, 64), complex)
+        for a in range(2, 2 ** (tree.depth + 1)):
+            U = rng.standard_normal((tree.size(a), 2)) / 8
+            V = (rng.standard_normal((tree.size(a ^ 1), 2))
+                 + 1j * rng.standard_normal((tree.size(a ^ 1), 2)))
+            A[slice(*r[a]), slice(*r[a ^ 1])] = U @ V.conj().T
+        for t in tree.leaves():
+            A[slice(*r[t]), slice(*r[t])] = rng.standard_normal((16, 16)) + 16 * np.eye(16)
+        H = compress_to_hodlr(A, tree, 1e-12)
+        assert H.rank[2:] == [2] * (tree.nnodes - 1)
         x = rng.standard_normal(64)
         y, y_ref = invert_multiplicative(H).apply(x), np.linalg.solve(H.todense(), x)
         assert H.dtype == np.complex128 and y.dtype == np.complex128
@@ -304,7 +309,7 @@ def reference_apply(inv, x):
     for ell in range(t.depth - 1, -1, -1):
         for tau, corr in inv.level_blocks[ell].items():
             i = t.index_range(tau)
-            y[i] += corr.matvec(y[i])
+            y[i] += corr.U @ (corr.V.conj().T @ y[i])
     return y
 
 
@@ -327,19 +332,22 @@ def max_node_inverse_error(H, inv):
     return worst
 
 
-def mixed_rank_hodlr(N, leaf):
-    """HODLR matrix whose sibling blocks of one level have ranks 1, 2, 3."""
+def mixed_rank_matrix(N, leaf):
+    """Dense matrix whose sibling blocks of one level have ranks 1, 2, 3:
+    A(I_p, I_sibling) has rank 1 + p % 3 on ``build_uniform_tree(N, leaf)``."""
     rng = np.random.default_rng(RNG_SEED)
     tree = build_uniform_tree(N, leaf)
-    offdiag = {}
+    r = tree.ranges
+    A = np.zeros((N, N))
     for a, b in [(2 * t, 2 * t + 1) for t in range(1, 2**tree.depth)]:
         for p, q in ((a, b), (b, a)):
             k = 1 + p % 3
-            offdiag[(p, q)] = LowRankFactor(rng.standard_normal((tree.size(p), k)) / N,
-                                            rng.standard_normal((tree.size(q), k)))
-    leaf_diag = {t: rng.standard_normal((tree.size(t),) * 2) + tree.size(t) * np.eye(tree.size(t))
-                 for t in tree.leaves()}
-    return HodlrMatrix(tree=tree, offdiag=offdiag, leaf_diag=leaf_diag, tol=0.0)
+            A[slice(*r[p]), slice(*r[q])] = (rng.standard_normal((tree.size(p), k)) / N
+                                             @ rng.standard_normal((tree.size(q), k)).T)
+    for t in tree.leaves():
+        n = tree.size(t)
+        A[slice(*r[t]), slice(*r[t])] = rng.standard_normal((n, n)) + n * np.eye(n)
+    return A
 
 
 def complex_kernel_matrix(N):
@@ -347,20 +355,64 @@ def complex_kernel_matrix(N):
     return kernel_matrix(N) * np.exp(0.3j * (i[:, None] - i[None, :])) + 10 * np.eye(N)
 
 
-class TestBatchedApply:
-    """The stacked apply against the per-node loop it replaced."""
+def compressed(A, leaf):
+    """A compressed at tol 1e-12 on the uniform tree with this leaf size."""
+    return compress_to_hodlr(A, build_uniform_tree(len(A), leaf), 1e-12)
 
-    CASES = {
+
+class TestBatchedApply:
+    """The stacked applies against per-block loops over the stacks."""
+
+    MATRICES = {
         # N = 777, leaf 64: blocks of 97 and 98 rows, padded to 98
-        "two_sizes": lambda: compress_to_hodlr(ie_matrix(777)[0], build_uniform_tree(777, 64),
-                                               1e-12),
-        "complex": lambda: compress_to_hodlr(complex_kernel_matrix(300),
-                                             build_uniform_tree(300, 32), 1e-12),
-        "mixed_ranks": lambda: mixed_rank_hodlr(512, 32),
+        "two_sizes": lambda: (ie_matrix(777)[0], 64),
+        "complex": lambda: (complex_kernel_matrix(300), 32),
+        "mixed_ranks": lambda: (mixed_rank_matrix(512, 32), 32),
         # N < 2 * leaf: one dense block
-        "depth_zero": lambda: compress_to_hodlr(kernel_matrix(100) + np.eye(100),
-                                                build_uniform_tree(100, 64), 1e-12),
+        "depth_zero": lambda: (kernel_matrix(100) + np.eye(100), 64),
     }
+    CASES = {name: lambda make=make: compressed(*make()) for name, make in MATRICES.items()}
+
+    @pytest.mark.parametrize("nrhs", [None, 3])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_matvec_is_per_block_products(self, case, nrhs):
+        # one batched product per level is its padded blocks' products, to
+        # the bit, and A x up to the compression tolerance
+        A, leaf = self.MATRICES[case]()
+        H = compressed(A, leaf)
+        x = np.random.default_rng(RNG_SEED).standard_normal((H.N,) if nrhs is None
+                                                            else (H.N, nrhs))
+        v = H.layout.pad(x)
+        y = np.zeros(v.shape, np.result_type(x, H.D))
+        for j in range(len(v)):
+            y[j] = H.D[j] @ v[j]
+        for U, V in zip(H.U, H.V):
+            yb, vb = (M.reshape(U.shape[:2] + v.shape[-1:]) for M in (y, v))
+            for j in range(len(U)):
+                yb[j] += U[j] @ (V[j].conj().T @ vb[j])
+        got = hodlr_matvec(H, x)
+        assert got.shape == x.shape and got.dtype == y.dtype
+        assert np.array_equal(got, H.layout.unpad(y).reshape(x.shape))
+        assert np.linalg.norm(got - A @ x) <= 1e-11 * np.linalg.norm(A @ x)
+
+    def test_matrix_stacks_hold_the_sibling_blocks(self):
+        # node tau's rows: U = blockdiag(U_ab, U_ba), V = [0, V_ba; V_ab, 0]
+        # with the left child's columns first, zeros elsewhere
+        A, leaf = self.MATRICES["two_sizes"]()
+        H = compressed(A, leaf)
+        t, r = H.tree, H.tree.ranges
+        for ell, (U, V) in enumerate(zip(map(H.layout.unpad, H.U), map(H.layout.unpad, H.V))):
+            for tau in t.nodes_at_level(ell):
+                a, b = t.children(tau)
+                ka, kb = H.rank[a], H.rank[b]
+                for p, q, cols in ((a, b, slice(0, ka)), (b, a, slice(ka, ka + kb))):
+                    Up, Vq = U[slice(*r[p]), cols], V[slice(*r[q]), cols]
+                    block = A[slice(*r[p]), slice(*r[q])]
+                    err = np.linalg.norm(Up @ Vq.conj().T - block, 2)
+                    assert err <= 1e-11 * np.linalg.norm(block, 2)
+                    assert not U[slice(*r[q]), cols].any() and not V[slice(*r[p]), cols].any()
+                assert not U[slice(*r[tau]), ka + kb:].any()
+                assert not V[slice(*r[tau]), ka + kb:].any()
 
     @pytest.mark.parametrize("nrhs", [None, 3])
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -396,7 +448,9 @@ class TestBatchedApply:
         hbs_rows = Telescope.zeros(two.tree, lambda tau: 0, float).layout
         assert two.layout.leaf.shape == (8, 98) and two.layout.leaf.sum() == 777
         assert np.array_equal(two.layout.leaf, hbs_rows.leaf) and two.layout.m == hbs_rows.m
-        mixed = invert_multiplicative(self.CASES["mixed_ranks"]())
+        mixed_H = self.CASES["mixed_ranks"]()
+        assert mixed_H.rank[2:] == [1 + a % 3 for a in range(2, mixed_H.tree.nnodes + 1)]
+        mixed = invert_multiplicative(mixed_H)
         assert any(len({mixed.rank[tau] for tau in mixed.tree.nodes_at_level(ell)}) > 1
                    for ell in range(mixed.tree.depth))  # unequal ranks, padded in one stack
         for case in sorted(self.CASES):
@@ -404,23 +458,21 @@ class TestBatchedApply:
             inv, t = invert_multiplicative(H), H.tree
             m = inv.layout.m
             real = np.ones((2**t.depth, m), bool) if inv.layout.leaf is None else inv.layout.leaf
-            assert inv.L.shape == (2**t.depth, m, m) and len(inv.U) == len(inv.V) == t.depth
-            for Lj, tau in zip(inv.L, t.leaves()):
+            assert inv.L.shape == H.D.shape == (2**t.depth, m, m)
+            assert len(inv.U) == len(inv.V) == len(H.U) == t.depth
+            for Lj, Dj, tau in zip(inv.L, H.D, t.leaves()):
                 n = t.size(tau)
-                ref = scipy.linalg.lu_solve(scipy.linalg.lu_factor(H.leaf_diag[tau]), np.eye(n))
+                ref = scipy.linalg.lu_solve(scipy.linalg.lu_factor(Dj[:n, :n]), np.eye(n))
                 assert Lj.flags.f_contiguous and np.array_equal(Lj[:n, :n], ref)
                 assert not Lj[n:].any() and not Lj[:, n:].any()
+                assert not Dj[n:].any() and not Dj[:, n:].any()
             for ell, blocks in inv.level_blocks.items():
                 k = max(inv.rank[tau] for tau in blocks)
-                assert inv.U[ell].shape == inv.V[ell].shape == (2**ell, m << (t.depth - ell), k)
+                assert inv.U[ell].shape == H.U[ell].shape == (2**ell, m << (t.depth - ell), k)
+                assert inv.V[ell] is H.V[ell]
                 for j, (tau, f) in enumerate(blocks.items()):
                     a, b = t.children(tau)
-                    Vab, Vba = H.offdiag[(a, b)].V, H.offdiag[(b, a)].V
-                    assert inv.rank[tau] == f.rank == Vab.shape[1] + Vba.shape[1]
-                    ref = np.zeros((t.size(tau), f.rank), H.dtype)
-                    ref[t.size(a):, :Vab.shape[1]] = Vab
-                    ref[:t.size(a), Vab.shape[1]:] = Vba
-                    assert np.array_equal(f.V, ref)
+                    assert inv.rank[tau] == f.rank == H.rank[a] + H.rank[b]
                     rows = real.reshape(2**ell, -1)[j]
                     for M, M_node in ((inv.U[ell][j], f.U), (inv.V[ell][j], f.V)):
                         assert np.array_equal(M[rows, :f.rank], M_node)
@@ -434,6 +486,17 @@ class TestBatchedApply:
         assert sorted(inv.leaf_inverses) == list(inv.tree.leaves())
         for ell, blocks in inv.level_blocks.items():
             assert sorted(blocks) == list(inv.tree.nodes_at_level(ell))
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_inverse_shares_and_keeps_the_matrix_stacks(self, case):
+        # the inverse's V is H's own V, and the build writes into none of H's stacks
+        H = self.CASES[case]()
+        before = [M.tobytes() for M in (H.D, *H.U, *H.V)]
+        inv = invert_multiplicative(H)
+        assert [M.tobytes() for M in (H.D, *H.U, *H.V)] == before
+        assert len(inv.V) == len(H.V)
+        for Vi, Vh in zip(inv.V, H.V):
+            assert np.shares_memory(Vi, Vh)
 
     def test_wrong_length_raises(self):
         inv = invert_multiplicative(self.CASES["two_sizes"]())
@@ -474,19 +537,17 @@ class TestStorage:
         def synthetic(N, k, leaf):
             rng = np.random.default_rng(RNG_SEED)
             tree = build_uniform_tree(N, leaf)
-            offdiag = {}
+            r = tree.ranges
+            A = np.eye(N)
             for a, b in [(2 * t, 2 * t + 1) for t in range(1, 2**tree.depth)]:
                 m, n = tree.size(a), tree.size(b)
-                offdiag[(a, b)] = LowRankFactor(
-                    rng.standard_normal((m, k)), rng.standard_normal((n, k))
-                )
-                offdiag[(b, a)] = LowRankFactor(
-                    rng.standard_normal((n, k)), rng.standard_normal((m, k))
-                )
-            from fds.hodlr import HodlrMatrix
-
-            leaf_diag = {t: np.eye(tree.size(t)) for t in tree.leaves()}
-            return HodlrMatrix(tree=tree, offdiag=offdiag, leaf_diag=leaf_diag, tol=0.0)
+                A[slice(*r[a]), slice(*r[b])] = (rng.standard_normal((m, k))
+                                                 @ rng.standard_normal((n, k)).T)
+                A[slice(*r[b]), slice(*r[a])] = (rng.standard_normal((n, k))
+                                                 @ rng.standard_normal((m, k)).T)
+            H = compress_to_hodlr(A, tree, 1e-12)
+            assert H.rank[2:] == [k] * (tree.nnodes - 1)
+            return H
 
         s1 = storage_report(synthetic(1024, 4, 32))["stored_scalars"]
         s2 = storage_report(synthetic(2048, 4, 32))["stored_scalars"]
@@ -496,35 +557,35 @@ class TestStorage:
         # the factors own their memory: no block keeps its whole SVD alive
         A, _ = ie_matrix(1024)
         H = compress_to_hodlr(A, build_uniform_tree(1024, 64), 1e-10)
-        owners = {}
-        arrays = [M for f in H.offdiag.values() for M in (f.U, f.V)]
-        for M in arrays + list(H.leaf_diag.values()):
-            while M.base is not None:
-                M = M.base
-            owners[id(M)] = M.nbytes
-        held = sum(owners.values())
+        held = sum(owned_bytes(H).values())
         assert held <= 2 * storage_report(H)["stored_scalars"] * A.itemsize
 
-    def test_range_finder_factors_hold_exactly_their_count(self):
+    def test_holds_exactly_its_stacks(self):
         # top blocks are 1024 wide: certified cross approximations, whose
-        # factors must not be views of the cross buffers (or, on the range
-        # finder path, of the sample-sized Vh)
+        # buffers (or, on the range finder path, the sample-sized Vh) must
+        # not outlive the build. The U and V stacks hold the zero
+        # off-blocks, so they exceed the unpadded count.
         A, _ = ie_matrix(2048)
-        H = compress_to_hodlr(A, build_uniform_tree(2048, 64), 1e-10)
-        assert max(f.U.shape[0] for f in H.offdiag.values()) > 512
-        owners = {}
-        arrays = [M for f in H.offdiag.values() for M in (f.U, f.V)]
-        for M in arrays + list(H.leaf_diag.values()):
-            while M.base is not None:
-                M = M.base
-            owners[id(M)] = M.nbytes
-        assert sum(owners.values()) == storage_report(H)["stored_scalars"] * A.itemsize
+        tree = build_uniform_tree(2048, 64)
+        H = compress_to_hodlr(A, tree, 1e-10)
+        assert tree.size(2) > 512
+        assert sum(owned_bytes(H).values()) == sum(M.nbytes for M in (H.D, *H.U, *H.V))
 
     def test_max_rank_is_max_over_factors(self):
         A, _ = ie_matrix(128)
         tree = build_uniform_tree(128, 16)
         H = compress_to_hodlr(A, tree, 1e-12)
-        assert storage_report(H)["max_rank"] == max(f.rank for f in H.offdiag.values())
+        assert storage_report(H)["max_rank"] == max(H.rank)
+
+
+def owned_bytes(H):
+    """id -> nbytes of the arrays that own H's stacks' memory."""
+    owners = {}
+    for M in (H.D, *H.U, *H.V):
+        while M.base is not None:
+            M = M.base
+        owners[id(M)] = M.nbytes
+    return owners
 
 
 @settings(max_examples=25, derandomize=True, deadline=None, database=None)
@@ -549,14 +610,14 @@ def test_factor_hodlr_property(N, leaf, log_tol, is_complex, cut, seed):
     b = rng.standard_normal(N)
 
     H = compress_to_hodlr(A, tree, tol)
-    ranks = {k: f.rank for k, f in H.offdiag.items()}
+    ranks = list(H.rank)
     inv = invert_multiplicative(H)
-    assert {k: f.rank for k, f in H.offdiag.items()} == ranks
+    assert H.rank == ranks
     if cut and tree.depth:
-        assert ranks[(2, 3)] == 0
+        assert ranks[2] == 0
     for blocks in inv.level_blocks.values():
         for tau, f in blocks.items():
-            assert f.rank == ranks[(2 * tau, 2 * tau + 1)] + ranks[(2 * tau + 1, 2 * tau)]
+            assert f.rank == ranks[2 * tau] + ranks[2 * tau + 1]
 
     y = factor(A, "hodlr", tree, tol).apply(b)
     assert np.array_equal(y, inv.apply(b)) and np.iscomplexobj(y) == is_complex
@@ -568,4 +629,5 @@ def test_factor_hodlr_property(N, leaf, log_tol, is_complex, cut, seed):
     assert max_node_inverse_error(H, inv) <= 1e-12
     assert storage_report(inv)["stored_scalars"] == (
         sum(M.size for M in inv.leaf_inverses.values())
-        + sum(f.storage() for blocks in inv.level_blocks.values() for f in blocks.values()))
+        + sum(f.U.size + f.V.size for blocks in inv.level_blocks.values()
+              for f in blocks.values()))
