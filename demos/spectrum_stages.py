@@ -5,8 +5,10 @@ centered at (2, 0), grid_k x grid_k Gauss-Legendre nodes on each) is
 built and sampled at grid_k = 33 / 40 / 48, the sizes past the
 exact-SVD limit. Each stage is timed separately, best of three: the
 kernel matrix and the seeded range finder at the 1e-14 cut that
-``experiments.spectrum_potential`` uses. The number of sampled columns
-and rank@1e-10 of the normalized spectrum are printed with them. BLAS
+``experiments.spectrum_potential`` uses. Beside the kernel time stands
+the number of J0/Y0 pairs the kernel evaluated, one per distinct grid
+distance, against the N^2 entries it fills. The number of sampled
+columns and rank@1e-10 of the normalized spectrum follow. BLAS
 runs on one thread unless OPENBLAS_NUM_THREADS (or OMP_NUM_THREADS /
 MKL_NUM_THREADS) is set.
 """
@@ -18,8 +20,13 @@ for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import time  # noqa: E402
 
-from fds.experiments import _gl_box, _kernel_matrix  # noqa: E402
+from fds import experiments  # noqa: E402
 from fds.linalg import eps_rank, range_finder  # noqa: E402
+from fds.quadrature import gauss_legendre  # noqa: E402
+
+evaluated = []  # argument sizes of the kernel's J0/Y0 calls
+bessel = experiments.bessel_j0_y0
+experiments.bessel_j0_y0 = lambda x: evaluated.append(x.size) or bessel(x)
 
 
 def best_of_three(fn):
@@ -32,15 +39,17 @@ def best_of_three(fn):
 
 
 kappa = 80.0
-print(f"{'grid_k':>6} {'N':>5} {'kernel s':>9} {'range finder s':>15} {'columns':>8} "
-      f"{'rank@1e-10':>11}")
+print(f"{'grid_k':>6} {'N':>5} {'kernel s':>9} {'J0/Y0 pairs':>12} {'of N^2':>7} "
+      f"{'range finder s':>15} {'columns':>8} {'rank@1e-10':>11}")
 for k in (33, 40, 48):
-    src, ws = _gl_box(k, (0.0, 0.0))
-    trg, wt = _gl_box(k, (2.0, 0.0))
-    t_ker, V = best_of_three(lambda: _kernel_matrix("helmholtz", kappa, trg, wt, src, ws))
+    rule = gauss_legendre(k, -0.5, 0.5)
+    evaluated.clear()
+    t_ker, V = best_of_three(
+        lambda: experiments._kernel_matrix("helmholtz", kappa, rule, [(2.0, 0.0)]))
+    pairs = evaluated[-1]
     t_rf, (_, _, s) = best_of_three(lambda: range_finder(V, 1e-14, 0))
-    print(f"{k:>6} {k * k:>5} {t_ker:>9.3f} {t_rf:>15.3f} {len(s):>8} "
-          f"{eps_rank(s, 1e-10):>11}")
+    print(f"{k:>6} {k * k:>5} {t_ker:>9.3f} {pairs:>12} {pairs / V.size:>7.1%} "
+          f"{t_rf:>15.3f} {len(s):>8} {eps_rank(s, 1e-10):>11}")
     del V  # one kernel matrix in memory at a time
 print("columns is the width of the kept sample; the range finder stops once at least "
       "10 sampled singular values lie at or below 1e-14 sigma_1.")

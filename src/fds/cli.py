@@ -193,7 +193,7 @@ def build_parser():
 
     sp = sub.add_parser("spectrum", help="box-to-box potential operator spectrum")
     sp.add_argument("--kernel", choices=["laplace", "helmholtz"], required=True)
-    sp.add_argument("--kappa", type=float, default=None)
+    sp.add_argument("--kappa", type=float, default=None, help="wavenumber (helmholtz only)")
     sp.add_argument("--grid-k", type=int, default=12)
     sp.add_argument("--geometry", choices=["directional", "global"], default="directional")
     common(sp)

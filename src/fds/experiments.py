@@ -4,7 +4,11 @@
 a charge density on a source box to the potential on well-separated
 target boxes: entries sqrt(w_i w'_j) phi(x_i - x'_j) on tensor-product
 Gauss-Legendre grids, so that the discrete l2 norms converge to the
-L2 norms of the continuum operator. Its singular values come from
+L2 norms of the continuum operator. On these grids |x_i - x'_j|^2 =
+dx^2 + dy^2 takes few distinct values, so ``_kernel_matrix`` evaluates
+the kernel once per distinct (dx^2, dy^2) pair of each target box and
+gathers the entries, bitwise equal to evaluating every entry. Its
+singular values come from
 LAPACK's dense SVD, except for Helmholtz boxes of more than 1024 nodes,
 where the seeded ``linalg.range_finder`` samples the range until at
 least 10 sampled singular values lie at or below 1e-14 sigma_1. Values
@@ -43,30 +47,47 @@ _EXACT_SVD_LIMIT = 1024  # Helmholtz boxes with more nodes take the range finder
 _KERNEL_BLOCK = 1 << 14  # entries per block of kernel rows, so its temporaries stay in cache
 
 
-def _gl_box(k, center):
-    rule = gauss_legendre(k, -0.5, 0.5)
-    X, Y = np.meshgrid(rule.nodes + center[0], rule.nodes + center[1], indexing="ij")
-    W = np.outer(rule.weights, rule.weights)
-    return np.column_stack([X.ravel(), Y.ravel()]), W.ravel()
+def _kernel_matrix(kernel, kappa, rule, centers):
+    """Entries sqrt(w_i w'_j) phi(|x_i - x'_j|) from the unit source box at
+    the origin to the unit target boxes at ``centers``.
 
-
-def _kernel_matrix(kernel, kappa, trg, wt, src, ws):
-    """Entries sqrt(wt_i ws_j) phi(|trg_i - src_j|), a block of rows at a time."""
-    V = np.empty((len(trg), len(src)), dtype=float if kernel == "laplace" else complex)
-    sws = np.sqrt(ws)[None, :]
-    step = max(1, _KERNEL_BLOCK // len(src))
-    for i in range(0, len(trg), step):
-        rows = slice(i, i + step)
-        d = np.sqrt(bie2d._offsets(trg[rows, None, :], src[None, :, :])[2])
-        scale = np.sqrt(wt[rows])[:, None] * sws
+    Every box carries the tensor-product grid of the 1D ``rule`` on
+    [-0.5, 0.5]; node (a, c) is row or column a * k + c, and the target
+    boxes stack in the order of ``centers``. The offset from source node
+    (b, e) to target node (a, c) is (dx[a, b], dy[c, e]), rounded as the
+    stacked points' x - x' rounds it, so r^2 = dx^2 + dy^2 takes only the
+    distinct (dx^2, dy^2) pairs: the kernel is evaluated once per pair and
+    box, and the table is gathered into V a block of rows at a time. Each
+    entry is bitwise equal to the per-entry formula on the stacked points.
+    """
+    t, k = rule.nodes, len(rule.nodes)
+    n = k * k
+    V = np.empty((len(centers) * n, n), dtype=float if kernel == "laplace" else complex)
+    sw = np.sqrt(np.outer(rule.weights, rule.weights).ravel())
+    step = max(1, _KERNEL_BLOCK // n)
+    for box, (cx, cy) in enumerate(centers):
+        dx, dy = (t + cx)[:, None] - t, (t + cy)[:, None] - t
+        ux, ix = np.unique(dx * dx, return_inverse=True)
+        uy, iy = np.unique(dy * dy, return_inverse=True)
+        d = np.sqrt(ux[:, None] + uy[None, :])
         if kernel == "laplace":
-            np.multiply(scale, bie2d.laplace_fundamental(d), out=V[rows])
-            continue
-        # scale * 0.25j * (J0 + i Y0) = c (-Y0 + i J0) with c = 0.25 scale
-        j, y = bessel_j0_y0(np.multiply(kappa, d, out=d))
-        c = np.multiply(scale, 0.25, out=scale)
-        np.multiply(c, j, out=V[rows].imag)
-        np.multiply(np.negative(c, out=c), y, out=V[rows].real)
+            tables = (bie2d.laplace_fundamental(d).ravel(),)
+        else:
+            tables = tuple(f.ravel() for f in bessel_j0_y0(np.multiply(kappa, d, out=d)))
+        # entry ((a, c), (b, e)) reads the flat table at ix[a, b] * len(uy) + iy[c, e]
+        ix, iy = ix.reshape(k, k) * len(uy), iy.reshape(k, k)
+        for i in range(0, n, step):
+            a, c = np.divmod(np.arange(i, min(i + step, n)), k)
+            idx = (ix[a][:, :, None] + iy[c][:, None, :]).reshape(len(a), n)
+            rows = V[box * n + i:box * n + i + len(a)]
+            scale = sw[i:i + len(a), None] * sw
+            if kernel == "laplace":
+                np.multiply(scale, tables[0][idx], out=rows)
+                continue
+            # scale * 0.25j * (J0 + i Y0) = s (-Y0 + i J0) with s = 0.25 scale
+            s = np.multiply(scale, 0.25, out=scale)
+            np.multiply(s, tables[0][idx], out=rows.imag)
+            np.multiply(np.negative(s, out=s), tables[1][idx], out=rows.real)
     return V
 
 
@@ -77,7 +98,8 @@ def spectrum_potential(kernel, grid_k, geometry, kappa=None, seed=0) -> Spectrum
     the unit box centered at (2, 0); ``global`` surrounds the source
     with the 16 well-separated boxes of the 5x5 unit tiling (one ring of
     touching boxes is excluded). Both boxes carry grid_k x grid_k
-    tensor-product Gauss-Legendre nodes. ``seed`` feeds the range
+    tensor-product Gauss-Legendre nodes. ``kappa`` is the Helmholtz
+    wavenumber; the Laplace kernel refuses one. ``seed`` feeds the range
     finder, which only Helmholtz grids with grid_k > 32 use; metadata
     ``svd`` says which one produced the values, "range_finder" or "dense".
     """
@@ -87,9 +109,10 @@ def spectrum_potential(kernel, grid_k, geometry, kappa=None, seed=0) -> Spectrum
         raise ValueError(f"unknown kernel {kernel!r}")
     if kernel == "helmholtz" and not (kappa is not None and 0 < kappa < np.inf):
         raise ValueError(f"helmholtz kernel needs a finite kappa > 0, got {kappa!r}")
+    if kernel == "laplace" and kappa is not None:
+        raise ValueError(f"laplace kernel takes no kappa, got kappa={kappa!r}")
     if geometry not in ("directional", "global"):
         raise ValueError(f"unknown geometry {geometry!r}")
-    src, ws = _gl_box(grid_k, (0.0, 0.0))
     if geometry == "directional":
         centers = [(2.0, 0.0)]
     else:
@@ -99,11 +122,8 @@ def spectrum_potential(kernel, grid_k, geometry, kappa=None, seed=0) -> Spectrum
             for j in range(-2, 3)
             if max(abs(i), abs(j)) == 2
         ]
-    boxes = [_gl_box(grid_k, c) for c in centers]
-    trg = np.vstack([b[0] for b in boxes])
-    wt = np.concatenate([b[1] for b in boxes])
-    V = _kernel_matrix(kernel, kappa, trg, wt, src, ws)
-    sampled = kernel == "helmholtz" and src.shape[0] > _EXACT_SVD_LIMIT
+    V = _kernel_matrix(kernel, kappa, gauss_legendre(grid_k, -0.5, 0.5), centers)
+    sampled = kernel == "helmholtz" and grid_k * grid_k > _EXACT_SVD_LIMIT
     sig = range_finder(V, 1e-14, seed)[2] if sampled else complex_singular_values(V)
     return SpectrumResult(
         label=f"{kernel} {geometry} k={grid_k}"

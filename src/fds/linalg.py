@@ -142,15 +142,16 @@ def range_finder(A, tol, seed=_RANGE_FINDER_SEED):
     ``tol * s[0]``, new draws double the sample, up to min(m, n); they
     take the same power steps, orthogonalized twice against the kept Q
     after each product with A, and their rows are appended to B
-    (Martinsson & Voronin, SISC 38 (2016)). The stop test reads the
-    sampled spectrum; it does not prove that the cut is reached.
+    (Martinsson & Voronin, SISC 38 (2016)). Each power step's A* Q is
+    formed as (Q* A)*, the orientation of the rows of B, so A is read in
+    place and never copied. The stop test reads the sampled spectrum; it
+    does not prove that the cut is reached.
     """
     A = _check_input(A, tol)
     m, n = A.shape
     rng = np.random.default_rng(seed)
     Q = np.empty((m, 0), dtype=A.dtype)
     B = np.empty((0, n), dtype=A.dtype)
-    Ah = A.conj().T  # one copy of a complex A, a view of a real one
     k = min(_RANGE_FINDER_START, m, n)
     while True:
         Om = rng.standard_normal((n, k - Q.shape[1]))
@@ -158,7 +159,7 @@ def range_finder(A, tol, seed=_RANGE_FINDER_SEED):
             Om = Om + 1j * rng.standard_normal(Om.shape)
         Qn = _orth_against(Q, A @ Om)
         for _ in range(2):
-            Qn, _ = np.linalg.qr(Ah @ Qn)
+            Qn, _ = np.linalg.qr((Qn.conj().T @ A).conj().T)
             Qn = _orth_against(Q, A @ Qn)
         Q = np.hstack([Q, Qn])
         B = np.vstack([B, Qn.conj().T @ A])

@@ -191,6 +191,14 @@ def test_exit_code_flag_validation(capsys):
     assert code == 2
 
 
+def test_spectrum_laplace_with_kappa_exits_2(capsys):
+    # the kappa used to be dropped without a word and still recorded
+    code = main(["spectrum", "--kernel", "laplace", "--kappa", "80", "--grid-k", "6"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert "kappa" in err
+
+
 @pytest.mark.parametrize("kappa", ["nan", "inf"])
 def test_spectrum_non_finite_kappa_exits_2(kappa, capsys):
     code = main(["spectrum", "--kernel", "helmholtz", "--kappa", kappa, "--grid-k", "8"])

@@ -1,7 +1,7 @@
 """Every name a demo takes from ``fds`` exists, and the quick demos run.
 
 Parsing every demo catches one left calling a deleted function. It
-cannot see an attribute read off an object (``H.offdiag``), so the six
+cannot see an attribute read off an object (``H.offdiag``), so the seven
 demos that finish in a few seconds also run, each in its own process.
 """
 
@@ -17,7 +17,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 QUICK = ["conditioning_1d", "hbs_skeletonization", "hodlr_inversion", "laplace_bie",
-         "nested_dissection", "proxy_and_multipole"]
+         "nested_dissection", "proxy_and_multipole", "spectrum_stages"]
 
 
 def fds_names(tree):

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
+from fds import experiments
 from fds.experiments import (
-    _gl_box,
     _kernel_matrix,
     scaling_bench,
     spectrum_potential,
@@ -12,7 +12,23 @@ from fds.experiments import (
 )
 from fds.bie2d import laplace_fundamental
 from fds.linalg import complex_singular_values, range_finder
+from fds.quadrature import gauss_legendre
 from fds.special import hankel0_first_kind
+
+THREE = [(2.0, 0.0), (-2.0, 1.0), (0.0, -2.0)]
+RING = [(float(i), float(j)) for i in range(-2, 3) for j in range(-2, 3)
+        if max(abs(i), abs(j)) == 2]
+
+
+def stacked_boxes(grid_k, centers):
+    """Nodes (one row each) and weights of the Gauss-Legendre boxes at centers, stacked."""
+    rule = gauss_legendre(grid_k, -0.5, 0.5)
+    pts, wts = [], []
+    for cx, cy in centers:
+        X, Y = np.meshgrid(rule.nodes + cx, rule.nodes + cy, indexing="ij")
+        pts.append(np.column_stack([X.ravel(), Y.ravel()]))
+        wts.append(np.outer(rule.weights, rule.weights).ravel())
+    return np.vstack(pts), np.concatenate(wts)
 
 
 class TestSpectrumPotential:
@@ -42,30 +58,44 @@ class TestSpectrumPotential:
         res = spectrum_potential("helmholtz", 33, "directional", kappa=80.0, seed=5)
         again = spectrum_potential("helmholtz", 33, "directional", kappa=80.0, seed=5)
         assert np.array_equal(res.sigmas, again.sigmas)
-        src, ws = _gl_box(33, (0.0, 0.0))
-        trg, wt = _gl_box(33, (2.0, 0.0))
-        s = complex_singular_values(_kernel_matrix("helmholtz", 80.0, trg, wt, src, ws))
+        rule = gauss_legendre(33, -0.5, 0.5)
+        s = complex_singular_values(_kernel_matrix("helmholtz", 80.0, rule, [(2.0, 0.0)]))
         s = s / s[0]
         m = int(np.sum(s > 1e-14))
         assert len(res.sigmas) >= m
         assert np.max(np.abs(res.sigmas[:m] - s[:m])) < 1e-13
 
-    @pytest.mark.parametrize("grid_k", [5, 13, 33])
-    def test_kernel_matrix_entries(self, grid_k):
-        # rows from three target boxes; 13^2 = 169 nodes do not divide the
+    @pytest.mark.parametrize("grid_k, centers", [
+        *(pytest.param(k, THREE, id=str(k)) for k in (5, 13, 33)),
+        pytest.param(12, RING, id="12-ring"),
+    ])
+    def test_kernel_matrix_entries(self, grid_k, centers):
+        # rows from several target boxes; 13^2 = 169 nodes do not divide the
         # row blocks. The whole-array formula is the reference, bitwise.
-        src, ws = _gl_box(grid_k, (0.0, 0.0))
-        boxes = [_gl_box(grid_k, c) for c in [(2.0, 0.0), (-2.0, 1.0), (0.0, -2.0)]]
-        trg = np.vstack([b[0] for b in boxes])
-        wt = np.concatenate([b[1] for b in boxes])
+        src, ws = stacked_boxes(grid_k, [(0.0, 0.0)])
+        trg, wt = stacked_boxes(grid_k, centers)
         d = np.sqrt((trg[:, None, 0] - src[None, :, 0]) ** 2
                     + (trg[:, None, 1] - src[None, :, 1]) ** 2)
         scale = np.sqrt(wt)[:, None] * np.sqrt(ws)[None, :]
-        H = _kernel_matrix("helmholtz", 80.0, trg, wt, src, ws)
+        rule = gauss_legendre(grid_k, -0.5, 0.5)
+        H = _kernel_matrix("helmholtz", 80.0, rule, centers)
         assert np.array_equal(H, scale * 0.25j * hankel0_first_kind(80.0 * d))
-        L = _kernel_matrix("laplace", None, trg, wt, src, ws)
+        L = _kernel_matrix("laplace", None, rule, centers)
         assert L.dtype == float
         assert np.array_equal(L, scale * laplace_fundamental(d))
+
+    def test_hankel_evaluated_once_per_distinct_distance(self, monkeypatch):
+        # directional grid_k 33: 178,269 distinct (dx^2, dy^2) pairs of 33^4
+        sizes = []
+
+        def counting(x):
+            sizes.append(np.size(x))
+            return bessel(x)
+
+        bessel = experiments.bessel_j0_y0
+        monkeypatch.setattr(experiments, "bessel_j0_y0", counting)
+        spectrum_potential("helmholtz", 33, "directional", kappa=80.0)
+        assert 0 < sum(sizes) <= 0.2 * 33**4
 
     def test_range_finder_branch_sample_count(self):
         # rank@1e-14 is 39, so the kept sample stops at 64 columns
@@ -85,6 +115,10 @@ class TestSpectrumPotential:
             spectrum_potential("helmholtz", 12, "directional")  # kappa missing
         with pytest.raises(ValueError):
             spectrum_potential("stokes", 12, "directional")
+
+    def test_laplace_refuses_kappa(self):
+        with pytest.raises(ValueError, match="kappa"):
+            spectrum_potential("laplace", 6, "directional", kappa=80.0)
 
     @pytest.mark.parametrize("kappa", [np.nan, np.inf, -np.inf, 0.0, -3.0])
     def test_bad_kappa_named(self, kappa):

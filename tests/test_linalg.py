@@ -1,5 +1,7 @@
 """Dense kernel tests: rank-revealing factorizations against independent oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -268,6 +270,18 @@ class TestRangeFinder:
         Q, B, s = range_finder(A, 1e-10)
         assert Q.shape == (40, 40) and len(s) == 40
         assert np.allclose(s, np.linalg.svd(A, compute_uv=False), rtol=1e-13)
+
+
+def test_range_finder_does_not_copy_a():
+    # a conjugate-transpose copy of A alone would peak at A.nbytes
+    A = known_spectrum(1200, 1000, 10.0 ** -np.arange(40.0), True, 5)
+    tracemalloc.start()
+    try:
+        range_finder(A, 1e-10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < A.nbytes / 2
 
 
 class TestInterpolativeDecomposition:
