@@ -8,13 +8,15 @@ L2 norms of the continuum operator. On these grids |x_i - x'_j|^2 =
 dx^2 + dy^2 takes few distinct values, so ``_kernel_matrix`` evaluates
 the kernel once per distinct (dx^2, dy^2) pair of each target box and
 gathers the entries, bitwise equal to evaluating every entry. Its
-singular values come from
-LAPACK's dense SVD, except for Helmholtz boxes of more than 1024 nodes,
-where the seeded ``linalg.range_finder`` samples the range until at
-least 10 sampled singular values lie at or below 1e-14 sigma_1. Values
-above 1e-13 sigma_1 match the dense SVD to about 1e-15 sigma_1; nearer
-the cut they can sit on the roundoff floor of the kernel entries, which
-the sample reads only to about 1e-14 sigma_1.
+singular values come from LAPACK's dense SVD, except for Helmholtz
+boxes of more than 1024 nodes, where the seeded block Krylov
+``linalg.range_finder`` samples the range until at least 10 sampled
+singular values lie at or below 1e-14 sigma_1 (directional, kappa 80,
+grid_k 33 to 48: one draw of 32 Gaussian columns, whose block and two
+power steps give 71 to 74 basis columns). Values above 1e-13 sigma_1
+match the dense SVD to about 1e-15 sigma_1; nearer the cut they can sit
+on the roundoff floor of the kernel entries, which the sample reads
+only to about 1e-14 sigma_1.
 ``weak_vs_strong_spectrum``
 contrasts the block rows a single-level format must compress under weak
 (all other boxes) versus strong (non-touching boxes only)

@@ -12,7 +12,10 @@ approximation, certified by a seeded Gaussian sketch and recompressed
 to the truncated-SVD cut; a block the sketch refuses falls back to the
 SVD, or above 512 wide to ``range_finder``. That is the one seeded
 randomized sampler, which ``experiments.spectrum_potential`` also uses
-for large Helmholtz spectra.
+for large Helmholtz spectra: a block Krylov range finder that keeps
+every power iterate in its basis, takes the rows of B = Q* A from the
+products its A* steps make anyway, and deflates power-step columns once
+the sampled range is captured.
 """
 
 from dataclasses import dataclass
@@ -124,7 +127,7 @@ def truncated_svd(A, tol=None, max_rank=None):
 
 _DENSE_SVD_LIMIT = 512
 _RANGE_FINDER_SEED = 0x5EED
-_RANGE_FINDER_START = 32  # columns in the first sample
+_RANGE_FINDER_START = 32  # Gaussian columns in the first draw
 _RANGE_FINDER_TAIL = 10  # sampled singular values that must lie at or below the cut
 _ACA_REL_TOL = 1e-2  # cross approximation stops two orders below the compression tol
 _CERTIFY_SEED = 0xACA
@@ -132,49 +135,82 @@ _CERTIFY_SAMPLES = 8  # Gaussian vectors in the certifying sketch: failure odds 
 
 
 def range_finder(A, tol, seed=_RANGE_FINDER_SEED):
-    """Seeded Gaussian range finder with two power steps that keeps its samples.
+    """Seeded Gaussian block Krylov range finder that keeps its samples.
 
     Returns (Q, B, s): Q has orthonormal columns spanning the sampled
-    range of A, B = Q* A, and s holds the singular values of B. The first
-    sample (complex for complex A) has 32 columns and two power steps
+    range of A, B = Q* A, and s holds the singular values of B. Each
+    draw of b Gaussian columns Omega (complex for complex A) takes two
+    power steps and keeps every iterate (Musco & Musco, NeurIPS 2015):
+    Y0 = orth(A Omega), and for i = 0, 1 the rows Yi* A join B, their
+    orthonormal basis W is the A* step, and Y(i+1) = orth(A W); the rows
+    Y2* A close B. So B needs no product of its own, A is read in place
+    and never copied, and a draw of six products with A or A* adds up
+    to 3b columns where the last power iterate alone would add b
     (Halko, Martinsson & Tropp, SIAM Rev. 53 (2011), Algorithm 4.4).
-    While fewer than 10 trailing values of s lie at or below
-    ``tol * s[0]``, new draws double the sample, up to min(m, n); they
-    take the same power steps, orthogonalized twice against the kept Q
-    after each product with A, and their rows are appended to B
-    (Martinsson & Voronin, SISC 38 (2016)). Each power step's A* Q is
-    formed as (Q* A)*, the orientation of the rows of B, so A is read in
-    place and never copied. The stop test reads the sampled spectrum; it
-    does not prove that the cut is reached.
+    Every block is orthogonalized against the kept Q after its product
+    with A (Martinsson & Voronin, SISC 38 (2016)). A power-step block
+    collapses once the sampled range is captured; its directions off Q
+    of size at or below tol / 10 times the largest singular value of
+    B's blocks so far are deflated (dropped), not normalized. Fresh
+    columns are always kept. The first draw has 32 columns; while fewer
+    than 10 values of s lie at or below ``tol * s[0]``, a new draw
+    doubles the number of drawn columns, up to min(m, n) columns of Q.
+    The stop test reads the sampled spectrum; it does not prove that the
+    cut is reached.
     """
     A = _check_input(A, tol)
     m, n = A.shape
     rng = np.random.default_rng(seed)
     Q = np.empty((m, 0), dtype=A.dtype)
     B = np.empty((0, n), dtype=A.dtype)
-    k = min(_RANGE_FINDER_START, m, n)
+    drawn, scale = 0, 0.0
     while True:
-        Om = rng.standard_normal((n, k - Q.shape[1]))
+        b = min(max(drawn, _RANGE_FINDER_START), min(m, n) - Q.shape[1])
+        Om = rng.standard_normal((n, b))
         if np.iscomplexobj(A):
             Om = Om + 1j * rng.standard_normal(Om.shape)
-        Qn = _orth_against(Q, A @ Om)
-        for _ in range(2):
-            Qn, _ = np.linalg.qr((Qn.conj().T @ A).conj().T)
-            Qn = _orth_against(Q, A @ Qn)
-        Q = np.hstack([Q, Qn])
-        B = np.vstack([B, Qn.conj().T @ A])
+        drawn += b
+        Y = _orth_against(Q, A @ Om)
+        for step in range(3):  # the drawn block, then one per power step
+            Q = np.hstack([Q, Y])
+            Bi = Y.conj().T @ A
+            B = np.vstack([B, Bi])
+            if step == 2:
+                break
+            W, R = np.linalg.qr(Bi.conj().T)  # the A* step
+            scale = max(scale, np.linalg.norm(R, 2))
+            Y = _deflate(Q, A @ W, 0.1 * tol * scale, min(m, n) - Q.shape[1])
+            if Y.shape[1] == 0:
+                break
         s = np.linalg.svd(B, compute_uv=False)
-        if (k == min(m, n) or s[0] == 0.0
+        if (Q.shape[1] == min(m, n) or s[0] == 0.0
                 or np.count_nonzero(s <= tol * s[0]) >= _RANGE_FINDER_TAIL):
             return Q, B, s
-        k = min(2 * k, m, n)
+
+
+def _project_off(Q, Y):
+    """Y projected twice off range(Q); Q may have no columns."""
+    for _ in range(2):
+        Y = Y - Q @ (Q.conj().T @ Y)
+    return Y
 
 
 def _orth_against(Q, Y):
-    """Orthonormal basis of Y projected twice off range(Q); Q may have no columns."""
+    """Orthonormal basis of Y off range(Q), in two passes of two projections
+    and a QR: where the projections removed most of Y, the first QR divides
+    out that loss and magnifies what is left of range(Q) in its columns."""
     for _ in range(2):
-        Y = Y - Q @ (Q.conj().T @ Y)
-    return np.linalg.qr(Y)[0]
+        Y = np.linalg.qr(_project_off(Q, Y))[0]
+    return Y
+
+
+def _deflate(Q, Y, cut, room):
+    """Orthonormal basis of at most ``room`` directions of Y off range(Q):
+    those whose |R_jj| in the column-pivoted QR exceeds ``cut``."""
+    Qy, R, _ = scipy.linalg.qr(_project_off(Q, Y), mode="economic", pivoting=True,
+                               check_finite=False)
+    r = min(room, np.count_nonzero(np.abs(np.diag(R)) > cut))
+    return _orth_against(Q, Qy[:, :r])
 
 
 def low_rank_approx(A, tol) -> LowRankFactor:
@@ -237,14 +273,20 @@ def _aca(A, eps) -> LowRankFactor:
     the largest unused entry of the new column. It stops after the first
     term with ||u_k|| ||v_k|| <= eps ||S_k||_F (the norm is updated in
     O(k (m + n))), or at a zero or NaN pivot, or at min(m, n) terms.
+    The factor rows start with room for 16 terms and double when full, so
+    a low-rank block holds O(k (m + n)) scalars, not min(m, n) (m + n).
     """
     m, n = A.shape
     dtype = np.result_type(A, float)
-    Ut = np.empty((min(m, n), m), dtype)  # row l holds u_l
-    Vt = np.empty((min(m, n), n), dtype)  # row l holds conj(v_l)
+    Ut = np.empty((min(16, m, n), m), dtype)  # row l holds u_l
+    Vt = np.empty((len(Ut), n), dtype)  # row l holds conj(v_l)
     free = np.ones(m, bool)
     i, k, norm2 = 0, 0, 0.0
     while k < min(m, n):
+        if k == len(Ut):
+            grow = min(2 * k, m, n)
+            Ut = np.concatenate([Ut, np.empty((grow - k, m), dtype)])
+            Vt = np.concatenate([Vt, np.empty((grow - k, n), dtype)])
         free[i] = False
         row = A[i, :] - Ut[:k, i] @ Vt[:k]
         j = np.argmax(np.abs(row))

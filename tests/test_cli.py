@@ -47,7 +47,7 @@ def test_spectrum_byte_identical_reruns(capsys):
 @pytest.mark.parametrize("grid_k, note, nrows", [
     ("32", "# values: dense SVD\n", 1024),
     ("33", "# values: seeded range finder, so the row count is its sample size and rows"
-           " below about 1e-13 vary with --seed\n", 64),
+           " below about 1e-13 vary with --seed\n", 72),
 ], ids=["dense", "sampled"])
 def test_spectrum_says_which_svd(grid_k, note, nrows, capsys):
     # 32^2 = 1024 nodes is the last grid of the dense SVD; 33^2 is sampled

@@ -1,5 +1,7 @@
 """Spectrum experiments and scaling benchmarks."""
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -29,6 +31,14 @@ def stacked_boxes(grid_k, centers):
         pts.append(np.column_stack([X.ravel(), Y.ravel()]))
         wts.append(np.outer(rule.weights, rule.weights).ravel())
     return np.vstack(pts), np.concatenate(wts)
+
+
+@functools.cache
+def dense_helmholtz_spectrum(grid_k):
+    """sigma_j / sigma_1 of the directional kappa = 80 matrix by the dense SVD."""
+    rule = gauss_legendre(grid_k, -0.5, 0.5)
+    s = complex_singular_values(_kernel_matrix("helmholtz", 80.0, rule, [(2.0, 0.0)]))
+    return s / s[0]
 
 
 class TestSpectrumPotential:
@@ -98,9 +108,36 @@ class TestSpectrumPotential:
         assert 0 < sum(sizes) <= 0.2 * 33**4
 
     def test_range_finder_branch_sample_count(self):
-        # rank@1e-14 is 39, so the kept sample stops at 64 columns
+        # rank@1e-14 is 39; one draw of 32 columns keeps 32 + 32 + 8 basis columns
         res = spectrum_potential("helmholtz", 33, "directional", kappa=80.0)
-        assert len(res.sigmas) == 64 and res.metadata["svd"] == "range_finder"
+        assert len(res.sigmas) == 72 and res.metadata["svd"] == "range_finder"
+
+    def test_range_finder_branch_takes_one_draw(self, monkeypatch):
+        # the two power steps of the first 32 Gaussian columns already
+        # carry the sampled spectrum past the 1e-14 cut
+        draws = []
+        real = np.random.default_rng
+
+        class Counting:
+            def __init__(self, seed):
+                self.rng = real(seed)
+
+            def standard_normal(self, shape):
+                draws.append(shape)
+                return self.rng.standard_normal(shape)
+
+        monkeypatch.setattr(np.random, "default_rng", Counting)
+        spectrum_potential("helmholtz", 33, "directional", kappa=80.0)
+        assert draws == [(33 * 33, 32)] * 2  # real and imaginary parts of one draw
+
+    @pytest.mark.parametrize("grid_k, seed", [(33, 0), (33, 5), (33, 9), (40, 0)])
+    def test_range_finder_branch_accuracy(self, grid_k, seed):
+        # values above 1e-13 sigma_1 match the dense SVD to about 1e-15 sigma_1
+        res = spectrum_potential("helmholtz", grid_k, "directional", kappa=80.0, seed=seed)
+        s = dense_helmholtz_spectrum(grid_k)
+        m = int(np.sum(s > 1e-13))
+        assert len(res.sigmas) >= m
+        assert np.max(np.abs(res.sigmas[:m] - s[:m])) <= 1.5e-15
 
     def test_normalization_and_monotonicity(self):
         res = spectrum_potential("laplace", 8, "directional")

@@ -265,6 +265,17 @@ class TestRangeFinder:
         assert Q.shape == (700, 32) and B.shape == (32, 600) and s.shape == (32,)
         assert eps_rank(s, 1e-10) == 1
 
+    @pytest.mark.parametrize("complex_", [False, True])
+    def test_b_is_q_star_a_after_collapsed_power_steps(self, complex_):
+        # A W lies in range(Y0) after the first draw, so both power-step
+        # blocks deflate to nothing and B is Y0* A alone
+        A = np.zeros((600, 560), complex if complex_ else float)
+        A[300, 200] = 2.0 - 1.0j if complex_ else 2.0
+        Q, B, s = range_finder(A, 1e-10)
+        assert Q.shape == (600, 32) and eps_rank(s, 1e-10) == 1
+        assert np.linalg.norm(Q.conj().T @ Q - np.eye(32)) <= 1e-13
+        assert np.allclose(B, Q.conj().T @ A, rtol=0.0, atol=1e-14 * np.abs(A).max())
+
     def test_sample_stops_at_smaller_dimension(self):
         A = np.random.default_rng(4).standard_normal((40, 600))
         Q, B, s = range_finder(A, 1e-10)
@@ -282,6 +293,18 @@ def test_range_finder_does_not_copy_a():
     finally:
         tracemalloc.stop()
     assert peak < A.nbytes / 2
+
+
+def test_cross_approximation_holds_memory_for_its_rank():
+    # room for min(m, n) terms of a 2000 x 2000 block would take 64 MB
+    A = np.outer(np.arange(1.0, 2001.0), np.ones(2000))
+    tracemalloc.start()
+    try:
+        F = linalg._aca(A, 1e-12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert F.rank == 1 and peak < 1 << 20
 
 
 class TestInterpolativeDecomposition:
