@@ -17,8 +17,6 @@ from . import (
 from .linalg import (
     LowRankFactor,
     SingularMatrixError,
-    complex_singular_values,
-    dense_lu_solve,
     eps_rank,
     interpolative_decomposition,
     truncated_svd,

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .linalg import SingularMatrixError, dense_lu_solve
+from .linalg import SingularMatrixError
+from .solve import factor
 
 __all__ = [
     "Bvp1dProblem",
@@ -203,7 +204,7 @@ def solve_bvp_ie(p: Bvp1dProblem):
     p0 = Bvp1dProblem(a=p.a, b=p.b, N=p.N, m=p.m, g=p.g - p.m * w)
     system, rhs = assemble_nystrom(p0)
     try:
-        v = dense_lu_solve(system, rhs)
+        v = factor(system, "dense").apply(rhs)
     except SingularMatrixError as exc:
         raise SingularMatrixError(
             "integral-equation system is singular (boundary value problem "

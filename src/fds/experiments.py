@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bie2d, bvp1d, sparsend
-from .linalg import complex_singular_values, range_finder
+from .linalg import range_finder
 from .quadrature import gauss_legendre
 from .results import SpectrumResult
 from .solve import factor
@@ -47,6 +47,7 @@ __all__ = [
 
 _EXACT_SVD_LIMIT = 1024  # Helmholtz boxes with more nodes take the range finder
 _KERNEL_BLOCK = 1 << 14  # entries per block of kernel rows, so its temporaries stay in cache
+_BOXES_PER_SIDE = 6  # of the weak/strong grid, whose probe box sits at (2, 2)
 
 
 def _kernel_matrix(kernel, kappa, rule, centers):
@@ -126,7 +127,7 @@ def spectrum_potential(kernel, grid_k, geometry, kappa=None, seed=0) -> Spectrum
         ]
     V = _kernel_matrix(kernel, kappa, gauss_legendre(grid_k, -0.5, 0.5), centers)
     sampled = kernel == "helmholtz" and grid_k * grid_k > _EXACT_SVD_LIMIT
-    sig = range_finder(V, 1e-14, seed)[2] if sampled else complex_singular_values(V)
+    sig = range_finder(V, 1e-14, seed)[2] if sampled else np.linalg.svd(V, compute_uv=False)
     return SpectrumResult(
         label=f"{kernel} {geometry} k={grid_k}"
         + (f" kappa={kappa:g}" if kernel == "helmholtz" else ""),
@@ -136,10 +137,10 @@ def spectrum_potential(kernel, grid_k, geometry, kappa=None, seed=0) -> Spectrum
     )
 
 
-def weak_vs_strong_spectrum(pts_per_box, boxes_per_side=6, seed=0):
+def weak_vs_strong_spectrum(pts_per_box, seed=0):
     """Singular values of one box's block row under both admissibilities.
 
-    Uniform random points fill a boxes_per_side^2 grid of unit boxes;
+    Uniform random points fill a 6 x 6 grid of unit boxes;
     the probe box sits at grid position (2, 2). Weak admissibility
     compresses its interactions with all other boxes, strong only with
     the non-touching ones.
@@ -147,7 +148,7 @@ def weak_vs_strong_spectrum(pts_per_box, boxes_per_side=6, seed=0):
     if not 16 <= pts_per_box <= 400:
         raise ValueError(f"pts_per_box must lie in [16, 400], got {pts_per_box}")
     rng = np.random.default_rng(seed)
-    nb = boxes_per_side
+    nb = _BOXES_PER_SIDE
     pts = []
     box_of = []
     for bi in range(nb):

@@ -70,9 +70,9 @@ def compress_to_hodlr(A, tree: ClusterTree, tol) -> HodlrMatrix:
 
     Every sibling block A(I_alpha, I_beta) goes through
     ``low_rank_approx``: cross approximation, certified by a Gaussian
-    sketch and recompressed to the truncated-SVD cut at the
-    block-relative tolerance, or the SVD / range finder when the sketch
-    refuses it. Leaf diagonal blocks are copied verbatim. Each level's
+    sketch, or the range finder's sample when the sketch refuses it,
+    recompressed to the truncated-SVD cut at the block-relative
+    tolerance. Leaf diagonal blocks are copied verbatim. Each level's
     factors are written once, into its stacks.
 
     Every entry is checked for finiteness once, and a non-finite one

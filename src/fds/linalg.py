@@ -8,14 +8,15 @@ scale-invariant. The pivots come from LAPACK's column-pivoted QR,
 which ``_pivoted_qr`` runs without forming Q; the HBS skeletons take its
 pivots alone, and ``interpolative_decomposition`` adds the interpolation
 matrix. ``low_rank_approx`` compresses a HODLR block by cross
-approximation, certified by a seeded Gaussian sketch and recompressed
-to the truncated-SVD cut; a block the sketch refuses falls back to the
-SVD, or above 512 wide to ``range_finder``. That is the one seeded
-randomized sampler, which ``experiments.spectrum_potential`` also uses
-for large Helmholtz spectra: a block Krylov range finder that keeps
-every power iterate in its basis, takes the rows of B = Q* A from the
-products its A* steps make anyway, and deflates power-step columns once
-the sampled range is captured.
+approximation, certified by a seeded Gaussian sketch; a block the
+sketch refuses is sampled by ``range_finder`` instead. Either factor
+pair is cut by ``recompress``, the one truncated-SVD cut. The range
+finder is the one seeded randomized sampler, which
+``experiments.spectrum_potential`` also uses for large Helmholtz
+spectra: a block Krylov range finder that keeps every power iterate in
+its basis, takes the rows of B = Q* A from the products its A* steps
+make anyway, and deflates power-step columns once the sampled range is
+captured.
 """
 
 from dataclasses import dataclass
@@ -33,8 +34,6 @@ __all__ = [
     "recompress",
     "interpolative_decomposition",
     "lu_factor_checked",
-    "dense_lu_solve",
-    "complex_singular_values",
     "eps_rank",
 ]
 
@@ -109,23 +108,17 @@ def _pivoted_qr(A, tol):
     return R, perm, int(below[0]) if below.size else d.size
 
 
-def truncated_svd(A, tol=None, max_rank=None):
-    """SVD truncated at sigma_j > tol * sigma_1 (and/or a hard rank cap).
+def truncated_svd(A, tol):
+    """SVD truncated at sigma_j > tol * sigma_1.
 
     Returns (U, s, V) with A ~= U @ diag(s) @ V.conj().T and s
     non-increasing. A zero matrix yields rank 0 (empty factors).
     """
-    A = _check_input(A, tol)
-    if tol is None and max_rank is None:
-        raise ValueError("need a tolerance or a rank cap")
-    U, s, Vh = np.linalg.svd(A, full_matrices=False)
-    k = eps_rank(s, 0.0 if tol is None else tol)
-    if max_rank is not None:
-        k = min(k, max_rank)
+    U, s, Vh = np.linalg.svd(_check_input(A, tol), full_matrices=False)
+    k = eps_rank(s, tol)
     return U[:, :k], s[:k], Vh[:k].copy().conj().T  # a view would keep all of Vh alive
 
 
-_DENSE_SVD_LIMIT = 512
 _RANGE_FINDER_SEED = 0x5EED
 _RANGE_FINDER_START = 32  # Gaussian columns in the first draw
 _RANGE_FINDER_TAIL = 10  # sampled singular values that must lie at or below the cut
@@ -166,11 +159,8 @@ def range_finder(A, tol, seed=_RANGE_FINDER_SEED):
     drawn, scale = 0, 0.0
     while True:
         b = min(max(drawn, _RANGE_FINDER_START), min(m, n) - Q.shape[1])
-        Om = rng.standard_normal((n, b))
-        if np.iscomplexobj(A):
-            Om = Om + 1j * rng.standard_normal(Om.shape)
         drawn += b
-        Y = _orth_against(Q, A @ Om)
+        Y = _orth_against(Q, A @ _gaussian(rng, (n, b), A))
         for step in range(3):  # the drawn block, then one per power step
             Q = np.hstack([Q, Y])
             Bi = Y.conj().T @ A
@@ -186,6 +176,15 @@ def range_finder(A, tol, seed=_RANGE_FINDER_SEED):
         if (Q.shape[1] == min(m, n) or s[0] == 0.0
                 or np.count_nonzero(s <= tol * s[0]) >= _RANGE_FINDER_TAIL):
             return Q, B, s
+
+
+def _gaussian(rng, shape, A):
+    """A standard Gaussian draw from ``rng``, complex when A is: real part
+    first, then the imaginary part."""
+    Om = rng.standard_normal(shape)
+    if np.iscomplexobj(A):
+        Om = Om + 1j * rng.standard_normal(shape)
+    return Om
 
 
 def _project_off(Q, Y):
@@ -224,18 +223,15 @@ def low_rank_approx(A, tol) -> LowRankFactor:
     probability 1e-8 (Halko, Martinsson & Tropp, SIAM Rev. 53 (2011),
     Lemma 4.1, applied to (A - S)^T); the sketch is the one read of every
     entry, and from the left it streams the rows of a C-ordered A. A
-    certified S is cut by ``recompress``; a refused one takes
-    ``_sampled_approx``. A non-finite entry raises ValueError, from
-    ``recompress`` or, since it always fails the sketch, from the
-    sampled path.
+    certified S is cut by ``recompress``; for a refused one,
+    ``_sampled_approx`` cuts the sample of ``range_finder`` instead. A
+    non-finite entry raises ValueError, from ``recompress`` or, since it
+    always fails the sketch, from the range finder.
     """
     _check_tol(tol)
     A = np.asarray(A)
-    rng = np.random.default_rng(_CERTIFY_SEED)
-    Om = rng.standard_normal((_CERTIFY_SAMPLES, A.shape[0]))
-    if np.iscomplexobj(A):
-        Om = Om + 1j * rng.standard_normal(Om.shape)
-    # a non-finite or overflowing value fails the test, and the sampled path handles it
+    Om = _gaussian(np.random.default_rng(_CERTIFY_SEED), (_CERTIFY_SAMPLES, A.shape[0]), A)
+    # a non-finite or overflowing value fails the test, and the range finder handles it
     with np.errstate(all="ignore"):
         S = _aca(A, _ACA_REL_TOL * tol)
         F = recompress(S, tol)
@@ -247,20 +243,14 @@ def low_rank_approx(A, tol) -> LowRankFactor:
 
 
 def _sampled_approx(A, tol) -> LowRankFactor:
-    """The truncated SVD of A up to 512 wide, ``range_finder`` above.
+    """``range_finder``'s sample Q B of A, cut by ``recompress``.
 
     The range finder's sample grows until its spectrum has passed the
-    cut, so the SVD of the projected block reproduces the leading
-    singular triplets to machine accuracy and the factors match the
-    dense path at the same tolerance.
+    cut, so the cut of Q B reproduces the leading singular triplets of
+    A to machine accuracy, at the rank of the truncated SVD of A.
     """
-    if min(A.shape) <= _DENSE_SVD_LIMIT:
-        U, s, V = truncated_svd(A, tol)
-        return LowRankFactor(U * s, V)
     Q, B, _ = range_finder(A, tol)
-    Ub, s, Vh = np.linalg.svd(B, full_matrices=False)
-    r = eps_rank(s, tol)
-    return LowRankFactor((Q @ Ub[:, :r]) * s[:r], Vh[:r].copy().conj().T)  # not a view of Vh
+    return recompress(LowRankFactor(Q, B.conj().T), tol)
 
 
 def _aca(A, eps) -> LowRankFactor:
@@ -348,16 +338,6 @@ def lu_factor_checked(A, where):
     if small.size:
         raise SingularMatrixError(f"{where} is singular (pivot {int(small[0])})")
     return lu, piv
-
-
-def dense_lu_solve(A, B):
-    """Solve A X = B by partially pivoted LU; a zero pivot raises."""
-    return scipy.linalg.lu_solve(lu_factor_checked(_check_input(A), "matrix"), B)
-
-
-def complex_singular_values(A):
-    """Singular values of a real or complex matrix, non-increasing."""
-    return np.linalg.svd(_check_input(A), compute_uv=False)
 
 
 def eps_rank(sigmas, eps) -> int:

@@ -486,16 +486,20 @@ def nd_solve(factors: NdFactors, b):
     """Two-sweep substitution through the elimination tree, one group of
     same-shaped fronts at a time, with no per-front call.
 
-    Accepts a single right-hand side or a matrix of them; a NaN or inf
-    raises ValueError. The forward sweep is multifrontal, deepest level
-    first: each level's front vectors start as b on the separator rows
-    and zero elsewhere, and take their children's updates through the
-    extend-add maps of the factor. Per group, z_S = F_SS^{-1} w_S is one
-    batched product with the stored inverses, and the update
-    w_B - F_BS z_S is added into the parents' vectors one child slot at
-    a time. The backward sweep goes root first: x_S = z_S - X x_B.
+    Accepts a single right-hand side (N,) or a matrix of them (N, r);
+    any other shape, or a NaN or inf, raises ValueError. The forward
+    sweep is multifrontal, deepest level first: each level's front
+    vectors start as b on the separator rows and zero elsewhere, and
+    take their children's updates through the extend-add maps of the
+    factor. Per group, z_S = F_SS^{-1} w_S is one batched product with
+    the stored inverses, and the update w_B - F_BS z_S is added into the
+    parents' vectors one child slot at a time. The backward sweep goes
+    root first: x_S = z_S - X x_B.
     """
     b = np.asarray(b)
+    if b.shape[:1] != (factors.N,) or b.ndim > 2:
+        raise ValueError(f"right-hand side shape {b.shape} is not ({factors.N},) "
+                         f"or ({factors.N}, r)")
     if not np.isfinite(b).all():
         raise ValueError("array must not contain infs or NaNs")
     single = b.ndim == 1

@@ -8,7 +8,7 @@ from fds import linalg
 @pytest.fixture
 def sampled_path(monkeypatch):
     """Shapes of the blocks ``low_rank_approx`` sent down the sampled path
-    (SVD or range finder) because the sketch refused their cross
+    (the range finder) because the sketch refused their cross
     approximation."""
     shapes = []
     real = linalg._sampled_approx

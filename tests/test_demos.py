@@ -3,16 +3,21 @@
 Parsing every demo catches one left calling a deleted function. It
 cannot see an attribute read off an object (``H.offdiag``), so the seven
 demos that finish in a few seconds also run, each in its own process.
+Every name an ``fds`` module lists in ``__all__`` exists too, so a stale
+entry left by a deletion fails here and not in a user's ``import *``.
 """
 
 import ast
 import importlib
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+import fds
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -55,6 +60,16 @@ def resolves(dotted):
         except ModuleNotFoundError:
             return False
     return True
+
+
+PUBLIC = [m for m in (importlib.import_module(f"fds.{info.name}")
+                      for info in pkgutil.iter_modules(fds.__path__)) if hasattr(m, "__all__")]
+
+
+@pytest.mark.parametrize("mod", PUBLIC, ids=lambda m: m.__name__)
+def test_public_names_resolve(mod):
+    missing = [name for name in mod.__all__ if not hasattr(mod, name)]
+    assert not missing, f"{mod.__name__}.__all__ lists names it does not define: {missing}"
 
 
 def test_demos_found():

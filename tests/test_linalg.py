@@ -4,16 +4,16 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from fds import linalg
 from fds.linalg import (
     LowRankFactor,
     SingularMatrixError,
-    complex_singular_values,
-    dense_lu_solve,
     eps_rank,
     interpolative_decomposition,
     low_rank_approx,
+    lu_factor_checked,
     range_finder,
     recompress,
     truncated_svd,
@@ -104,12 +104,6 @@ class TestTruncatedSvd:
         kept = min(len(s), len(oracle))
         assert np.max(np.abs(s[:kept] - oracle[:kept]) / oracle[0]) < 1e-12
 
-    def test_rank_cap(self):
-        rng = np.random.default_rng(RNG_SEED)
-        A = rng.standard_normal((10, 10))
-        U, s, V = truncated_svd(A, max_rank=3)
-        assert len(s) == 3
-
     @pytest.mark.parametrize("dtype", [float, complex])
     def test_factor_owns_only_kept_rows(self, dtype):
         # a view into the full Vh would keep the whole SVD alive with V
@@ -136,8 +130,8 @@ class TestTruncatedSvd:
 class TestLowRankApprox:
     @pytest.mark.parametrize("kind", ["real", "complex"])
     def test_range_finder_branch_vs_truncated_svd(self, kind):
-        # 600 x 560 is past the dense-SVD limit, so the sampled path runs
-        # the range finder; cross approximation lands at the same rank
+        # the sampled path and cross approximation land at the rank of
+        # the truncated SVD
         x = np.linspace(0.0, 1.0, 600)
         y = np.linspace(1.5, 2.5, 560)
         d = np.abs(x[:, None] - y[None, :])
@@ -148,14 +142,18 @@ class TestLowRankApprox:
             assert F.rank == len(s)
             assert np.linalg.norm(A - F.todense(), 2) <= 10 * tol * np.linalg.norm(A, 2)
 
-    def test_unvisited_row_is_refused_by_the_sketch(self, sampled_path):
+    def test_unvisited_row_is_refused_by_the_sketch(self, sampled_path, monkeypatch):
         # row 0 is zero, so cross approximation stops at rank 0 without
-        # visiting row 17; the sketch sees the entry and the SVD keeps it
+        # visiting row 17; the sketch sees the entry and the range finder keeps it
+        calls = []
+        real = linalg.range_finder
+        monkeypatch.setattr(linalg, "range_finder",
+                            lambda A, tol: calls.append(A.shape) or real(A, tol))
         A = np.zeros((40, 30))
         A[17, 11] = 1.0
         assert linalg._aca(A, 1e-12).rank == 0
         F = low_rank_approx(A, 1e-10)
-        assert sampled_path == [(40, 30)]
+        assert sampled_path == [(40, 30)] and calls == [(40, 30)]
         assert F.rank == 1 and np.array_equal(F.todense(), A)
 
     @pytest.mark.parametrize("shape", [(50, 40), (1, 7), (600, 600)])
@@ -341,52 +339,34 @@ class TestInterpolativeDecomposition:
 
 
 class TestDenseLuSolve:
+    """``lu_factor_checked`` solved by scipy's ``lu_solve``, as the dense
+    backend of ``solve.factor`` does."""
+
+    @staticmethod
+    def solve(A, B):
+        return scipy.linalg.lu_solve(lu_factor_checked(A, "matrix"), B)
+
     def test_identity(self):
         rng = np.random.default_rng(RNG_SEED)
         B = rng.standard_normal((6, 3))
-        assert np.allclose(dense_lu_solve(np.eye(6), B), B)
+        assert np.allclose(self.solve(np.eye(6), B), B)
 
     def test_scaled_identity(self):
-        X = dense_lu_solve(2.0 * np.eye(4), np.eye(4))
+        X = self.solve(2.0 * np.eye(4), np.eye(4))
         assert np.allclose(X, 0.5 * np.eye(4))
 
     @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
-
     def test_singular_raises(self):
         # an exact zero pivot and a tiny nonzero one below the underflow cut
         A = np.zeros((3, 3))
         A[0, 0] = 1.0
         for M in (A, np.diag([1.0, 1e-305])):
             with pytest.raises(SingularMatrixError, match="pivot 1"):
-                dense_lu_solve(M, np.ones(M.shape[0]))
+                self.solve(M, np.ones(M.shape[0]))
 
     def test_non_square_raises_value_error(self):
-        # it used to pass the LU and fail in lu_solve with scipy's untyped error
         with pytest.raises(ValueError, match=r"matrix must be square, got shape \(8, 6\)"):
-            dense_lu_solve(np.random.default_rng(RNG_SEED).standard_normal((8, 6)), np.ones(8))
-
-
-class TestComplexSingularValues:
-    def test_scalar_i(self):
-        s = complex_singular_values(np.array([[1j]]))
-        assert np.allclose(s, [1.0])
-
-    def test_diagonal(self):
-        s = complex_singular_values(np.diag([2j, 1.0 + 0j]))
-        assert np.allclose(s, [2.0, 1.0])
-
-    def test_vs_complex_lapack(self):
-        rng = np.random.default_rng(RNG_SEED)
-        A = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-        s = complex_singular_values(A)
-        s_ref = np.linalg.svd(A, compute_uv=False)
-        assert np.max(np.abs(s - s_ref)) < 1e-12 * s_ref[0]
-
-    def test_real_matrix_matches_real_svd(self):
-        rng = np.random.default_rng(RNG_SEED)
-        A = rng.standard_normal((7, 5))
-        s = complex_singular_values(A.astype(complex))
-        assert np.allclose(s, np.linalg.svd(A, compute_uv=False))
+            self.solve(np.random.default_rng(RNG_SEED).standard_normal((8, 6)), np.ones(8))
 
 
 class TestRecompress:

@@ -91,6 +91,23 @@ def test_unknown_backend():
 def test_singular_dense_matrix():
     with pytest.raises(SingularMatrixError):
         factor(np.array([[1.0, 2.0], [2.0, 4.0]]), "dense")
+    # an exact zero pivot and a tiny nonzero one below the underflow cut
+    A = np.zeros((3, 3))
+    A[0, 0] = 1.0
+    for M in (A, np.diag([1.0, 1e-305])):
+        with pytest.raises(SingularMatrixError, match="pivot 1"):
+            factor(M, "dense")
+
+
+@pytest.mark.parametrize("backend", ["dense", "hodlr", "hbs", "nd"])
+def test_right_hand_side_of_wrong_length_refused(backend):
+    # nd used to read a length-2N vector as an (N, 2) block and return the
+    # solution for b[0::2]
+    st = assemble_stencil(2, 8)
+    tree = nd_partition(2, 8, 3) if backend == "nd" else build_uniform_tree(st.N, 16)
+    fac = factor(st if backend == "nd" else st.A.toarray(), backend, tree)
+    with pytest.raises(ValueError):
+        fac.apply(rhs(2 * st.N, float))
 
 
 def test_non_square_dense_matrix_refused_at_factor():

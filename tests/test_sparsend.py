@@ -396,6 +396,13 @@ class TestFactorSolve:
             with pytest.raises(ValueError, match="infs or NaNs"):
                 nd_solve(fac, b)
 
+    def test_three_dimensional_rhs_raises(self):
+        # it used to come back flattened to (N, 6)
+        st = assemble_stencil(2, 8)
+        fac = nd_factor(st, nd_partition(2, 8, leaf_cells=3))
+        with pytest.raises(ValueError, match=r"\(64, 2, 3\) is not \(64,\) or \(64, r\)"):
+            nd_solve(fac, np.ones((st.N, 2, 3)))
+
     def test_front_structure_pinned(self):
         # exact flop counts and (separator, boundary) sizes of every front
         cases = {
