@@ -31,9 +31,11 @@ class Layout:
         return cls(tree.N, m, None if sizes.min() == m else np.arange(m) < sizes[:, None])
 
     def pad(self, x):
-        """(N,) or (N, r) x as the (2^depth, m, r) padded leaf stack."""
-        if x.shape[0] != self.N:
-            raise ValueError(f"vector length {x.shape[0]} != {self.N}")
+        """(N,) or (N, r) x as the (2^depth, m, r) padded leaf stack; any
+        other shape raises ValueError."""
+        if x.shape[:1] != (self.N,) or x.ndim > 2:
+            raise ValueError(f"right-hand side shape {x.shape} is not ({self.N},) "
+                             f"or ({self.N}, r)")
         X = x.reshape(self.N, x[0].size)
         if self.leaf is None:
             return X.reshape(self.N // self.m, self.m, X.shape[1])

@@ -68,7 +68,6 @@ def laplace_fundamental(r):
 class Curve:
     """Closed analytic curve sampled at N parameter-equispaced nodes."""
 
-    kind: str
     t: np.ndarray  # parameter values on [0, 2 pi)
     x: np.ndarray  # nodes, (N, 2)
     normal: np.ndarray  # outward unit normals, (N, 2)
@@ -138,7 +137,6 @@ def make_curve(kind, N, *params) -> Curve:
                          "speed must be finite and positive and curvature finite at every node")
     normal = np.column_stack([dx[:, 1], -dx[:, 0]]) / speed[:, None]
     return Curve(
-        kind=kind,
         t=t,
         x=x,
         normal=normal,
@@ -188,7 +186,6 @@ def dlp_kernel(x, y, n_y):
 
 @dataclass
 class BieSystem:
-    curve: Curve
     matrix: np.ndarray  # -1/2 I + K, with the curvature limit on the diagonal
     rhs: np.ndarray
 
@@ -213,7 +210,7 @@ def assemble_bie(curve: Curve, f) -> BieSystem:
         K, _ = _dlp(curve.x[i:i + step, None, :], curve.x[None, :, :], curve.normal[None, :, :])
         np.multiply(K, curve.weights, out=A[i:i + step])
     A[np.diag_indices(N)] = (-curve.curvature / (4.0 * np.pi)) * curve.weights - 0.5
-    return BieSystem(curve=curve, matrix=A, rhs=f)
+    return BieSystem(matrix=A, rhs=f)
 
 
 def solve_interior_dirichlet(curve: Curve, f, backend="dense", tol=1e-10):

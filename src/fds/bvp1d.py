@@ -1,14 +1,14 @@
 """Two solvers for the 1D Dirichlet problem -u'' + m(x) u = g on (a, b).
 
 The finite-difference route assembles the classical tridiagonal system
-on the uniform interior grid x_i = a + i h, h = (b-a)/(N+1); its
-condition number grows like N^2. The integral-equation route rewrites
-the problem through the Green's function of -d^2/dx^2 and discretizes
-with the trapezoidal rule, giving the dense but well-conditioned system
-(I + G M) u = G g whose matrix is diagonal-plus-semi-separable.
-On the shared grid the two discrete systems are mathematically
-equivalent: G is the exact inverse of the m = 0 stencil, so each of
-its strict triangles is rank 1.
+on the uniform interior grid x_i = a + i h, h = (b-a)/(N+1), as a scipy
+DIA matrix, and solves it with LAPACK gtsv; its condition number grows
+like N^2. The integral-equation route rewrites the problem through the
+Green's function of -d^2/dx^2 and discretizes with the trapezoidal
+rule, giving the dense but well-conditioned system (I + G M) u = G g
+whose matrix is diagonal-plus-semi-separable. On the shared grid the
+two discrete systems are mathematically equivalent: G is the exact
+inverse of the m = 0 stencil, so each of its strict triangles is rank 1.
 
 ``condition_study`` compares the two routes' condition numbers and
 errors as N grows.
@@ -18,13 +18,13 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
 
 from .linalg import SingularMatrixError
 from .solve import factor
 
 __all__ = [
     "Bvp1dProblem",
-    "TridiagonalMatrix",
     "assemble_fd",
     "solve_tridiag",
     "green_1d",
@@ -77,58 +77,39 @@ class Bvp1dProblem:
         return cls(a=a, b=b, N=N, m=m_fun(x), g=g_fun(x), fa=fa, fb=fb)
 
 
-@dataclass
-class TridiagonalMatrix:
-    sub: np.ndarray
-    diag: np.ndarray
-    sup: np.ndarray
-
-    @property
-    def N(self) -> int:
-        return len(self.diag)
-
-    def todense(self) -> np.ndarray:
-        return (
-            np.diag(self.diag)
-            + np.diag(self.sub, -1)
-            + np.diag(self.sup, 1)
-        )
-
-
 def assemble_fd(p: Bvp1dProblem):
-    """Second-order stencil: h^{-2} (-1, 2, -1) plus m(x_i) on the diagonal.
+    """Second-order stencil: h^{-2} (-1, 2, -1) plus m(x_i) on the diagonal,
+    as an N x N scipy ``dia_array``.
 
     The Dirichlet values fold into the load: rhs[0] += fa / h^2 and
     rhs[-1] += fb / h^2.
     """
     h2inv = 1.0 / p.h**2
-    T = TridiagonalMatrix(
-        sub=np.full(p.N - 1, -h2inv),
-        diag=2.0 * h2inv + p.m,
-        sup=np.full(p.N - 1, -h2inv),
-    )
+    off = np.full(p.N - 1, -h2inv)
+    T = scipy.sparse.diags_array([off, 2.0 * h2inv + p.m, off], offsets=[-1, 0, 1], format="dia")
     rhs = p.g.copy()
     rhs[0] += h2inv * p.fa
     rhs[-1] += h2inv * p.fb
     return T, rhs
 
 
-def solve_tridiag(T: TridiagonalMatrix, rhs):
-    """Banded partially pivoted LU solve (LAPACK gbsv).
+def solve_tridiag(T, rhs):
+    """Partially pivoted LU solve with the tridiagonal T of ``assemble_fd``:
+    ``solve_banded`` of its three diagonals, which runs LAPACK gtsv.
 
     Pivoting keeps the O(N) solve stable when an oscillatory m makes
     the stencil indefinite. A singular matrix raises SingularMatrixError.
     """
     rhs = _real(rhs, "rhs")
-    n = T.N
+    n = T.shape[0]
     if rhs.shape[0] != n:
         raise ValueError(f"rhs length {rhs.shape[0]} != {n}")
-    if n == 1 and T.diag[0] == 0.0:  # solve_banded divides 1x1 systems unchecked
+    if n == 1 and T.diagonal()[0] == 0.0:  # solve_banded divides 1x1 systems unchecked
         raise SingularMatrixError("zero pivot in 1x1 system")
     ab = np.zeros((3, n))
-    ab[0, 1:] = T.sup
-    ab[1, :] = T.diag
-    ab[2, :-1] = T.sub
+    ab[0, 1:] = T.diagonal(1)
+    ab[1, :] = T.diagonal()
+    ab[2, :-1] = T.diagonal(-1)
     try:
         return scipy.linalg.solve_banded((1, 1), ab, rhs)
     except np.linalg.LinAlgError as exc:
@@ -271,7 +252,7 @@ def condition_study(N_list, case="nonosc"):
         rows.append(
             ConditionRow(
                 N=N,
-                cond_fd=float(np.linalg.cond(T.todense())),
+                cond_fd=float(np.linalg.cond(T.toarray())),
                 cond_ie=float(np.linalg.cond(system)),
                 err_fd=float(np.max(np.abs(u_fd - u_star)) / u_scale),
                 err_ie=float(np.max(np.abs(u_ie - u_star)) / u_scale),

@@ -149,22 +149,11 @@ def weak_vs_strong_spectrum(pts_per_box, seed=0):
         raise ValueError(f"pts_per_box must lie in [16, 400], got {pts_per_box}")
     rng = np.random.default_rng(seed)
     nb = _BOXES_PER_SIDE
-    pts = []
-    box_of = []
-    for bi in range(nb):
-        for bj in range(nb):
-            p = rng.uniform(0.0, 1.0, size=(pts_per_box, 2)) + np.array([bi, bj])
-            pts.append(p)
-            box_of.append(np.full(pts_per_box, bi * nb + bj))
-    pts = np.vstack(pts)
-    box_of = np.concatenate(box_of)
-    tau = 2 * nb + 2  # grid position (2, 2)
-    ti, tj = divmod(tau, nb)
-    own = box_of == tau
-    cheb = np.maximum(
-        np.abs(box_of // nb - ti), np.abs(box_of % nb - tj)
-    )
-    far = cheb >= 2
+    box_of = np.repeat(np.arange(nb * nb), pts_per_box)
+    cell = np.column_stack(np.divmod(box_of, nb))  # grid position of each point's box
+    pts = rng.uniform(0.0, 1.0, size=(len(box_of), 2)) + cell
+    cheb = np.abs(cell - 2).max(axis=1)  # box distance to the probe box at (2, 2)
+    own, far = cheb == 0, cheb >= 2
 
     def block_sigmas(cols):
         d = np.sqrt(bie2d._offsets(pts[own][:, None, :], pts[cols][None, :, :])[2])

@@ -140,7 +140,6 @@ class HbsMatrix:
     tree: ClusterTree
     stacks: Telescope
     skeleton: dict  # non-root tau -> retained global indices
-    tol: float
 
     @property
     def N(self) -> int:
@@ -218,7 +217,7 @@ def compress_to_hbs(A, tree: ClusterTree, tol) -> HbsMatrix:
             B = A[np.ix_(J, J)]
             B[:ka, :ka] = B[ka:, ka:] = 0.0
         st.put(tau, V.get(tau, B[:, :0]), U.get(tau, B[:, :0]), B)
-    return HbsMatrix(tree=t, stacks=st, skeleton=skel, tol=tol)
+    return HbsMatrix(tree=t, stacks=st, skeleton=skel)
 
 
 def hbs_matvec(H: HbsMatrix, x):

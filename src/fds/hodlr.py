@@ -48,7 +48,6 @@ class HodlrMatrix:
     D: np.ndarray
     U: list  # U[ell], ell = 0 .. depth - 1
     V: list
-    tol: float
 
     @property
     def N(self) -> int:
@@ -102,7 +101,7 @@ def compress_to_hodlr(A, tree: ClusterTree, tol) -> HodlrMatrix:
         shape = (2**ell, len(D) * layout.m >> ell, Ul.shape[1])
         U.append(layout.pad(Ul).reshape(shape))
         V.append(layout.pad(Vl).reshape(shape))
-    return HodlrMatrix(tree=t, layout=layout, rank=rank, D=D, U=U, V=V, tol=tol)
+    return HodlrMatrix(tree=t, layout=layout, rank=rank, D=D, U=U, V=V)
 
 
 def hodlr_matvec(H: HodlrMatrix, x):

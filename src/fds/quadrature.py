@@ -20,8 +20,6 @@ class QuadratureRule:
 
     nodes: np.ndarray
     weights: np.ndarray
-    a: float
-    b: float
 
     def integrate(self, f):
         return float(np.dot(self.weights, f(self.nodes)))
@@ -35,4 +33,4 @@ def gauss_legendre(n, a, b) -> QuadratureRule:
         raise ValueError(f"empty interval [{a}, {b}]")
     x, w = np.polynomial.legendre.leggauss(n)
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    return QuadratureRule(nodes=mid + half * x, weights=half * w, a=float(a), b=float(b))
+    return QuadratureRule(nodes=mid + half * x, weights=half * w)

@@ -26,7 +26,11 @@ __all__ = ["Factorization", "factor"]
 
 @dataclass(frozen=True)
 class Factorization:
-    apply: Callable  # b -> A^{-1} b for (N,) or (N, r) right-hand sides
+    """``apply(b)`` is A^{-1} b for a right-hand side of shape (N,) or
+    (N, r); any other shape raises ValueError. ``stored_scalars`` counts
+    the scalars the factorization keeps."""
+
+    apply: Callable
     stored_scalars: int
 
 
@@ -52,7 +56,5 @@ def factor(A, backend, tree=None, tol=1e-10) -> Factorization:
         return Factorization(hbs.hbs_invert(H).apply, hbs.hbs_storage(H)["stored_scalars"])
     if backend == "nd":
         fac = sparsend.nd_factor(A, tree)
-        return Factorization(lambda b: sparsend.nd_solve(fac, b),
-                             sum(g.lu.size + g.inv.size + g.X.size + g.F_BS.size
-                                 for g in fac.groups))
+        return Factorization(lambda b: sparsend.nd_solve(fac, b), fac.stored_scalars)
     raise ValueError(f"unknown backend {backend!r}")

@@ -55,7 +55,6 @@ class StencilMatrix:
 
     dim: int
     n: int
-    m_field: np.ndarray
     A: scipy.sparse.csr_matrix
 
     @property
@@ -97,7 +96,7 @@ def assemble_stencil(dim, n, m_field=None) -> StencilMatrix:
             + scipy.sparse.kron(eye2, lap1)
         )
     A = (h2inv * L + scipy.sparse.diags_array(m)).tocsr()
-    return StencilMatrix(dim=dim, n=n, m_field=m, A=A)
+    return StencilMatrix(dim=dim, n=n, A=A)
 
 
 # -- geometric partition --------------------------------------------------------
@@ -256,6 +255,11 @@ class NdFactors:
         """_Group stacks, deepest tree level first."""
         return [grp for level in self.levels for grp in level.groups]
 
+    @property
+    def stored_scalars(self) -> int:
+        """Scalars the fronts keep: the LU and inverse of F_SS, X and F_BS."""
+        return sum(g.lu.size + g.inv.size + g.X.size + g.F_BS.size for g in self.groups)
+
     @cached_property
     def fronts(self):
         """_Front per postorder node, each a view into its group's stacks."""
@@ -337,14 +341,11 @@ def _symbolic(A, tree):
         up = np.flatnonzero(owner[j] > p)
         mine = key_depth == d
         cand = np.concatenate([key[mine], p[up] * N + j[up]])
-        order = np.argsort(cand)
-        new = np.ones(len(cand), bool)
-        new[1:] = cand[order[1:]] != cand[order[:-1]]
-        at = np.empty(len(cand), int)
-        at[order] = done + np.cumsum(new) - 1
+        new, at = np.unique(cand, return_inverse=True)
+        at += done
         key_at[mine] = at[:mine.sum()]
         lift_at.append((done - len(below) + up, at[mine.sum():]))
-        below = cand[order[new]]
+        below = new
         bkeys.append(below)
         done += len(below)
     bf, bj = np.divmod(np.concatenate(bkeys), N)

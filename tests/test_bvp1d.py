@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 
 from fds.bvp1d import (
     Bvp1dProblem,
@@ -21,6 +22,10 @@ from fds.linalg import SingularMatrixError
 from oracles import semiseparable_check
 
 RNG_SEED = 414243
+
+
+def tridiag(sub, diag, sup):
+    return scipy.sparse.diags_array([sub, diag, sup], offsets=[-1, 0, 1])
 
 
 def fig2_problem(N, sign=1.0, fa=0.0, fb=0.0):
@@ -54,8 +59,8 @@ class TestAssembleFd:
         p = fig2_problem(17)
         T, _ = assemble_fd(p)
         h2inv = 1.0 / p.h**2
-        assert np.allclose(T.diag, 2.0 * h2inv + p.m)
-        assert np.allclose(T.sub, -h2inv) and np.allclose(T.sup, -h2inv)
+        assert np.allclose(T.diagonal(), 2.0 * h2inv + p.m)
+        assert np.allclose(T.diagonal(-1), -h2inv) and np.allclose(T.diagonal(1), -h2inv)
 
 
     @pytest.mark.parametrize("name", ["m", "g"])
@@ -69,62 +74,47 @@ class TestAssembleFd:
 
 class TestSolveTridiag:
     def test_complex_rhs_raises(self):
-        from fds.bvp1d import TridiagonalMatrix
-
-        T = TridiagonalMatrix(np.zeros(2), np.ones(3), np.zeros(2))
+        T = tridiag(np.zeros(2), np.ones(3), np.zeros(2))
         with pytest.raises(ValueError, match="^rhs must be real"):
             solve_tridiag(T, np.ones(3) + 1j)
 
     def test_identity(self):
-        from fds.bvp1d import TridiagonalMatrix
-
-        T = TridiagonalMatrix(np.zeros(4), np.ones(5), np.zeros(4))
+        T = tridiag(np.zeros(4), np.ones(5), np.zeros(4))
         rhs = np.arange(5.0)
         assert np.allclose(solve_tridiag(T, rhs), rhs)
 
     def test_vs_dense_oracle(self):
-        from fds.bvp1d import TridiagonalMatrix
-
         rng = np.random.default_rng(RNG_SEED)
         n = 50
-        T = TridiagonalMatrix(
-            sub=rng.standard_normal(n - 1),
-            diag=10.0 + rng.standard_normal(n),
-            sup=rng.standard_normal(n - 1),
+        T = tridiag(
+            rng.standard_normal(n - 1),
+            10.0 + rng.standard_normal(n),
+            rng.standard_normal(n - 1),
         )
         rhs = rng.standard_normal(n)
         x = solve_tridiag(T, rhs)
-        x_ref = scipy.linalg.solve(T.todense(), rhs)
+        x_ref = scipy.linalg.solve(T.toarray(), rhs)
         assert np.max(np.abs(x - x_ref)) < 1e-13 * np.max(np.abs(x_ref))
 
     def test_scalar(self):
-        from fds.bvp1d import TridiagonalMatrix
-
-        T = TridiagonalMatrix(np.zeros(0), np.array([4.0]), np.zeros(0))
+        T = tridiag(np.zeros(0), np.array([4.0]), np.zeros(0))
         assert np.allclose(solve_tridiag(T, np.array([2.0])), [0.5])
 
     def test_pivot_fallback_on_indefinite(self):
         # zero leading pivot forces the banded pivoted path
-        from fds.bvp1d import TridiagonalMatrix
-
-        T = TridiagonalMatrix(np.array([1.0, 1.0]), np.array([0.0, 1.0, 2.0]),
-                              np.array([1.0, -1.0]))
+        T = tridiag(np.array([1.0, 1.0]), np.array([0.0, 1.0, 2.0]), np.array([1.0, -1.0]))
         rhs = np.array([1.0, 2.0, 3.0])
         x = solve_tridiag(T, rhs)
-        assert np.max(np.abs(T.todense() @ x - rhs)) < 1e-12
+        assert np.max(np.abs(T.toarray() @ x - rhs)) < 1e-12
 
     def test_zero_scalar_raises(self):
         # scipy's banded solve would return [inf] for this 1x1 system
-        from fds.bvp1d import TridiagonalMatrix
-
-        T = TridiagonalMatrix(np.zeros(0), np.array([0.0]), np.zeros(0))
+        T = tridiag(np.zeros(0), np.array([0.0]), np.zeros(0))
         with pytest.raises(SingularMatrixError):
             solve_tridiag(T, np.array([1.0]))
 
     def test_singular_raises(self):
-        from fds.bvp1d import TridiagonalMatrix
-
-        T = TridiagonalMatrix(np.array([1.0]), np.array([1.0, 1.0]), np.array([1.0]))
+        T = tridiag(np.array([1.0]), np.array([1.0, 1.0]), np.array([1.0]))
         with pytest.raises(SingularMatrixError):
             solve_tridiag(T, np.array([1.0, 2.0]))
 
@@ -133,7 +123,7 @@ class TestSemiseparable:
     def test_fd_inverse_is_semiseparable(self):
         p = Bvp1dProblem(0.0, 1.0, 8, np.zeros(8), np.zeros(8))
         T, _ = assemble_fd(p)
-        B = scipy.linalg.solve(T.todense(), np.eye(8))
+        B = scipy.linalg.solve(T.toarray(), np.eye(8))
         assert semiseparable_check(B) <= 1e-12
 
     def test_random_matrix_fails(self):
@@ -187,7 +177,7 @@ class TestNystrom:
             T, _ = assemble_fd(p)
             x = p.x
             G = p.h * green_1d(x[:, None], x[None, :], 0.0, 1.0)
-            assert np.max(np.abs(G @ T.todense() - np.eye(N))) <= 1e-12
+            assert np.max(np.abs(G @ T.toarray() - np.eye(N))) <= 1e-12
 
     def test_endpoint_weights_never_enter(self):
         # the assembled system only uses G at interior node pairs, where

@@ -501,7 +501,7 @@ class TestBatchedApply:
 
     def test_wrong_length_raises(self):
         inv = invert_multiplicative(self.CASES["two_sizes"]())
-        with pytest.raises(ValueError, match="vector length"):
+        with pytest.raises(ValueError, match="right-hand side shape"):
             inv.apply(np.ones(776))
 
     def test_storage_count_n4096(self):

@@ -102,12 +102,14 @@ def test_singular_dense_matrix():
 @pytest.mark.parametrize("backend", ["dense", "hodlr", "hbs", "nd"])
 def test_right_hand_side_of_wrong_length_refused(backend):
     # nd used to read a length-2N vector as an (N, 2) block and return the
-    # solution for b[0::2]
+    # solution for b[0::2]; hodlr and hbs used to flatten an (N, 2, 3) block
+    # and return an (N, 2, 3) answer
     st = assemble_stencil(2, 8)
     tree = nd_partition(2, 8, 3) if backend == "nd" else build_uniform_tree(st.N, 16)
     fac = factor(st if backend == "nd" else st.A.toarray(), backend, tree)
-    with pytest.raises(ValueError):
-        fac.apply(rhs(2 * st.N, float))
+    for b in (rhs(2 * st.N, float), rhs(st.N, float, 6).reshape(st.N, 2, 3)):
+        with pytest.raises(ValueError):
+            fac.apply(b)
 
 
 def test_non_square_dense_matrix_refused_at_factor():
