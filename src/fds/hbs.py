@@ -17,11 +17,12 @@ applied once per tree level, bottom-up; the root takes an empty basis,
 so its G is the inverse of its coupled block. The inverse is then a
 matrix in the same telescoping form as A, with F, E and G in place of
 V, U and the nodes' own blocks. One sweep applies both: each level's
-blocks sit zero-padded in one stack (``_stacks.Telescope``), so it costs
-one batched product per level up and two down. A and its inverse each
-hold their stacks, written once when they are built; a parent's own
-block in A is [0, Atilde_ab; Atilde_ba, 0], where the inverse puts the
-children's Dhat on the diagonal to form its Dtilde.
+blocks sit zero-padded in one stack (``Telescope``, on the cluster
+tree's padded rows), so it costs one batched product per level up and
+two down. A and its inverse each hold their stacks, written once when
+they are built; a parent's own block in A is [0, Atilde_ab; Atilde_ba,
+0], where the inverse puts the children's Dhat on the diagonal to form
+its Dtilde.
 """
 
 import logging
@@ -30,7 +31,6 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from ._stacks import Telescope
 from .linalg import (_BLOCKS_HINT, SingularMatrixError, _check_input, _inexact,
                      _pivoted_qr, lu_factor_checked)
 from .tree import ClusterTree
@@ -129,6 +129,83 @@ def _union_skeleton(Brow, Bcol, tol):
 
 
 # -- hierarchical format -------------------------------------------------------
+
+
+@dataclass
+class Telescope:
+    """M in telescoping form, one zero-padded stack per tree level.
+
+    Node tau of level ell has an upward basis W_tau, a downward basis
+    Z_tau (both none at the root) and its own block B_tau, acting on
+    v_tau: its rows of x at a leaf, its children's coefficients
+    [W_a* v_a; W_b* v_b] at a parent. Upward, W_tau* v_tau goes to the
+    parent; downward, B_tau v_tau + Z_tau q_tau is split over the
+    children as their q, or is the leaf's rows of M x.
+
+    Level ell stores ``Wh[ell]`` (2^ell, k, m) = W*, ``Z[ell]`` (2^ell,
+    m, k) and ``B[ell]`` (2^ell, m, m), with k the level's largest rank
+    and m the largest leaf size (leaves) or twice the children's k: a
+    child's coefficients fill the first of its k slots, and every
+    padding entry is zero, so padding never reaches a result. The leaf
+    level's rows follow the padded rows of ``tree``.
+    """
+
+    tree: ClusterTree
+    rank: list  # rank[tau]: columns of W_tau and Z_tau (0 at the root)
+    Wh: list
+    Z: list
+    B: list
+
+    @classmethod
+    def zeros(cls, tree, rank, dtype):
+        """All-zero stacks for ``tree``, with ``rank(tau)`` columns at
+        every node below the root."""
+        rank = [0, 0] + [rank(tau) for tau in range(2, tree.nnodes + 1)]
+        k = [max(rank[2**ell:2 ** (ell + 1)]) for ell in range(tree.depth + 1)]
+        m = [2 * kk for kk in k[1:]] + [tree.m]
+        levels = [(2**ell, kk, mm) for ell, (kk, mm) in enumerate(zip(k, m))]
+        Wh = [np.zeros((g, kk, mm), dtype) for g, kk, mm in levels]
+        Z = [np.zeros((g, mm, kk), dtype) for g, kk, mm in levels]
+        B = [np.zeros((g, mm, mm), dtype) for g, kk, mm in levels]
+        return cls(tree, rank, Wh, Z, B)
+
+    def _slots(self, tau):
+        """Node tau's (W*, Z, B) padded blocks, its rank r and the rows p
+        of those blocks that hold its unpadded ones: its children's
+        coefficient slots at a parent, its real rows at a leaf."""
+        ell = int(tau).bit_length() - 1
+        j = tau - 2**ell
+        if ell + 1 < len(self.B):
+            k, ka = self.Wh[ell + 1].shape[1], self.rank[2 * tau]
+            p = np.r_[0:ka, k:k + self.rank[2 * tau + 1]]
+        else:
+            p = np.arange(self.tree.size(tau))
+        return self.Wh[ell][j], self.Z[ell][j], self.B[ell][j], self.rank[tau], p
+
+    def put(self, tau, W, Z, B):
+        """Write node tau's unpadded blocks into its level's stacks."""
+        Wh, Zs, Bs, r, p = self._slots(tau)
+        Wh[:r, p] = W.conj().T
+        Zs[p, :r] = Z
+        Bs[np.ix_(p, p)] = B
+
+    def get(self, tau):
+        """Node tau's unpadded (W, Z, B) as ``put`` wrote them, copied out."""
+        Wh, Z, B, r, p = self._slots(tau)
+        return Wh[:r, p].conj().T, Z[p, :r], B[np.ix_(p, p)]
+
+    def apply(self, x):
+        """M x for (N,) or (N, r) x: one batched product per level up,
+        two per level down."""
+        x = np.asarray(x)
+        vs = [self.tree.pad(x)]
+        r = vs[0].shape[2]
+        for Wh in self.Wh[:0:-1]:
+            vs.append((Wh @ vs[-1]).reshape(len(Wh) // 2, 2 * Wh.shape[1], r))
+        out = np.zeros((1, 0, r))
+        for Z, B, v in zip(self.Z, self.B, reversed(vs)):
+            out = B @ v + Z @ out.reshape(len(Z), Z.shape[2], r)
+        return self.tree.unpad(out).reshape(x.shape)
 
 
 @dataclass
@@ -232,7 +309,6 @@ class HbsInverse:
     stack per tree level, and ``apply`` runs the sweep that ``hbs_matvec``
     runs. The root's G is the inverse of its Dtilde."""
 
-    tree: ClusterTree
     stacks: Telescope
     # 1-norm condition estimates of every Dtilde block (the stability
     # bookkeeping used instead of a ULV-style factorization)
@@ -272,7 +348,7 @@ def hbs_invert(H: HbsMatrix) -> HbsInverse:
             if conds[tau] > 1e13:
                 logger.warning("Dtilde at node %d (level %d) has condition estimate %.2e",
                                tau, ell, conds[tau])
-    return HbsInverse(tree=t, stacks=st, cond_estimates=conds)
+    return HbsInverse(stacks=st, cond_estimates=conds)
 
 
 def hbs_storage(H: HbsMatrix):

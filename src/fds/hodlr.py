@@ -1,9 +1,9 @@
 """HODLR format: hierarchically off-diagonal low rank matrices.
 
-A matrix is stored once, in zero-padded level stacks (``_stacks.Layout``):
-its dense leaf blocks, and per level the left and right factors of its
-sibling blocks, laid out as its inverse's Woodbury corrections read
-them. The matvec is one batched product per level.
+A matrix is stored once, in zero-padded level stacks on its tree's rows
+(``ClusterTree.pad``): its dense leaf blocks, and per level the left and
+right factors of its sibling blocks, in the order its inverse's Woodbury
+corrections read them. The matvec is one batched product per level.
 
 Its inverse, ``invert_multiplicative``, is the recursive Woodbury
 formula unrolled into the exact product A^{-1} = B_0 B_1 ... B_L: B_L
@@ -19,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from ._stacks import Layout
 from .linalg import (_BLOCKS_HINT, LowRankFactor, SingularMatrixError, _check_input,
                      low_rank_approx, lu_factor_checked)
 from .tree import ClusterTree
@@ -32,7 +31,7 @@ __all__ = [
 
 @dataclass
 class HodlrMatrix:
-    """A HODLR matrix in zero-padded level stacks on ``layout``.
+    """A HODLR matrix in zero-padded level stacks on ``tree``'s padded rows.
 
     ``rank[a]`` is the rank of A(I_a, I_sibling) (0 at the root), and
     ``D`` (2^depth, m, m) holds the leaf blocks. At level ell, node tau
@@ -43,7 +42,6 @@ class HodlrMatrix:
     """
 
     tree: ClusterTree
-    layout: Layout
     rank: list
     D: np.ndarray
     U: list  # U[ell], ell = 0 .. depth - 1
@@ -82,9 +80,9 @@ def compress_to_hodlr(A, tree: ClusterTree, tol) -> HodlrMatrix:
     A = np.asarray(A)
     if A.shape != (tree.N, tree.N):
         raise ValueError(f"matrix shape {A.shape} does not match tree over {tree.N}")
-    t, r, layout = tree, tree.ranges, Layout.of(tree)
+    t, r = tree, tree.ranges
     dtype = np.result_type(A, float)
-    D = np.zeros((2**t.depth, layout.m, layout.m), dtype)
+    D = np.zeros((2**t.depth, t.m, t.m), dtype)
     for tau, Dj in zip(t.leaves(), D):
         Dj[:t.size(tau), :t.size(tau)] = _check_input(A[slice(*r[tau]), slice(*r[tau])], tol)
     rank, U, V = [0] * (t.nnodes + 1), [], []
@@ -98,23 +96,23 @@ def compress_to_hodlr(A, tree: ClusterTree, tol) -> HodlrMatrix:
             c = rank[a - 1] if a % 2 else 0
             Ul[slice(*r[a]), c:c + rank[a]] = F[a].U
             Vl[slice(*r[a ^ 1]), c:c + rank[a]] = F[a].V
-        shape = (2**ell, len(D) * layout.m >> ell, Ul.shape[1])
-        U.append(layout.pad(Ul).reshape(shape))
-        V.append(layout.pad(Vl).reshape(shape))
-    return HodlrMatrix(tree=t, layout=layout, rank=rank, D=D, U=U, V=V)
+        shape = (2**ell, len(D) * t.m >> ell, Ul.shape[1])
+        U.append(t.pad(Ul).reshape(shape))
+        V.append(t.pad(Vl).reshape(shape))
+    return HodlrMatrix(tree=t, rank=rank, D=D, U=U, V=V)
 
 
 def hodlr_matvec(H: HodlrMatrix, x):
     """y = A x for (N,) or (N, r) x: the leaf blocks, then one batched
     U (V* x) per level."""
     x = np.asarray(x)
-    v = H.layout.pad(x)
+    v = H.tree.pad(x)
     y = H.D @ v
     for U, V in zip(H.U, H.V):
         shape = U.shape[:2] + v.shape[-1:]
         yb = y.reshape(shape)
         yb += U @ (np.swapaxes(V.conj(), 1, 2) @ v.reshape(shape))
-    return H.layout.unpad(y).reshape(x.shape)
+    return H.tree.unpad(y).reshape(x.shape)
 
 
 # -- multiplicative inverse ---------------------------------------------------
@@ -122,7 +120,7 @@ def hodlr_matvec(H: HodlrMatrix, x):
 
 @dataclass
 class HodlrInverseMultiplicative:
-    """A^{-1} = B_0 B_1 ... B_L on zero-padded level stacks (``_stacks.Layout``).
+    """A^{-1} = B_0 B_1 ... B_L on zero-padded level stacks (``ClusterTree.pad``).
 
     B_L is ``L``, the (2^depth, m, m) stack of leaf inverses. B_ell is
     I + U V* blockwise, with (2^ell, 2^(depth - ell) m, k_ell) stacks
@@ -134,7 +132,6 @@ class HodlrInverseMultiplicative:
     """
 
     tree: ClusterTree
-    layout: Layout
     rank: list  # rank[tau]: columns of node tau's factors (0 at the leaves)
     L: np.ndarray
     U: list  # U[ell], ell = 0 .. depth - 1
@@ -156,12 +153,11 @@ class HodlrInverseMultiplicative:
         t, r, k = self.tree, self.tree.ranges, self.rank
         return {ell: {tau: LowRankFactor(U[slice(*r[tau]), :k[tau]], V[slice(*r[tau]), :k[tau]])
                       for tau in t.nodes_at_level(ell)}
-                for ell, U, V in zip(range(t.depth), map(self.layout.unpad, self.U),
-                                     map(self.layout.unpad, self.V))}
+                for ell, U, V in zip(range(t.depth), map(t.unpad, self.U), map(t.unpad, self.V))}
 
     def apply(self, x):
         x = np.asarray(x)
-        return self.layout.unpad(self._product(self.layout.pad(x), 0)).reshape(x.shape)
+        return self.tree.unpad(self._product(self.tree.pad(x), 0)).reshape(x.shape)
 
     def _product(self, v, top):
         """B_top ... B_L v for a padded (2^depth, m, r) leaf stack v."""
@@ -208,7 +204,7 @@ def invert_multiplicative(H: HodlrMatrix) -> HodlrInverseMultiplicative:
 
     rank = [0] * (t.nnodes + 1)
     rank[1:2**t.depth] = [sum(H.rank[2 * tau:2 * tau + 2]) for tau in range(1, 2**t.depth)]
-    inv = HodlrInverseMultiplicative(t, H.layout, rank, L, [None] * t.depth, list(H.V))
+    inv = HodlrInverseMultiplicative(t, rank, L, [None] * t.depth, list(H.V))
     for ell in range(t.depth - 1, -1, -1):
         W = H.U[ell]
         Y = inv._product(W.reshape(L.shape[:2] + W.shape[2:]), ell + 1).reshape(W.shape)

@@ -86,6 +86,14 @@ def _check_input(A, tol=None):
     return A
 
 
+def _check_rhs(b, N):
+    """b as an array, or ValueError unless its shape is (N,) or (N, r)."""
+    b = np.asarray(b)
+    if b.shape[:1] != (N,) or b.ndim > 2:
+        raise ValueError(f"right-hand side shape {b.shape} is not ({N},) or ({N}, r)")
+    return b
+
+
 def _check_tol(tol):
     if not (0.0 < tol < 1.0):
         raise ValueError(f"relative tolerance must lie in (0,1), got {tol}")

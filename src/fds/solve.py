@@ -18,7 +18,7 @@ from typing import Callable
 import scipy.linalg
 
 from . import hbs, hodlr, sparsend
-from .linalg import _check_input, lu_factor_checked
+from .linalg import _check_input, _check_rhs, lu_factor_checked
 from .tree import ClusterTree
 
 __all__ = ["Factorization", "factor"]
@@ -46,7 +46,8 @@ def factor(A, backend, tree=None, tol=1e-10) -> Factorization:
                          f"got {type(tree).__name__}")
     if backend == "dense":
         lu = lu_factor_checked(_check_input(A), "matrix")
-        return Factorization(lambda b: scipy.linalg.lu_solve(lu, b), lu[0].size)
+        return Factorization(lambda b: scipy.linalg.lu_solve(lu, _check_rhs(b, len(lu[1]))),
+                             lu[0].size)
     if backend == "hodlr":
         H = hodlr.compress_to_hodlr(A, tree, tol)
         return Factorization(hodlr.invert_multiplicative(H).apply,

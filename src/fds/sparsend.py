@@ -34,7 +34,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse
 
-from .linalg import SeparationError, SingularMatrixError, _inexact
+from .linalg import SeparationError, SingularMatrixError, _check_rhs, _inexact
 from .results import SpectrumResult
 
 __all__ = [
@@ -245,7 +245,6 @@ class NdFactors:
     columns that the same solve computes alongside X are not counted.
     """
 
-    tree: NdTree
     levels: list  # _Level per tree level, deepest first
     flops: float
     N: int
@@ -479,8 +478,7 @@ def nd_factor(A, tree: NdTree) -> NdFactors:
     # a running total over fronts in postorder, term by term
     terms = np.stack([(2.0 / 3.0) * s**3, 2.0 * s * s * b, 2.0 * b * s * b], axis=1)
     flops = np.cumsum(terms)[-1]
-    return NdFactors(tree=tree, levels=[level for *_, level in levels], flops=float(flops),
-                     N=A.shape[0])
+    return NdFactors(levels=[level for *_, level in levels], flops=float(flops), N=A.shape[0])
 
 
 def nd_solve(factors: NdFactors, b):
@@ -497,10 +495,7 @@ def nd_solve(factors: NdFactors, b):
     parents' vectors one child slot at a time. The backward sweep goes
     root first: x_S = z_S - X x_B.
     """
-    b = np.asarray(b)
-    if b.shape[:1] != (factors.N,) or b.ndim > 2:
-        raise ValueError(f"right-hand side shape {b.shape} is not ({factors.N},) "
-                         f"or ({factors.N}, r)")
+    b = _check_rhs(b, factors.N)
     if not np.isfinite(b).all():
         raise ValueError("array must not contain infs or NaNs")
     single = b.ndim == 1

@@ -434,3 +434,16 @@ class TestMultipole:
                 np.array([[0.4, 0.4]]), np.array([1.0]),
                 np.array([[1.0, 0.0]]), np.zeros(2), 5,
             )
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda: assemble_bie(make_curve("circle", 16, 1.0), np.ones(15)), ValueError,
+     "boundary data must be sampled at the curve nodes"),
+    (lambda: solve_interior_dirichlet(make_curve("circle", 16, 1.0), np.ones(16), backend="nd"),
+     ValueError, "unknown backend 'nd'"),
+    (lambda: multipole_approx(np.zeros((1, 2)), np.ones(1), [[3.0, 0.0]], np.zeros(2), 0),
+     ValueError, r"need at least the monopole term \(p >= 1\)"),
+], ids=["assemble-short-data", "dirichlet-nd-backend", "multipole-p0"])
+def test_refused_inputs(call, error, match):
+    with pytest.raises(error, match=match):
+        call()

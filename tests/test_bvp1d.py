@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse
+from scipy.linalg import LinAlgWarning
 
 from fds.bvp1d import (
     Bvp1dProblem,
@@ -254,6 +255,13 @@ class TestSolveBvpIe:
         p = fig2_problem(300, fa=0.5, fb=-0.25)
         assert np.max(np.abs(solve_bvp_ie(p) - solve_bvp_fd(p))) < 1e-9
 
+    def test_singular_system_named(self):
+        # m = -8 at the one node (h = 1/2) makes the 1x1 system exactly 0
+        p = Bvp1dProblem(0.0, 1.0, 1, m=np.array([-8.0]), g=np.array([1.0]))
+        with (pytest.warns(LinAlgWarning),
+              pytest.raises(SingularMatrixError, match="integral-equation system is singular")):
+            solve_bvp_ie(p)
+
 
 class TestConditionStudy:
     def test_trends_small_sweep(self):
@@ -273,3 +281,20 @@ class TestConditionStudy:
     def test_rejects_bad_case(self):
         with pytest.raises(ValueError):
             condition_study([64], case="wiggly")
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda: Bvp1dProblem(0.0, 1.0, 0, np.ones(0), np.ones(0)), ValueError,
+     "need at least one interior point, got N=0"),
+    (lambda: Bvp1dProblem(0.0, 1.0, 4, np.ones(3), np.ones(4)), ValueError,
+     "m and g must be sampled at the N interior points"),
+    (lambda: solve_tridiag(tridiag(np.ones(2), np.ones(3), np.ones(2)), np.ones(4)), ValueError,
+     "rhs length 4 != 3"),
+    (lambda: condition_study([0]), ValueError, "need positive N values"),
+    (lambda: condition_study([8192]), ValueError,
+     "dense condition numbers are capped at N = 4096"),
+], ids=["problem-no-points", "problem-short-m", "tridiag-long-rhs", "condition-zero-n",
+        "condition-past-cap"])
+def test_refused_inputs(call, error, match):
+    with pytest.raises(error, match=match):
+        call()

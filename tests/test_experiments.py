@@ -15,6 +15,7 @@ from fds.experiments import (
 from fds.bie2d import laplace_fundamental
 from fds.linalg import range_finder
 from fds.quadrature import gauss_legendre
+from fds.results import SpectrumResult
 from fds.special import hankel0_first_kind
 
 THREE = [(2.0, 0.0), (-2.0, 1.0), (0.0, -2.0)]
@@ -239,3 +240,15 @@ class TestScalingBench:
     def test_unknown_target(self):
         with pytest.raises(ValueError):
             scaling_bench("qr-inv", [64])
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda: spectrum_potential("laplace", 6, "ring"), ValueError, "unknown geometry 'ring'"),
+    (lambda: SpectrumResult("s", [0.0, 0.0]), ValueError,
+     "spectrum must have a positive leading singular value"),
+    (lambda: SpectrumResult("s", [1.0, 2.0]), ValueError,
+     "singular values must be non-increasing"),
+], ids=["spectrum-ring", "result-zero-leading", "result-increasing"])
+def test_refused_inputs(call, error, match):
+    with pytest.raises(error, match=match):
+        call()

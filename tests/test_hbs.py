@@ -8,10 +8,9 @@ import pytest
 import scipy.linalg
 from hypothesis import example, given, settings, strategies
 
-from fds._stacks import Telescope
 from fds.bie2d import assemble_bie, laplace_fundamental, make_curve
 from fds.bvp1d import green_1d
-from fds.hbs import _qr_r, compress_to_hbs, hbs_invert, hbs_matvec, hbs_storage
+from fds.hbs import Telescope, _qr_r, compress_to_hbs, hbs_invert, hbs_matvec, hbs_storage
 from fds.linalg import SingularMatrixError
 from fds.solve import factor
 from fds.special import hankel0_first_kind
@@ -148,6 +147,10 @@ class TestCompress:
         A[5, 200] = bad
         with pytest.raises(ValueError, match="non-finite"):
             compress_to_hbs(A, build_uniform_tree(256, 32), 1e-10)
+
+    def test_matrix_not_matching_tree_raises(self):
+        with pytest.raises(ValueError, match=r"shape \(10, 10\) does not match tree over 12"):
+            compress_to_hbs(np.eye(10), build_uniform_tree(12, 4), 1e-10)
 
     def test_nonfinite_leaf_block_entry_raises_at_compression(self):
         # no far field reads A[5, 7]; it used to fail later, inside the
@@ -578,7 +581,7 @@ class TestLevelStacks:
     def test_mixed_ranks_one_padded_stack_per_level(self, helmholtz777):
         H, inv = helmholtz777
         t, st = H.tree, inv.stacks
-        assert len(st.B) == t.depth + 1 and st.layout.leaf is not None
+        assert len(st.B) == t.depth + 1 and st.tree.leaf is not None
         assert any(len({H.rank(tau) for tau in t.nodes_at_level(ell)}) > 1
                    for ell in range(1, t.depth + 1))
         # the Woodbury blocks rebuilt node by node, bottom-up
@@ -618,7 +621,7 @@ class TestLevelStacks:
         N = 777
         H = compress_to_hbs(starfish_bie_matrix(N), build_uniform_tree(N, 64), 1e-10)
         inv = hbs_invert(H)
-        assert inv.stacks.layout.leaf.sum() == N and inv.stacks.layout.leaf.shape == (8, 98)
+        assert inv.stacks.tree.leaf.sum() == N and inv.stacks.tree.leaf.shape == (8, 98)
         rng = np.random.default_rng(RNG_SEED)
         B = rng.standard_normal((N, 2)) + 1j * rng.standard_normal((N, 2))
         Y, Y_ref = inv.apply(B), np.linalg.solve(H.todense(), B)
@@ -632,7 +635,7 @@ class TestLevelStacks:
         A = green_kernel_matrix(50) + np.eye(50)
         inv = hbs_invert(compress_to_hbs(A, build_uniform_tree(50, 32), 1e-10))
         st = inv.stacks
-        assert [M.shape for M in st.B] == [(1, 50, 50)] and st.layout.leaf is None
+        assert [M.shape for M in st.B] == [(1, 50, 50)] and st.tree.leaf is None
         assert st.Wh[0].shape == (1, 0, 50) and st.Z[0].shape == (1, 50, 0)
         x = np.arange(50.0)
         assert np.linalg.norm(A @ inv.apply(x) - x) <= 1e-13 * np.linalg.norm(x)

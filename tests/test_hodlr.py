@@ -10,7 +10,6 @@ from hypothesis import example, given, settings, strategies
 from fds import linalg
 from fds.bie2d import assemble_bie, make_curve
 from fds.bvp1d import Bvp1dProblem, assemble_nystrom
-from fds._stacks import Telescope
 from fds.hodlr import (
     compress_to_hodlr,
     hodlr_matvec,
@@ -383,7 +382,7 @@ class TestBatchedApply:
         H = compressed(A, leaf)
         x = np.random.default_rng(RNG_SEED).standard_normal((H.N,) if nrhs is None
                                                             else (H.N, nrhs))
-        v = H.layout.pad(x)
+        v = H.tree.pad(x)
         y = np.zeros(v.shape, np.result_type(x, H.D))
         for j in range(len(v)):
             y[j] = H.D[j] @ v[j]
@@ -393,7 +392,7 @@ class TestBatchedApply:
                 yb[j] += U[j] @ (V[j].conj().T @ vb[j])
         got = hodlr_matvec(H, x)
         assert got.shape == x.shape and got.dtype == y.dtype
-        assert np.array_equal(got, H.layout.unpad(y).reshape(x.shape))
+        assert np.array_equal(got, H.tree.unpad(y).reshape(x.shape))
         assert np.linalg.norm(got - A @ x) <= 1e-11 * np.linalg.norm(A @ x)
 
     def test_matrix_stacks_hold_the_sibling_blocks(self):
@@ -402,7 +401,7 @@ class TestBatchedApply:
         A, leaf = self.MATRICES["two_sizes"]()
         H = compressed(A, leaf)
         t, r = H.tree, H.tree.ranges
-        for ell, (U, V) in enumerate(zip(map(H.layout.unpad, H.U), map(H.layout.unpad, H.V))):
+        for ell, (U, V) in enumerate(zip(map(H.tree.unpad, H.U), map(H.tree.unpad, H.V))):
             for tau in t.nodes_at_level(ell):
                 a, b = t.children(tau)
                 ka, kb = H.rank[a], H.rank[b]
@@ -433,7 +432,7 @@ class TestBatchedApply:
         # each factor's batched matmul is its padded blocks' products, to the bit
         inv = invert_multiplicative(self.CASES[case]())
         x = np.random.default_rng(RNG_SEED).standard_normal((inv.tree.N, nrhs))
-        v = inv.layout.pad(x)
+        v = inv.tree.pad(x)
         y = np.zeros(v.shape, np.result_type(x, inv.L, *inv.U))
         for j in range(len(v)):
             y[j] = inv.L[j] @ v[j]
@@ -441,14 +440,12 @@ class TestBatchedApply:
             yb = y.reshape(U.shape[:2] + (nrhs,))
             for j in range(len(U)):
                 yb[j] += U[j] @ (V[j].conj().T @ yb[j])
-        assert np.array_equal(inv.apply(x), inv.layout.unpad(y))
+        assert np.array_equal(inv.apply(x), inv.tree.unpad(y))
 
     def test_stack_layout(self):
-        # one zero-padded stack per factor, on the rows of the HBS telescope
+        # one zero-padded stack per factor, on the tree's padded rows
         two = invert_multiplicative(self.CASES["two_sizes"]())
-        hbs_rows = Telescope.zeros(two.tree, lambda tau: 0, float).layout
-        assert two.layout.leaf.shape == (8, 98) and two.layout.leaf.sum() == 777
-        assert np.array_equal(two.layout.leaf, hbs_rows.leaf) and two.layout.m == hbs_rows.m
+        assert two.tree.leaf.shape == (8, 98) and two.tree.leaf.sum() == 777
         mixed_H = self.CASES["mixed_ranks"]()
         assert mixed_H.rank[2:] == [1 + a % 3 for a in range(2, mixed_H.tree.nnodes + 1)]
         mixed = invert_multiplicative(mixed_H)
@@ -457,8 +454,8 @@ class TestBatchedApply:
         for case in sorted(self.CASES):
             H = self.CASES[case]()
             inv, t = invert_multiplicative(H), H.tree
-            m = inv.layout.m
-            real = np.ones((2**t.depth, m), bool) if inv.layout.leaf is None else inv.layout.leaf
+            m = t.m
+            real = np.ones((2**t.depth, m), bool) if t.leaf is None else t.leaf
             assert inv.L.shape == H.D.shape == (2**t.depth, m, m)
             assert len(inv.U) == len(inv.V) == len(H.U) == t.depth
             for Lj, Dj, tau in zip(inv.L, H.D, t.leaves()):
@@ -571,6 +568,10 @@ class TestStorage:
         H = compress_to_hodlr(A, tree, 1e-10)
         assert tree.size(2) > 512
         assert sum(owned_bytes(H).values()) == sum(M.nbytes for M in (H.D, *H.U, *H.V))
+
+    def test_unknown_type_raises(self):
+        with pytest.raises(TypeError, match="no storage report for object"):
+            storage_report(object())
 
     def test_max_rank_is_max_over_factors(self):
         A, _ = ie_matrix(128)

@@ -369,6 +369,11 @@ class TestDenseLuSolve:
             self.solve(np.random.default_rng(RNG_SEED).standard_normal((8, 6)), np.ones(8))
 
 
+def test_low_rank_factor_columns_must_agree():
+    with pytest.raises(ValueError, match=r"factor shapes \(4, 2\) / \(3, 1\) are not a rank pair"):
+        LowRankFactor(np.ones((4, 2)), np.ones((3, 1)))
+
+
 class TestRecompress:
     def test_tightens_padded_factor(self):
         rng = np.random.default_rng(RNG_SEED)

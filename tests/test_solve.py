@@ -1,5 +1,7 @@
 """The one solver pipeline: every backend against a dense solve."""
 
+import re
+
 import numpy as np
 import pytest
 import scipy.sparse
@@ -103,12 +105,14 @@ def test_singular_dense_matrix():
 def test_right_hand_side_of_wrong_length_refused(backend):
     # nd used to read a length-2N vector as an (N, 2) block and return the
     # solution for b[0::2]; hodlr and hbs used to flatten an (N, 2, 3) block
-    # and return an (N, 2, 3) answer
+    # and return an (N, 2, 3) answer; dense refused that block with scipy's
+    # message about the shapes of lu and b
     st = assemble_stencil(2, 8)
     tree = nd_partition(2, 8, 3) if backend == "nd" else build_uniform_tree(st.N, 16)
     fac = factor(st if backend == "nd" else st.A.toarray(), backend, tree)
     for b in (rhs(2 * st.N, float), rhs(st.N, float, 6).reshape(st.N, 2, 3)):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=rf"right-hand side shape {re.escape(str(b.shape))} "
+                                             r"is not \(64,\) or \(64, r\)"):
             fac.apply(b)
 
 

@@ -547,3 +547,19 @@ class TestSchurSpectrum:
             schur_offdiag_spectrum(2, 512)
         with pytest.raises(ValueError):
             schur_offdiag_spectrum(2, 64, operator="helmholtz")
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda: assemble_stencil(4, 8), ValueError, "dim must be 2 or 3, got 4"),
+    (lambda: assemble_stencil(2, 2), ValueError, "need n >= 3 points per side, got 2"),
+    (lambda: assemble_stencil(2, 4, np.ones(15)), ValueError, "m_field must have 16 samples"),
+    (lambda: nd_partition(2, 8, 2), ValueError, "need 3 <= leaf_cells <= n, got leaf_cells=2"),
+    (lambda: nd_factor(scipy.sparse.csr_array((4, 5)), nd_partition(2, 4, 3)), ValueError,
+     r"A must be square, got shape \(4, 5\)"),
+    (lambda: schur_offdiag_spectrum(2, 16, operator="biharmonic"), ValueError,
+     "unknown operator 'biharmonic'"),
+], ids=["stencil-dim-4", "stencil-n-2", "stencil-short-m-field", "partition-leaf-2",
+        "factor-4x5", "schur-biharmonic"])
+def test_refused_inputs(call, error, match):
+    with pytest.raises(error, match=match):
+        call()

@@ -34,6 +34,20 @@ def test_odd_sizes_left_gets_extra():
     assert min(sizes) >= 2 and max(sizes) < 4
 
 
+def test_padded_rows():
+    # leaves of 97 and 98 rows pad to 98, each leaf's real rows first
+    t = build_uniform_tree(777, 64)
+    assert t.m == 98 and t.leaf.shape == (8, 98) and t.leaf.sum() == 777
+    assert t == build_uniform_tree(777, 64) != build_uniform_tree(778, 64)
+    x = np.arange(1.0, 778.0)
+    v = t.pad(x)
+    assert v.shape == (8, 98, 1) and np.array_equal(t.unpad(v)[:, 0], x)
+    for Vj, tau in zip(v[:, :, 0], t.leaves()):
+        n = t.size(tau)
+        assert np.array_equal(Vj[:n], x[slice(*t.ranges[tau])]) and not Vj[n:].any()
+    assert build_uniform_tree(1024, 64).leaf is None
+
+
 def test_sibling_pairs_order():
     t = build_uniform_tree(16, 2)
     assert sibling_pairs(t) == [
