@@ -9,7 +9,10 @@ factorization with its inverse and its storage count:
 * ``hbs``: ``compress_to_hbs`` at ``tol``, then ``hbs_invert``; stores
   the HBS matrix;
 * ``nd``: ``nd_factor`` of a sparse or stencil A, applied by
-  ``nd_solve``; stores the fronts (LU and inverse of F_SS, X and F_BS).
+  ``nd_solve`` as two sweeps over the tree levels, one sparse product
+  per level with each of F_SS^{-1}, F_BS and X; stores the fronts (LU
+  and inverse of F_SS, X and F_BS), the last three as the data of those
+  sparse operators.
 """
 
 from dataclasses import dataclass

@@ -13,13 +13,15 @@ dominate the O(N^{3/2}) (2D) / O(N^2) (3D) cost.
 
 ``nd_factor`` works in two phases. The symbolic phase fixes every
 front's separator and boundary, where A's entries and the children's
-updates land in it, and groups the fronts by (tree level, separator
-size, boundary size); it raises SeparationError when the tree does not
-separate A. The numeric phase factors one level at a time, deepest
-first, each group as one stack of dense fronts, so the Python work per
-front is one LAPACK call, which also stores F_SS^{-1}. ``nd_solve``
-sweeps the same groups with batched products only: no LAPACK call and
-no Python loop over fronts.
+updates land in it, groups the fronts by (tree level, separator size,
+boundary size) and orders the unknowns by level, deepest first, each
+level's separators side by side; it raises SeparationError when the
+tree does not separate A. The numeric phase factors one level at a
+time, each group as one stack of dense fronts, so the Python work per
+front is one LAPACK call, and writes F_SS^{-1}, X = F_SS^{-1} F_SB and
+F_BS into three sparse operators per level. ``nd_solve`` is one sparse
+product per operator and level: no LAPACK call and no Python loop over
+fronts or groups.
 
 ``schur_offdiag_spectrum`` reproduces the off-diagonal singular-value
 study of the top separator's Schur complement,
@@ -215,44 +217,36 @@ class _Group:
     ids: np.ndarray  # postorder front numbers
     sep: np.ndarray  # (g, s)
     bnd: np.ndarray  # (g, b)
-    rows: int  # where its (g, s + b) front vectors start in the level's stack
-    up: list  # (lo, hi, dst): boundary rows of fronts lo:hi add to rows dst a level up
-    # set by the numeric phase
+    # set by the numeric phase; inv, X and F_BS view the data of the sweep
     lu: np.ndarray = None  # (g, s, s) LAPACK LU of F_SS, each Fortran-ordered
     piv: np.ndarray = None  # (g, s)
     inv: np.ndarray = None  # (g, s, s) F_SS^{-1}, each Fortran-ordered
-    X: np.ndarray = None  # (g, s, b) F_SS^{-1} F_SB, each Fortran-ordered
-    F_BS: np.ndarray = None  # (g, b, s)
-
-
-@dataclass
-class _Level:
-    """One tree level's groups and the stack of their front vectors
-    (``rows`` of them) that ``nd_solve`` fills: y[sep_idx] at sep_rows."""
-
-    groups: list
-    rows: int
-    sep_rows: np.ndarray
-    sep_idx: np.ndarray
+    X: np.ndarray = None  # (g, s, b) F_SS^{-1} F_SB
+    F_BS: np.ndarray = None  # (g, b, s), each Fortran-ordered
 
 
 @dataclass
 class NdFactors:
-    """The fronts of ``nd_factor``, grouped per tree level.
+    """The fronts of ``nd_factor`` and the sparse operators of its solve.
+
+    ``perm`` orders the unknowns by tree level, deepest first, each
+    level's separators side by side. ``sweep`` holds per level ``(a, c,
+    inv, F_BS, X)``: its separators sit at positions a:c of ``perm``,
+    ``inv`` is the block-diagonal F_SS^{-1} of its fronts, ``F_BS`` maps
+    them to their boundaries at later positions, and ``X`` maps those
+    back. ``groups`` stacks the fronts per level and shape, deepest
+    level first; their inv, X and F_BS view the operators' data.
 
     ``flops`` is the dense-kernel model count summed over fronts: the LU
     of F_SS, X = F_SS^{-1} F_SB and the Schur update F_BS X. The inverse
     columns that the same solve computes alongside X are not counted.
     """
 
-    levels: list  # _Level per tree level, deepest first
+    perm: np.ndarray
+    sweep: list
+    groups: list
     flops: float
     N: int
-
-    @property
-    def groups(self):
-        """_Group stacks, deepest tree level first."""
-        return [grp for level in self.levels for grp in level.groups]
 
     @property
     def stored_scalars(self) -> int:
@@ -262,9 +256,8 @@ class NdFactors:
     @cached_property
     def fronts(self):
         """_Front per postorder node, each a view into its group's stacks."""
-        groups = self.groups
-        fronts = [None] * sum(len(grp.ids) for grp in groups)
-        for grp in groups:
+        fronts = [None] * sum(len(grp.ids) for grp in self.groups)
+        for grp in self.groups:
             for i, f in enumerate(grp.ids):
                 fronts[f] = _Front(sep=grp.sep[i], bnd=grp.bnd[i], lu=(grp.lu[i], grp.piv[i]),
                                    inv=grp.inv[i], X=grp.X[i], F_BS=grp.F_BS[i])
@@ -273,24 +266,26 @@ class NdFactors:
 
 def _symbolic(A, tree):
     """Symbolic phase of ``nd_factor``: fronts, their level/shape groups,
-    and the maps that gather A and the children's updates into them.
+    the maps that gather A and the children's updates, and operator indices.
 
-    Front i is the tree's node i. Returns ``(s, b, width, levels)``: the
-    separator and boundary sizes per front, the number of child slots,
-    and per tree level (deepest first) a tuple ``(size, pos, ent,
-    members, level)``. The level's fronts are packed into one flat
-    buffer of ``size`` scalars, and ``A.data[ent]`` goes to positions
-    ``pos`` in it. Each member is ``(group, offset, up)``: the group's
-    (g, m, m) front stack starts at ``offset``, and ``up = (cut, base,
-    m_parent, loc)`` adds the Schur updates of its fronts
+    Front i is the tree's node i. Returns ``(s, b, width, perm,
+    levels)``: the separator and boundary sizes per front, the number of
+    child slots, ``NdFactors.perm``, and per tree level (deepest first)
+    ``(size, pos, ent, members, sweep)``. The level's fronts are packed
+    into one flat buffer of ``size`` scalars, and ``A.data[ent]`` goes
+    to positions ``pos`` in it. ``sweep = (a, c, inv_idx, inv_ptr,
+    bnd_idx, bnd_ptr)`` are the CSC indices of the level's F_SS^{-1} and
+    F_BS, the second pair also X's CSR indices. Each member is ``(group,
+    (offset, i0, b0), up)``: the group's (g, m, m) front stack starts at
+    ``offset``, its data in the operators at ``i0`` and ``b0``, and ``up
+    = (cut, base, m_parent, loc)`` adds the Schur updates of its fronts
     ``cut[k]:cut[k + 1]``, the k-th children of their parents, into rows
     and columns ``loc`` of the m_parent x m_parent parent fronts at
-    ``base`` in the buffer of the level above. ``level`` is the
-    ``_Level`` that ``nd_solve`` sweeps, whose groups' ``up`` maps do the
-    same for front vectors. Within one group and child slot no
-    destination repeats: each parent has one k-th child and a child's
-    ``loc`` rows are distinct. Raises SeparationError when the separators
-    do not tile range(N) or a front's boundary leaves its parent's front.
+    ``base`` in the buffer of the level above. Within one group and child
+    slot no destination repeats: each parent has one k-th child and a
+    child's ``loc`` rows are distinct. Raises SeparationError when the
+    separators do not tile range(N) or a front's boundary leaves its
+    parent's front.
     """
     N = A.shape[0]
     parent, slot, depth, ordering = tree.parent, tree.slot, tree.depth, tree.ordering
@@ -371,16 +366,24 @@ def _symbolic(A, tree):
     order = np.argsort((shape * width + slot) * nodes + np.arange(nodes))
     cut = np.flatnonzero(np.diff(shape[order], prepend=-1, append=-1))
     first = np.searchsorted(-depth[order], -depth[order])
-
-    def packed(size):  # offset of each front from the start of its level's stack
-        start = np.cumsum(size[order]) - size[order]
-        out = np.empty(nodes, int)
-        out[order] = start - start[first]
-        return out
-
-    offset, row = packed(m * m), packed(m)
+    offset = np.empty(nodes, int)  # of each front from the start of its level's stack
+    start = np.cumsum((m * m)[order]) - (m * m)[order]
+    offset[order] = start - start[first]
     pos = offset[own] + lr * m[own] + lc
-    sep_row = row[front] + local[ordering]  # of each separator index in the solve
+
+    # level order: the separators in the order of the groups, so a level is
+    # one run of positions and a boundary, eliminated by an ancestor, follows it
+    start = np.empty(nodes, int)
+    start[order] = np.cumsum(s[order]) - s[order]
+    per = np.repeat(order, s[order])  # front of each position
+    perm = ordering[np.arange(N) + (tree.offsets[:-1] - start)[per]]
+    at = np.empty(N, int)  # position of each index
+    at[perm] = np.arange(N)
+    ptr = np.zeros((2, N + 1), int)  # CSC columns of F_SS^{-1} and F_BS
+    ptr[:, 1:] = np.cumsum([s[per], b[per]], axis=1)
+    itype = np.int32 if ptr.max() < 2**31 else np.int64
+    inv_ptr, bnd_ptr = ptr.astype(itype)
+    bounds = np.flatnonzero(np.diff(depth[per], prepend=-1, append=-1))  # of the levels
 
     def by_level(key):  # positions of each level's items, deepest first, in order
         rank = (depth.max() - key).astype(np.min_scalar_type(depth.max()))
@@ -388,25 +391,32 @@ def _symbolic(A, tree):
         return np.split(at, np.cumsum(np.bincount(rank, minlength=depth.max() + 1))[:-1])
 
     levels = []
-    for d, at, sep_at in zip(range(depth.max(), -1, -1), by_level(depth[own]),
-                             by_level(depth[front])):
-        members = []
+    for d, a, c, at_d in zip(range(depth.max(), -1, -1), bounds[:-1], bounds[1:],
+                             by_level(depth[own])):
+        # one index array per level: scipy copies one that views a larger array
+        members, inv_idx = [], np.empty(inv_ptr[c] - inv_ptr[a], itype)
+        bnd_idx = np.empty(bnd_ptr[c] - bnd_ptr[a], itype)
         for lo, hi in zip(cut[:-1], cut[1:]):
             ids = order[lo:hi]
             if depth[ids[0]] != d:
                 continue
-            brow = boff[ids, None] + np.arange(b[ids[0]])
+            (g,), sk, bk, q = ids.shape, s[ids[0]], b[ids[0]], start[ids[0]]
+            brow = boff[ids, None] + np.arange(bk)
             pa = parent[ids]
+            grp = _Group(ids=ids, bnd=bj[brow],
+                         sep=ordering[tree.offsets[ids, None] + np.arange(sk)])
+            i0, b0 = inv_ptr[q] - inv_ptr[a], bnd_ptr[q] - bnd_ptr[a]
             kcut = np.searchsorted(slot[ids], np.arange(width + 1))
-            up = [(i, j, row[pa[i:j], None] + loc[brow[i:j]])
-                  for i, j in zip(kcut[:-1], kcut[1:]) if d and i < j]
-            grp = _Group(ids=ids, bnd=bj[brow], rows=int(row[ids[0]]), up=up,
-                         sep=ordering[tree.offsets[ids, None] + np.arange(s[ids[0]])])
-            members.append((grp, offset[ids[0]], (kcut, offset[pa], m[pa], loc[brow])))
-        level = _Level(groups=[grp for grp, _, _ in members], rows=int(m[depth == d].sum()),
-                       sep_rows=sep_row[sep_at], sep_idx=ordering[sep_at])
-        levels.append((int((m * m)[depth == d].sum()), pos[at], at, members, level))
-    return s, b, width, levels
+            members.append((grp, (offset[ids[0]], i0, b0), (kcut, offset[pa], m[pa], loc[brow])))
+            # F_SS^{-1} and F_BS are stored by columns and X by rows, so
+            # one index list serves both of the latter
+            inv_idx[i0:i0 + g * sk * sk].reshape(g, sk, sk)[...] = (
+                (start[ids] - a)[:, None, None] + np.arange(sk))
+            bnd_idx[b0:b0 + g * sk * bk].reshape(g, sk, bk)[...] = (at[grp.bnd] - c)[:, None, :]
+        levels.append((int((m * m)[depth == d].sum()), pos[at_d], at_d, members,
+                       (a, c, inv_idx, inv_ptr[a:c + 1] - inv_ptr[a],
+                        bnd_idx, bnd_ptr[a:c + 1] - bnd_ptr[a])))
+    return s, b, width, perm, levels
 
 
 def nd_factor(A, tree: NdTree) -> NdFactors:
@@ -417,14 +427,15 @@ def nd_factor(A, tree: NdTree) -> NdFactors:
     from the pattern of A + A^T, so a nonsymmetric pattern loses neither
     A[S, j] nor A[j, S]; fronts take A's dtype, at least float64.
 
-    The symbolic phase fixes every front and its maps and groups the
-    fronts by (tree level, len(sep), len(bnd)). The numeric phase goes
-    one level at a time, deepest first. Per group it gathers A's entries
-    and the children's Schur updates into one stack of dense fronts,
-    calls LAPACK gesv once per front with right-hand sides [F_SB | I],
-    which gives the partially pivoted LU of F_SS, X = F_SS^{-1} F_SB and
-    F_SS^{-1} together, and forms every update F_BB - F_BS X in one
-    batched product.
+    The symbolic phase fixes every front, its maps and the solve's
+    operators, and groups the fronts by (tree level, len(sep),
+    len(bnd)). The numeric phase goes one level at a time, deepest first.
+    Per group it gathers A's entries and the children's Schur updates
+    into one stack of dense fronts, calls LAPACK gesv once per front with
+    right-hand sides [F_SB | I], which gives the partially pivoted LU of
+    F_SS, X = F_SS^{-1} F_SB and F_SS^{-1} together, writes F_SS^{-1}, X
+    and F_BS into the level's operators, and forms every update
+    F_BB - F_BS X in one batched product.
 
     Raises ValueError for a NaN or inf in A, SeparationError naming a
     box when the separators do not tile range(N) or a child's boundary
@@ -439,11 +450,11 @@ def nd_factor(A, tree: NdTree) -> NdFactors:
         raise ValueError(f"A must be square, got shape {A.shape}")
     if not np.isfinite(A.data).all():
         raise ValueError("array must not contain infs or NaNs")
-    dtype = np.result_type(A.dtype, float)
+    N, dtype = A.shape[0], np.result_type(A.dtype, float)
     gesv, = scipy.linalg.get_lapack_funcs(("gesv",), dtype=dtype)
-    s, b, width, levels = _symbolic(A, tree)
-    below = []  # (front stack, separator size, up map) of the level below
-    for size, pos, ent, members, _ in levels:
+    s, b, width, perm, levels = _symbolic(A, tree)
+    sweep, groups, below = [], [], []  # below: (front stack, sep size, up map) per group
+    for size, pos, ent, members, (a, c, inv_idx, inv_ptr, bnd_idx, bnd_ptr) in levels:
         buf = np.zeros(size, dtype)
         buf[pos] = A.data[ent]
         # siblings overlap in their parent, so add the k-th children together;
@@ -451,10 +462,12 @@ def nd_factor(A, tree: NdTree) -> NdFactors:
         for k in range(width):
             for F, sk, (cut, base, mp, loc) in below:
                 i = slice(cut[k], cut[k + 1])
-                buf[base[i, None, None] + loc[i, :, None] * mp[i, None, None]
-                    + loc[i, None, :]] += F[i, sk:, sk:]
+                np.add.at(buf, (base[i, None, None] + loc[i, :, None] * mp[i, None, None]
+                                + loc[i, None, :]).ravel(), F[i, sk:, sk:].ravel())
         below = []
-        for grp, off, up in members:
+        inv = np.empty(len(inv_idx), dtype)
+        X, F_BS = np.empty(len(bnd_idx), dtype), np.empty(len(bnd_idx), dtype)
+        for grp, (off, i0, b0), up in members:
             (g, sk), bk = grp.sep.shape, grp.bnd.shape[1]
             F = buf[off:off + g * (sk + bk) ** 2].reshape(g, sk + bk, sk + bk)
             lu = np.empty((g, sk, sk), dtype).transpose(0, 2, 1)
@@ -470,60 +483,48 @@ def nd_factor(A, tree: NdTree) -> NdFactors:
                 i, k = np.argwhere(tiny)[0]
                 raise SingularMatrixError(
                     f"front at box {tree.box(grp.ids[i])} is singular (pivot {k})")
-            X = rhs[:, :, :bk]
-            F_BS = F[:, sk:, :sk].copy()
-            F[:, sk:, sk:] -= F_BS @ X
-            grp.lu, grp.piv, grp.inv, grp.X, grp.F_BS = lu, piv, rhs[:, :, bk:], X, F_BS
+            grp.lu, grp.piv = lu, piv
+            grp.inv = inv[i0:i0 + g * sk * sk].reshape(g, sk, sk).transpose(0, 2, 1)
+            grp.X = X[b0:b0 + g * sk * bk].reshape(g, sk, bk)
+            grp.F_BS = F_BS[b0:b0 + g * sk * bk].reshape(g, sk, bk).transpose(0, 2, 1)
+            grp.inv[...], grp.X[...] = rhs[:, :, bk:], rhs[:, :, :bk]
+            grp.F_BS[...] = F[:, sk:, :sk]
+            F[:, sk:, sk:] -= grp.F_BS @ grp.X
             below.append((F, sk, up))
+            groups.append(grp)
+        sweep.append((a, c, scipy.sparse.csc_array((inv, inv_idx, inv_ptr), shape=(c - a,) * 2),
+                      scipy.sparse.csc_array((F_BS, bnd_idx, bnd_ptr), shape=(N - c, c - a)),
+                      scipy.sparse.csr_array((X, bnd_idx, bnd_ptr), shape=(c - a, N - c))))
     # a running total over fronts in postorder, term by term
     terms = np.stack([(2.0 / 3.0) * s**3, 2.0 * s * s * b, 2.0 * b * s * b], axis=1)
     flops = np.cumsum(terms)[-1]
-    return NdFactors(levels=[level for *_, level in levels], flops=float(flops), N=A.shape[0])
+    return NdFactors(perm=perm, sweep=sweep, groups=groups, flops=float(flops), N=N)
 
 
 def nd_solve(factors: NdFactors, b):
-    """Two-sweep substitution through the elimination tree, one group of
-    same-shaped fronts at a time, with no per-front call.
+    """Two sweeps over the tree levels, one sparse product per operator
+    and level, and no loop over fronts or groups.
 
-    Accepts a single right-hand side (N,) or a matrix of them (N, r);
-    any other shape, or a NaN or inf, raises ValueError. The forward
-    sweep is multifrontal, deepest level first: each level's front
-    vectors start as b on the separator rows and zero elsewhere, and
-    take their children's updates through the extend-add maps of the
-    factor. Per group, z_S = F_SS^{-1} w_S is one batched product with
-    the stored inverses, and the update w_B - F_BS z_S is added into the
-    parents' vectors one child slot at a time. The backward sweep goes
-    root first: x_S = z_S - X x_B.
+    Accepts a single right-hand side (N,) or a matrix of them (N, r),
+    real or complex for either dtype of factor; any other shape, or a
+    NaN or inf, raises ValueError. In level order, y = b[perm]. Deepest
+    level first, y_S = F_SS^{-1} y_S on the level's slice and y_B -=
+    F_BS y_S on the later positions, which is the extend-add; then root
+    first, y_S -= X y_B. x[perm] = y.
     """
     b = _check_rhs(b, factors.N)
     if not np.isfinite(b).all():
         raise ValueError("array must not contain infs or NaNs")
-    single = b.ndim == 1
-    b = b.reshape(factors.N, -1)
-    dtype = np.result_type(b, float, factors.levels[0].groups[0].inv)
-
-    def vectors(level):
-        w = np.zeros((level.rows, b.shape[1]), dtype)
-        w[level.sep_rows] = b[level.sep_idx]
-        return w
-
-    zs = []
-    w = vectors(factors.levels[0])
-    for level, above in zip(factors.levels, factors.levels[1:] + [None]):
-        w_up = vectors(above) if above else None
-        for grp in level.groups:
-            (g, s), nb = grp.sep.shape, grp.bnd.shape[1]
-            W = w[grp.rows:grp.rows + g * (s + nb)].reshape(g, s + nb, -1)
-            z = grp.inv @ W[:, :s]
-            W[:, s:] -= grp.F_BS @ z
-            for lo, hi, dst in grp.up:
-                w_up[dst] += W[lo:hi, s:]
-            zs.append(z)
-        w = w_up
-    x = np.empty(b.shape, dtype)
-    for grp, z in zip(reversed(factors.groups), reversed(zs)):
-        x[grp.sep] = z - grp.X @ x[grp.bnd]
-    return x[:, 0] if single else x
+    perm, sweep = factors.perm, factors.sweep
+    y = b[perm].astype(np.result_type(b, float, sweep[0][2].dtype), order="C", copy=False)
+    for a, c, inv, F_BS, _ in sweep:
+        y[a:c] = inv @ y[a:c]
+        y[c:] -= F_BS @ y[a:c]
+    for a, c, _, _, X in reversed(sweep):
+        y[a:c] -= X @ y[c:]
+    x = np.empty_like(y)
+    x[perm] = y
+    return x
 
 
 # -- Schur-complement spectrum study ---------------------------------------------
@@ -537,7 +538,7 @@ def schur_offdiag_spectrum(dim, n, operator="laplace", kappa=None, leaf_cells=8)
     S_ab = A(I_a, I_2) A_22^{-1} A(I_2, I_b) is formed by solving the
     half-domain system (factored with nested dissection) column by
     column. ``operator`` is "laplace" (m = 0) or "helmholtz"
-    (m = -kappa^2).
+    (m = -kappa^2). ``leaf_cells`` is an integer >= 3; it may exceed n.
     """
     if operator == "laplace":
         m = None
@@ -551,16 +552,15 @@ def schur_offdiag_spectrum(dim, n, operator="laplace", kappa=None, leaf_cells=8)
         raise ValueError(f"unknown operator {operator!r}")
     if (dim == 2 and n > 256) or (dim == 3 and n > 24):
         raise ValueError("dense spectrum study capped at n=256 (2D) / n=24 (3D)")
-    st = assemble_stencil(dim, n, m)
-    A = st.A
+    if not (isinstance(leaf_cells, (int, np.integer)) and leaf_cells >= 3):
+        raise ValueError(f"need an integer leaf_cells >= 3, got leaf_cells={leaf_cells!r}")
+    A = assemble_stencil(dim, n, m).A
     shape = (n,) * dim
     cut = (n - 1) // 2
-    flat = np.arange(st.N).reshape(shape)
+    flat = np.arange(n**dim).reshape(shape)
     sep = flat[cut]  # the plane i0 = cut, shape (n,) or (n, n)
     I2 = flat[:cut].ravel()
-    half = n // 2
-    Ia = sep[:half].ravel()
-    Ib = sep[half:].ravel()
+    Ia, Ib = sep[:n // 2].ravel(), sep[n // 2:].ravel()
 
     fac = nd_factor(A[np.ix_(I2, I2)], _partition((cut,) + shape[1:], leaf_cells))
     rhs = np.asarray(A[np.ix_(I2, Ib)].todense())

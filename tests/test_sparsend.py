@@ -332,23 +332,50 @@ class TestFactorSolve:
 
     @pytest.mark.parametrize("dim, n", [(2, 128), (2, 37), (3, 12), (3, 9)])
     def test_extend_add_destinations_distinct(self, dim, n):
-        # the factor adds each child group and slot with one unbuffered
-        # fancy-index add, and the solve passes front vectors up the same way
+        # each child group and slot of the factor adds into distinct
+        # destinations; the solve's level operators stay in their slices
         A = assemble_stencil(dim, n).A
-        *_, width, levels = _symbolic(A, nd_partition(dim, n, leaf_cells=4))
+        tree = nd_partition(dim, n, leaf_cells=4)
+        *_, width, _, levels = _symbolic(A, tree)
         checked = 0
-        for *_, members, level in levels:
+        for *_, members, _ in levels:
             for grp, _, (cut, base, mp, loc) in members:
                 for k in range(width):
                     i = slice(cut[k], cut[k + 1])
                     dst = base[i, None, None] + loc[i, :, None] * mp[i, None, None] + loc[i, None, :]
                     assert len(np.unique(dst)) == dst.size
                     checked += 1
-                for lo, hi, dst in grp.up:
-                    assert len(np.unique(dst)) == dst.size == (hi - lo) * grp.bnd.shape[1]
-            # the separator rows of a level's front vectors are distinct too
-            assert len(np.unique(level.sep_rows)) == len(level.sep_rows)
         assert checked > 0
+        fac, N = nd_factor(A, tree), A.shape[0]
+        assert np.array_equal(np.sort(fac.perm), np.arange(N))
+        where = np.argsort(fac.perm)
+        # levels tile range(N); each level's operators read and write only
+        # its own slice a:c and the positions after it
+        assert [a for a, *_ in fac.sweep] == [0] + [c for _, c, *_ in fac.sweep[:-1]]
+        assert fac.sweep[-1][1] == N
+        rng = np.random.default_rng(RNG_SEED)
+        for a, c, inv, F_BS, X in fac.sweep:
+            assert inv.shape == (c - a, c - a) and F_BS.shape == (N - c, c - a)
+            assert X.shape == (c - a, N - c)
+            for op in (inv, F_BS, X):
+                op.check_format(full_check=True)  # every index within the shape
+            assert X.nnz == 0 or np.shares_memory(X.indices, F_BS.indices)
+            groups = [grp for grp in fac.groups if a <= where[grp.sep[0, 0]] < c]
+            assert sum(grp.sep.size for grp in groups) == c - a
+            # the group stacks are the operators' data, and the products
+            # apply them at their fronts' positions
+            v, w = rng.standard_normal(c - a), rng.standard_normal(N - c)
+            Fv = np.zeros(N - c)
+            for grp in groups:
+                for stack, op in ((grp.inv, inv), (grp.X, X), (grp.F_BS, F_BS)):
+                    assert stack.size == 0 or np.shares_memory(stack, op.data)
+                rows, cols = where[grp.sep] - a, where[grp.bnd] - c
+                assert np.all(rows >= 0) and np.all(cols >= 0)
+                np.testing.assert_allclose((inv @ v)[rows], (grp.inv @ v[rows, None])[..., 0])
+                np.testing.assert_allclose((X @ w)[rows], (grp.X @ w[cols, None])[..., 0])
+                np.add.at(Fv, cols, (grp.F_BS @ v[rows, None])[..., 0])
+            scale = np.max(np.abs(Fv), initial=0)
+            np.testing.assert_allclose(F_BS @ v, Fv, rtol=1e-13, atol=1e-13 * scale)
 
     def test_zero_rhs(self):
         st = assemble_stencil(2, 8)
@@ -461,17 +488,20 @@ class TestSeparation:
             nd_factor(assemble_stencil(2, 8), nd_partition(2, 9, leaf_cells=3))
 
 
-@settings(max_examples=25, derandomize=True, deadline=None, database=None)
+@settings(max_examples=50, derandomize=True, deadline=None, database=None)
 @given(dim=strategies.sampled_from([2, 3]), data=strategies.data())
 def test_nd_solve_matches_dense_solve(dim, data):
     # n not a power of two, nonsymmetric values on the stencil pattern, a
-    # real or complex shift that keeps A diagonally dominant
+    # real or complex shift that keeps A diagonally dominant; b real or
+    # complex whatever A is, with 0 to 3 columns, C- or F-ordered or strided
     n = data.draw(strategies.integers(5, 23 if dim == 2 else 11), label="n")
     if n & (n - 1) == 0:
         n += 1
     leaf_cells = data.draw(strategies.integers(3, min(6, n)), label="leaf_cells")
     shift = data.draw(strategies.sampled_from([1.0, 1j]), label="shift")
-    nrhs = data.draw(strategies.sampled_from([1, 3]), label="nrhs")
+    nrhs = data.draw(strategies.sampled_from([1, 0, 3]), label="nrhs")
+    layout = data.draw(strategies.sampled_from(["C", "F", "strided"]), label="layout")
+    b_complex = data.draw(strategies.booleans(), label="b_complex")
     rng = np.random.default_rng(data.draw(strategies.integers(0, 2**32 - 1), label="seed"))
     stencil = assemble_stencil(dim, n)
     A = stencil.A.tocoo(copy=True)
@@ -479,11 +509,17 @@ def test_nd_solve_matches_dense_solve(dim, data):
     A.data[off] *= 1.0 + 0.2 * rng.uniform(-1.0, 1.0, off.sum())
     eye = scipy.sparse.identity(A.shape[0])
     A = (A + shift * rng.uniform(5.0, 8.0) * (n + 1) ** 2 * eye).tocsr()
-    b = rng.standard_normal((A.shape[0], nrhs))[:, 0 if nrhs == 1 else slice(None)]
+    B = rng.standard_normal((A.shape[0], 2 * max(nrhs, 1)))
+    if b_complex:
+        B = B + 1j * rng.standard_normal(B.shape)
+    if layout == "F":
+        B = np.asfortranarray(B)
+    b = B[:, ::2] if layout == "strided" else B[:, :max(nrhs, 1)]
+    b = b[:, :nrhs] if nrhs != 1 else b[:, 0]
     x = nd_solve(nd_factor(A, nd_partition(dim, n, leaf_cells)), b)
     x_ref = np.linalg.solve(A.toarray(), b)
-    assert x.shape == x_ref.shape
-    assert np.max(np.abs(x - x_ref)) <= 1e-11 * np.max(np.abs(x_ref))
+    assert x.shape == x_ref.shape and x.dtype == x_ref.dtype
+    assert np.max(np.abs(x - x_ref), initial=0) <= 1e-11 * np.max(np.abs(x_ref), initial=0)
 
 
 class TestSchurSpectrum:
@@ -542,6 +578,12 @@ class TestSchurSpectrum:
         r2 = schur_offdiag_spectrum(2, 128).rank_at(1e-10)
         assert r3 >= 2 * r2  # 3D separators carry much higher rank
 
+    def test_leaf_cells_above_n(self):
+        # `fds nd --schur` passes leaf_cells=8 at any n
+        res = schur_offdiag_spectrum(2, 6, leaf_cells=8)
+        assert res.sigmas.shape == (3,) and np.all(np.isfinite(res.sigmas))
+        assert schur_offdiag_spectrum(2, 16, leaf_cells=np.int64(4)).sigmas.shape == (8,)
+
     def test_input_validation(self):
         with pytest.raises(ValueError):
             schur_offdiag_spectrum(2, 512)
@@ -558,8 +600,12 @@ class TestSchurSpectrum:
      r"A must be square, got shape \(4, 5\)"),
     (lambda: schur_offdiag_spectrum(2, 16, operator="biharmonic"), ValueError,
      "unknown operator 'biharmonic'"),
+    *[(lambda leaf=leaf: schur_offdiag_spectrum(2, 16, leaf_cells=leaf), ValueError,
+       rf"need an integer leaf_cells >= 3, got leaf_cells={leaf!r}")
+      for leaf in (0, -5, 2, 2.5, 3.0, True)],
 ], ids=["stencil-dim-4", "stencil-n-2", "stencil-short-m-field", "partition-leaf-2",
-        "factor-4x5", "schur-biharmonic"])
+        "factor-4x5", "schur-biharmonic", "schur-leaf-0", "schur-leaf-minus-5", "schur-leaf-2",
+        "schur-leaf-2.5", "schur-leaf-3.0", "schur-leaf-True"])
 def test_refused_inputs(call, error, match):
     with pytest.raises(error, match=match):
         call()
